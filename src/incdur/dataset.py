@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "FeatureColumn",
@@ -28,13 +27,14 @@ __all__ = [
 
 MISSING_LEVEL = "missing"
 
-#: Distributions fitted during profiling, all positive-support and fitted in
-#: log/scale space with the location pinned at zero.
-FIT_DISTRIBUTIONS = {
-    "log-normal": stats.lognorm,
-    "log-logistic": stats.fisk,
-    "weibull": stats.weibull_min,
-}
+
+def fit_distributions() -> dict:
+    """Distributions fitted during profiling, all positive-support and fitted
+    in log/scale space with the location pinned at zero."""
+    from scipy import stats  # imported on use: it takes over a second to load
+
+    return {"log-normal": stats.lognorm, "log-logistic": stats.fisk,
+            "weibull": stats.weibull_min}
 
 
 class DatasetError(ValueError):
@@ -490,7 +490,7 @@ def profile(dataset: Dataset, n_bins: int = 30) -> ProfileReport:
     fitted: list[dict] = []
     if d.size >= 10:
         shifted = np.where(d == 0, 0.5, d)
-        for name, dist in FIT_DISTRIBUTIONS.items():
+        for name, dist in fit_distributions().items():
             entry = {"distribution": name}
             try:
                 params = dist.fit(shifted, floc=0)

@@ -7,12 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import BoostParams, ModelError, TrainedModel, as_values, prepare_targets
-from .tree import (
-    Node,
-    grow_mse_tree,
-    grow_second_order_tree,
-    predict_tree,
-)
+from .tree import Node, PackedTrees, grow_mse_tree, grow_second_order_tree, predict_tree
 
 VARIANTS = ("first-order", "second-order-regularised")
 
@@ -98,21 +93,18 @@ class _Booster:
         self.base_score = float(base_score)
         self.trees = list(trees)
         self.learning_rate = float(learning_rate)
+        self.packed = PackedTrees(self.trees)
 
     def score_values(self, values):
-        score = np.full(values.shape[0], self.base_score)
-        for tree in self.trees:
-            score += self.learning_rate * predict_tree(tree, values)
-        return score
+        return self.packed.leaf_sum(values, self.base_score, self.learning_rate)
 
     def staged_scores(self, values):
         """Cumulative raw scores after each round (round count + 1 entries)."""
-        score = np.full(values.shape[0], self.base_score)
-        stages = [score.copy()]
-        for tree in self.trees:
-            score = score + self.learning_rate * predict_tree(tree, values)
-            stages.append(score.copy())
-        return stages
+        stages = np.full((len(self.trees) + 1, values.shape[0]), self.base_score)
+        for rows, leaf in self.packed.leaves(values):
+            for t, tree_leaf in enumerate(leaf):
+                stages[t + 1, rows] = stages[t, rows] + self.learning_rate * tree_leaf
+        return list(stages)
 
     def to_dict(self):
         return {

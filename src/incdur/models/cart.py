@@ -5,15 +5,16 @@ from __future__ import annotations
 import numpy as np
 
 from .base import ModelError, TrainedModel, TreeParams, as_values, prepare_targets
-from .tree import Node, grow_gini_tree, grow_mse_tree, predict_tree
+from .tree import Node, PackedTrees, grow_gini_tree, grow_mse_tree
 
 
 class TreeRegressor:
     def __init__(self, root: Node):
         self.root = root
+        self.packed = PackedTrees([root])
 
     def predict_values(self, values):
-        return predict_tree(self.root, values)
+        return self.packed.stacked(values)[0]
 
     def to_dict(self):
         return {"type": "tree-regressor", "root": self.root.to_dict()}
@@ -26,9 +27,10 @@ class TreeRegressor:
 class TreeClassifier:
     def __init__(self, root: Node):
         self.root = root
+        self.packed = PackedTrees([root])
 
     def predict_proba_values(self, values):
-        dist = predict_tree(self.root, values)
+        dist = self.packed.stacked(values)[0]
         return dist / dist.sum(axis=1, keepdims=True)
 
     def to_dict(self):

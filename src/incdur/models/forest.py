@@ -5,16 +5,19 @@ from __future__ import annotations
 import numpy as np
 
 from .base import ForestParams, ModelError, TrainedModel, as_values, prepare_targets
-from .tree import Node, grow_gini_tree, grow_mse_tree, predict_tree
+from .tree import Node, PackedTrees, grow_gini_tree, grow_mse_tree
 
 
 class ForestRegressor:
     def __init__(self, trees):
         self.trees = list(trees)
+        self.packed = PackedTrees(self.trees)
 
     def predict_values(self, values):
-        preds = np.stack([predict_tree(t, values) for t in self.trees])
-        return preds.mean(axis=0)
+        out = np.zeros(values.shape[0])
+        for rows, leaf in self.packed.leaves(values):
+            out[rows] = leaf.mean(axis=0)
+        return out
 
     def to_dict(self):
         return {"type": "forest-regressor", "trees": [t.to_dict() for t in self.trees]}
@@ -31,13 +34,13 @@ class ForestClassifier:
     def __init__(self, trees, n_classes):
         self.trees = list(trees)
         self.n_classes = int(n_classes)
+        self.packed = PackedTrees(self.trees)
 
     def predict_proba_values(self, values):
         votes = np.zeros((values.shape[0], self.n_classes))
-        for tree in self.trees:
-            dist = predict_tree(tree, values)
-            picked = np.argmax(dist, axis=1)
-            votes[np.arange(values.shape[0]), picked] += 1.0
+        for rows, leaf in self.packed.leaves(values):
+            picked = np.argmax(leaf, axis=2)[..., None]
+            votes[rows] = np.sum(picked == np.arange(self.n_classes), axis=0)
         return votes / len(self.trees)
 
     def to_dict(self):

@@ -4,6 +4,11 @@ Three growers share the same node structure: squared-error regression,
 Gini classification, and second-order (gradient/hessian) trees used by the
 regularised boosting variant. Split-gain ties break toward the lower
 feature index, then the lower threshold.
+
+Every tree model and Isolation Forest predict through ``PackedTrees``: the
+trees, packed once into flat arrays with global node ids and self-looping
+leaves, are walked together one depth level per step with ``np.take``, in
+row chunks. Rows go left when ``x < threshold``, so NaN goes right.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ __all__ = [
     "grow_mse_tree",
     "grow_gini_tree",
     "grow_second_order_tree",
+    "PackedTrees",
     "predict_tree",
     "leaf_values",
 ]
@@ -271,27 +277,66 @@ def grow_second_order_tree(
     return build(np.arange(X.shape[0]), 0)
 
 
+class PackedTrees:
+    """Trees packed once into flat node arrays, walked together by ``leaves``."""
+
+    CHUNK_CELLS = 1 << 18  # (tree, row) cells walked per chunk
+
+    def __init__(self, trees):
+        feature, threshold, child, value, depths = [], [], [], [], []
+
+        def add(node, depth):  # pre-order; returns the node's global id
+            i = len(feature)
+            feature.append(node.feature)
+            threshold.append(node.threshold)
+            child.extend((i, i))  # [right, left]: a leaf's children are itself
+            value.append(node.value)
+            depths.append(depth)
+            if node.left is not None:
+                child[2 * i] = add(node.right, depth + 1)
+                child[2 * i + 1] = add(node.left, depth + 1)
+                value[i] = 0.0 * value[child[2 * i + 1]]  # zeros, leaf-shaped
+            return i
+
+        self.roots = np.array([add(tree, 0) for tree in trees])
+        self.depth = max(depths)
+        self.feature = np.maximum(np.array(feature), 0)  # leaves read column 0
+        self.threshold = np.array(threshold, dtype=float)
+        self.child = np.array(child)  # go to child[2 * id + (x < threshold)]
+        self.value = np.array(value, dtype=float)
+
+    def leaves(self, X):
+        """Yield (row slice, leaf payloads of shape (trees, rows[, width]))."""
+        n, m = X.shape
+        flat = np.ascontiguousarray(X, dtype=float).reshape(-1)
+        step = max(1, self.CHUNK_CELLS // self.roots.shape[0])
+        for start in range(0, max(n, 1), step):  # 0 rows: one empty chunk
+            stop = min(n, start + step)
+            node = np.repeat(self.roots[:, None], stop - start, axis=1)
+            base = np.arange(start, stop) * m
+            for _ in range(self.depth):
+                x = np.take(flat, base + np.take(self.feature, node))
+                go_left = x < np.take(self.threshold, node)
+                node = np.take(self.child, 2 * node + go_left)
+            yield slice(start, stop), np.take(self.value, node, axis=0)
+
+    def leaf_sum(self, X, start=0.0, scale=1.0):
+        """start + scale * leaf payload, added one tree at a time in tree order."""
+        total = np.full(X.shape[0], start)
+        for rows, leaf in self.leaves(X):
+            part = total[rows]  # a view: adding to it fills total
+            for tree_leaf in leaf:
+                part += scale * tree_leaf
+        return total
+
+    def stacked(self, X):
+        """All leaf payloads at once, (trees, rows[, width]); for few trees."""
+        return np.concatenate([leaf for _, leaf in self.leaves(X)], axis=1)
+
+
 def predict_tree(node: Node, X) -> np.ndarray:
     """Evaluate a tree on a matrix; leaf payloads may be scalar or vector."""
-    n = X.shape[0]
-    first = node
-    while not first.is_leaf:
-        first = first.left
-    width = first.value.shape[0] if isinstance(first.value, np.ndarray) else 0
-    out = np.zeros((n, width)) if width else np.zeros(n)
-
-    stack = [(node, np.arange(n))]
-    while stack:
-        cur, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if cur.is_leaf:
-            out[idx] = cur.value
-            continue
-        mask = _split_mask(X[idx, cur.feature], cur.threshold)
-        stack.append((cur.left, idx[mask]))
-        stack.append((cur.right, idx[~mask]))
-    return out
+    return PackedTrees([node]).stacked(X)[0]
 
 
 def leaf_values(node: Node) -> list:

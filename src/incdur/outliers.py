@@ -9,9 +9,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models.base import as_values
+from .models.tree import Node, PackedTrees
 
 __all__ = [
     "AnomalyScores",
+    "OrmError",
     "OrmParams",
     "isolation_forest_scores",
     "lof_scores",
@@ -25,6 +27,10 @@ LRD_CAP = 1e12
 _EULER_GAMMA = 0.5772156649015329
 
 
+class OrmError(ValueError):
+    """Unscorable input: too few rows, k >= rows, or non-finite scores."""
+
+
 @dataclass(frozen=True)
 class AnomalyScores:
     scores: np.ndarray
@@ -36,7 +42,7 @@ class AnomalyScores:
         scores = np.asarray(self.scores, dtype=float)
         object.__setattr__(self, "scores", scores)
         if not np.all(np.isfinite(scores)):
-            raise ValueError("anomaly scores must be finite")
+            raise OrmError("anomaly scores must be finite")
 
 
 @dataclass(frozen=True)
@@ -69,43 +75,25 @@ def _avg_path_length(n) -> float:
 
 
 def _build_isolation_tree(values, idx, depth, depth_limit, rng):
-    """Nodes are (feature, split, left, right); leaves are ('leaf', size)."""
-    if depth >= depth_limit or idx.shape[0] <= 1:
-        return ("leaf", idx.shape[0])
-    sub = values[idx]
-    lo = sub.min(axis=0)
-    hi = sub.max(axis=0)
-    usable = np.flatnonzero(hi > lo)
-    if usable.size == 0:
-        return ("leaf", idx.shape[0])
-    feat = int(rng.choice(usable))
-    split = float(rng.uniform(lo[feat], hi[feat]))
-    mask = sub[:, feat] < split
-    if not mask.any() or mask.all():
-        return ("leaf", idx.shape[0])
-    return (
-        feat,
-        split,
-        _build_isolation_tree(values, idx[mask], depth + 1, depth_limit, rng),
-        _build_isolation_tree(values, idx[~mask], depth + 1, depth_limit, rng),
-    )
-
-
-def _tree_path_lengths(tree, values):
-    out = np.zeros(values.shape[0])
-    stack = [(tree, np.arange(values.shape[0]), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        if idx.size == 0:
-            continue
-        if node[0] == "leaf":
-            out[idx] = depth + _avg_path_length(node[1])
-            continue
-        feat, split, left, right = node
-        mask = values[idx, feat] < split
-        stack.append((left, idx[mask], depth + 1))
-        stack.append((right, idx[~mask], depth + 1))
-    return out
+    """Random-split tree; a leaf holds its path length depth + c(size)."""
+    if depth < depth_limit and idx.shape[0] > 1:
+        sub = values[idx]
+        lo = sub.min(axis=0)
+        hi = sub.max(axis=0)
+        usable = np.flatnonzero(hi > lo)
+        if usable.size:
+            feat = int(rng.choice(usable))
+            split = float(rng.uniform(lo[feat], hi[feat]))
+            mask = sub[:, feat] < split
+            if mask.any() and not mask.all():
+                below = (depth + 1, depth_limit, rng)
+                return Node(
+                    feature=feat,
+                    threshold=split,
+                    left=_build_isolation_tree(values, idx[mask], *below),
+                    right=_build_isolation_tree(values, idx[~mask], *below),
+                )
+    return Node(value=depth + _avg_path_length(idx.shape[0]))
 
 
 def isolation_forest_scores(
@@ -121,17 +109,16 @@ def isolation_forest_scores(
     values = as_values(X)
     n = values.shape[0]
     if n < 2:
-        raise ValueError("need at least 2 rows to score")
+        raise OrmError("need at least 2 rows to score")
     psi = min(params.if_subsample, n)
     depth_limit = int(math.ceil(math.log2(max(2, psi))))
     rng = np.random.default_rng(seed)
 
-    paths = np.zeros(n)
+    trees = []
     for _ in range(params.if_n_trees):
         sample = rng.choice(n, size=psi, replace=False)
-        tree = _build_isolation_tree(values, sample, 0, depth_limit, rng)
-        paths += _tree_path_lengths(tree, values)
-    avg_depth = paths / params.if_n_trees
+        trees.append(_build_isolation_tree(values, sample, 0, depth_limit, rng))
+    avg_depth = PackedTrees(trees).leaf_sum(values) / params.if_n_trees
     scores = np.power(2.0, -avg_depth / _avg_path_length(psi))
     return AnomalyScores(
         scores=scores,
@@ -151,7 +138,7 @@ def lof_scores(X, k: int) -> AnomalyScores:
     values = as_values(X)
     n = values.shape[0]
     if not 2 <= k < n:
-        raise ValueError("need 2 <= k < number of rows")
+        raise OrmError("need 2 <= k < number of rows")
 
     diff = values[:, None, :] - values[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))

@@ -19,8 +19,9 @@ from .cv import derive_seed, fold_indexes
 from .dataset import Dataset, encode
 from .labeling import binary_labels
 from .metrics import classification_metrics, mape_excluding_zero, rmse
-from .models import fit_model, make_params, params_to_dict
-from .outliers import MAX_ORM_PERCENT, OrmParams, remove_top_percent, score_with
+from .models import ModelError, fit_model, make_params, params_to_dict
+from .outliers import (MAX_ORM_PERCENT, OrmError, OrmParams, remove_top_percent,
+                       score_with)
 
 __all__ = [
     "HyperSpace",
@@ -318,7 +319,7 @@ def run_ieo(
                 model_kind, task, metric,
             )
             failed = False
-        except (DrawFailed, ValueError) as exc:
+        except (DrawFailed, ModelError, OrmError) as exc:
             outcome = {
                 "oof_indices": None,
                 "oof_predictions": None,

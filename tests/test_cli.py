@@ -1,9 +1,13 @@
 """CLI: config validation, artifacts, manifest, and worker determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import incdur
 from incdur.cli import main
 
 BASE_CONFIG = {
@@ -164,3 +168,11 @@ def test_csv_dataset_round_trip(tmp_path):
     assert main(["sweep", "--config", str(p2), "--out", str(out2)]) == 0
     lines = (out2 / "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 2
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes over a second to import; only `profile` needs it
+    src = os.path.dirname(os.path.dirname(incdur.__file__))
+    code = "import sys, incdur.cli; assert 'scipy.stats' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

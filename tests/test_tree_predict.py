@@ -1,0 +1,247 @@
+"""The stacked flat-array traversal against a plain row-by-row Node walk.
+
+Every tree ensemble and Isolation Forest predict through
+``PackedTrees.leaves``; each test here compares its output bit for bit
+(``np.array_equal``) with a reference that walks the linked ``Node`` trees
+one row at a time in plain Python and combines the trees in the same order.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from incdur.models import (
+    BoostParams,
+    ForestParams,
+    TreeParams,
+    fit_gbt,
+    fit_random_forest,
+    fit_tree,
+    model_from_json,
+    model_to_json,
+)
+from incdur.models.boosting import _sigmoid
+from incdur.models.tree import PackedTrees, predict_tree
+from incdur.outliers import (
+    OrmParams,
+    _avg_path_length,
+    _build_isolation_tree,
+    isolation_forest_scores,
+)
+
+
+def _walk(node, row):
+    while not node.is_leaf:
+        node = node.left if row[node.feature] < node.threshold else node.right
+    return node.value
+
+
+def _tree_ref(node, X):
+    return np.array([_walk(node, row) for row in X], dtype=float).reshape(
+        (X.shape[0],) + np.shape(_walk(node, np.zeros(X.shape[1])))
+    )
+
+
+def _booster_ref(booster, X, staged=False):
+    score = np.full(X.shape[0], booster.base_score)
+    stages = [score.copy()]
+    for tree in booster.trees:
+        score = score + booster.learning_rate * _tree_ref(tree, X)
+        stages.append(score.copy())
+    return stages if staged else score
+
+
+def _forest_reg_ref(trees, X):
+    return np.stack([_tree_ref(t, X) for t in trees]).reshape(
+        len(trees), X.shape[0]
+    ).mean(axis=0)
+
+
+def _forest_clf_ref(trees, n_classes, X):
+    votes = np.zeros((X.shape[0], n_classes))
+    for tree in trees:
+        picked = np.argmax(_tree_ref(tree, X).reshape(X.shape[0], n_classes), axis=1)
+        votes[np.arange(X.shape[0]), picked] += 1.0
+    return votes / len(trees)
+
+
+def _data(seed, n=120, m=5, nan_share=0.0):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, m))
+    y = X[:, 0] * 3.0 - X[:, 1] ** 2 + rng.normal(scale=0.3, size=n)
+    if nan_share:
+        X[rng.random((n, m)) < nan_share] = np.nan
+    return X, y
+
+
+def _queries(seed, m=5):
+    """Query sets covering 0 rows, 1 row, NaN cells and a plain batch."""
+    X, _ = _data(seed + 100, n=60, m=m, nan_share=0.2)
+    return [X[:0], X[:1], X, np.full((3, m), np.nan)]
+
+
+def _labels(y, k):
+    return np.digitize(y, np.quantile(y, np.linspace(0, 1, k + 1)[1:-1]))
+
+
+GBT_PARAMS = [
+    BoostParams(n_rounds=25, max_depth=3),
+    BoostParams(n_rounds=20, max_depth=4, colsample=0.6, subsample=0.8),
+    BoostParams(n_rounds=15, max_depth=3, goss=(0.2, 0.3)),
+    BoostParams(n_rounds=5, max_depth=3, gamma=1e12),
+]
+
+
+@pytest.mark.parametrize("variant", ["first-order", "second-order-regularised"])
+@pytest.mark.parametrize("params", GBT_PARAMS)
+def test_gbt_regression_matches_node_walk(variant, params):
+    X, y = _data(0)
+    model = fit_gbt(X, y, params, variant, seed=3)
+    booster = model.inner.booster
+    for Q in _queries(0):
+        assert np.array_equal(model.predict(Q), _booster_ref(booster, Q))
+        staged = model.inner.staged_predict_values(Q)
+        ref = _booster_ref(booster, Q, staged=True)
+        assert len(staged) == len(ref) == params.n_rounds + 1
+        assert all(np.array_equal(a, b) for a, b in zip(staged, ref))
+
+
+@pytest.mark.parametrize("variant", ["first-order", "second-order-regularised"])
+@pytest.mark.parametrize("n_classes", [2, 4])
+def test_gbt_classification_matches_node_walk(variant, n_classes):
+    X, y = _data(1)
+    labels = _labels(y, n_classes)
+    params = BoostParams(n_rounds=15, max_depth=3, colsample=0.6)
+    model = fit_gbt(X, labels, params, variant, task="classification", seed=5)
+    inner = model.inner
+    boosters = [inner.booster] if n_classes == 2 else inner.boosters
+    for Q in _queries(1):
+        if n_classes == 2:
+            p = _sigmoid(_booster_ref(inner.booster, Q))
+            ref = np.column_stack([1.0 - p, p])
+        else:
+            scores = np.column_stack([_sigmoid(_booster_ref(b, Q)) for b in boosters])
+            total = scores.sum(axis=1, keepdims=True)
+            total[total == 0] = 1.0
+            ref = scores / total
+        assert np.array_equal(model.predict_proba(Q), ref)
+
+
+def test_gbt_colsample_remaps_features_to_global_columns():
+    X, y = _data(2, m=8)
+    model = fit_gbt(X, y, BoostParams(n_rounds=30, colsample=0.4), seed=1)
+    used = {int(f) for f in model.inner.booster.packed.feature}
+    assert max(used) > 2  # a 3-column subset has local ids 0..2 only
+    Q = _queries(2, m=8)[2]
+    assert np.array_equal(model.predict(Q), _booster_ref(model.inner.booster, Q))
+
+
+def test_random_forest_regression_matches_node_walk():
+    X, y = _data(3)
+    model = fit_random_forest(X, y, ForestParams(n_trees=30, max_depth=5), seed=2)
+    for Q in _queries(3):
+        assert np.array_equal(model.predict(Q), _forest_reg_ref(model.inner.trees, Q))
+
+
+def test_random_forest_classification_matches_node_walk():
+    X, y = _data(4)
+    labels = _labels(y, 3)
+    model = fit_random_forest(
+        X, labels, ForestParams(n_trees=30, max_depth=5), task="classification", seed=2
+    )
+    inner = model.inner
+    for Q in _queries(4):
+        ref = _forest_clf_ref(inner.trees, inner.n_classes, Q)
+        assert np.array_equal(model.predict_proba(Q), ref)
+
+
+def test_cart_regression_and_classification_match_node_walk():
+    X, y = _data(5)
+    reg = fit_tree(X, y, TreeParams(max_depth=6))
+    clf = fit_tree(X, _labels(y, 3), TreeParams(max_depth=4), task="classification")
+    for Q in _queries(5):
+        assert np.array_equal(reg.predict(Q), _tree_ref(reg.inner.root, Q))
+        dist = _tree_ref(clf.inner.root, Q).reshape(Q.shape[0], 3)
+        ref = dist / dist.sum(axis=1, keepdims=True)
+        assert np.array_equal(clf.predict_proba(Q), ref)
+
+
+def test_single_leaf_trees():
+    X, _ = _data(6)
+    y = np.full(X.shape[0], 2.5)
+    for model in (
+        fit_tree(X, y, TreeParams(max_depth=4)),
+        fit_random_forest(X, y, ForestParams(n_trees=5), seed=0),
+        fit_gbt(X, y, BoostParams(n_rounds=4)),
+    ):
+        packed = getattr(model.inner, "booster", model.inner).packed
+        assert packed.depth == 0
+        for Q in _queries(6):
+            assert np.array_equal(model.predict(Q), np.full(Q.shape[0], 2.5))
+
+
+def test_nan_goes_right():
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    model = fit_tree(X, np.array([0.0, 0.0, 5.0, 5.0]), TreeParams(max_depth=1))
+    assert model.inner.root.right.value == 5.0
+    assert np.array_equal(model.predict(np.array([[np.nan]])), [5.0])
+
+
+@pytest.mark.parametrize("kind", ["gbt", "gbt-reg", "random-forest", "tree"])
+def test_json_round_trip_repacks_identically(kind):
+    X, y = _data(7)
+    if kind == "tree":
+        model = fit_tree(X, y, TreeParams(max_depth=5))
+    elif kind == "random-forest":
+        model = fit_random_forest(X, y, ForestParams(n_trees=10), seed=1)
+    else:
+        variant = "first-order" if kind == "gbt" else "second-order-regularised"
+        model = fit_gbt(X, y, BoostParams(n_rounds=10, colsample=0.6), variant, seed=1)
+    restored = model_from_json(model_to_json(model))
+    for Q in _queries(7):
+        assert np.array_equal(restored.predict(Q), model.predict(Q))
+
+
+def test_chunk_boundary(monkeypatch):
+    X, y = _data(8, n=200)
+    model = fit_gbt(X, y, BoostParams(n_rounds=7, max_depth=3), seed=0)
+    Q = _queries(8)[2]
+    whole = model.predict(Q)
+    # 7 trees x 5 rows per chunk: 60 rows cross eleven chunk boundaries
+    monkeypatch.setattr(PackedTrees, "CHUNK_CELLS", 35)
+    assert np.array_equal(model.predict(Q), whole)
+    assert np.array_equal(model.predict(Q), _booster_ref(model.inner.booster, Q))
+    tree = model.inner.booster.trees[0]
+    assert np.array_equal(predict_tree(tree, Q), _tree_ref(tree, Q))
+    forest = fit_random_forest(X, y, ForestParams(n_trees=7, max_depth=4), seed=0)
+    assert np.array_equal(forest.predict(Q), _forest_reg_ref(forest.inner.trees, Q))
+    labels = _labels(y, 3)
+    forest = fit_random_forest(
+        X, labels, ForestParams(n_trees=7, max_depth=4), task="classification", seed=0
+    )
+    ref = _forest_clf_ref(forest.inner.trees, 3, Q)
+    assert np.array_equal(forest.predict_proba(Q), ref)
+
+
+def _if_reference(values, params, seed):
+    """Isolation Forest scores with each path length walked row by row."""
+    n = values.shape[0]
+    psi = min(params.if_subsample, n)
+    depth_limit = int(math.ceil(math.log2(max(2, psi))))
+    rng = np.random.default_rng(seed)
+    paths = np.zeros(n)
+    for _ in range(params.if_n_trees):
+        sample = rng.choice(n, size=psi, replace=False)
+        tree = _build_isolation_tree(values, sample, 0, depth_limit, rng)
+        paths += _tree_ref(tree, values)
+    return np.power(2.0, -(paths / params.if_n_trees) / _avg_path_length(psi))
+
+
+@pytest.mark.parametrize("n", [2, 7, 300, 3000])
+def test_isolation_forest_matches_node_walk(n):
+    # 3000 rows x 100 trees crosses the default chunk boundary
+    values, _ = _data(9, n=n, m=4)
+    params = OrmParams(if_n_trees=100, if_subsample=64)
+    scores = isolation_forest_scores(values, params, seed=4)
+    assert np.array_equal(scores.scores, _if_reference(values, params, 4))

@@ -6,6 +6,8 @@ import pytest
 from incdur.cv import cross_val_predict, derive_seed, fold_indexes
 from incdur.dataset import SynthConfig, encode, synthesize
 from incdur.metrics import mape_excluding_zero
+from incdur.models import ModelError
+from incdur.outliers import OrmError
 from incdur.tuning import (
     CvPlan,
     HyperSpace,
@@ -249,3 +251,38 @@ def test_iteration_curve_monotone_and_timed():
 def test_iteration_curve_default_schedule():
     assert tuple(range(25, 251, 25)) == (25, 50, 75, 100, 125, 150, 175,
                                          200, 225, 250)
+
+
+# ---------------------------------------------------------------------------
+# Failed draws
+# ---------------------------------------------------------------------------
+
+
+def _fail_first_fit(monkeypatch, exc):
+    """Make the first model fit of a search raise ``exc``."""
+    import incdur.tuning as tuning
+
+    real, calls = tuning.fit_model, []
+
+    def fit_model(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise exc
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tuning, "fit_model", fit_model)
+
+
+@pytest.mark.parametrize("exc", [ModelError("bad fit"), OrmError("bad scores")])
+def test_ieo_documented_errors_fail_the_draw(monkeypatch, exc):
+    _fail_first_fit(monkeypatch, exc)
+    plan = CvPlan(n_folds=4, mode="intra", iterations=3, seed=2)
+    result = run_ieo(make_data(n=200, seed=12), "tree", plan, space=fixed_space())
+    assert [r["failed"] for r in result.trace] == [True, False, False]
+
+
+def test_ieo_plain_value_error_propagates(monkeypatch):
+    _fail_first_fit(monkeypatch, ValueError("programming error"))
+    plan = CvPlan(n_folds=4, mode="intra", iterations=3, seed=2)
+    with pytest.raises(ValueError, match="programming error"):
+        run_ieo(make_data(n=200, seed=12), "tree", plan, space=fixed_space())
