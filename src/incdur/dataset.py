@@ -140,16 +140,6 @@ class EncodedMatrix:
         if values.size and not np.all(np.isfinite(values)):
             raise DatasetError("encoded matrix must not contain non-finite entries")
 
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    def take(self, indices) -> "EncodedMatrix":
-        indices = np.asarray(indices, dtype=int)
-        return EncodedMatrix(
-            self.values[indices], self.feature_names, self.row_index[indices]
-        )
-
 
 class Encoder:
     """Deterministic dataset -> matrix encoder with a frozen vocabulary.

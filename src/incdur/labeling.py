@@ -12,7 +12,6 @@ from .dataset import Dataset, ecdf_at, encode
 from .metrics import classification_metrics, f1_macro
 
 __all__ = [
-    "BinaryThreshold",
     "MultiClassThresholds",
     "binary_labels",
     "multiclass_labels",
@@ -31,15 +30,6 @@ MIN_ACCEPTABLE_F1 = 0.75
 
 MUTCD_MINOR_BELOW = 30.0
 MUTCD_MAJOR_ABOVE = 120.0
-
-
-@dataclass(frozen=True)
-class BinaryThreshold:
-    tc: float
-
-    def __post_init__(self):
-        if self.tc <= 0:
-            raise ValueError("tc must be > 0")
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,10 @@ def params_to_dict(params) -> dict:
     return {f.name: getattr(params, f.name) for f in fields(params)}
 
 
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
+
+
 def as_values(X, feature_names=None):
     """Accept an EncodedMatrix or a plain array; optionally validate names."""
     names = getattr(X, "feature_names", None)

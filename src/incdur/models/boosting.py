@@ -6,14 +6,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BoostParams, ModelError, TrainedModel, as_values, prepare_targets
+from .base import (
+    BoostParams, ModelError, TrainedModel, _sigmoid, as_values, prepare_targets,
+)
 from .tree import Node, PackedTrees, grow_mse_tree, grow_second_order_tree, predict_tree
 
 VARIANTS = ("first-order", "second-order-regularised")
-
-
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
 
 
 def _remap_features(node: Node, cols):

@@ -5,14 +5,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import LinearParams, ModelError, TrainedModel, as_values, prepare_targets
+from .base import (
+    LinearParams, ModelError, TrainedModel, _sigmoid, as_values, prepare_targets,
+)
 
 GRAD_TOL = 1e-6
 MAX_ITERS = 10_000
-
-
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
 
 
 class LinearRegressor:

@@ -1,9 +1,14 @@
-"""CART trees: exhaustive split scan over sorted unique feature values.
+"""CART trees from one presorted grower, and a stacked flat-array predict.
 
-Three growers share the same node structure: squared-error regression,
-Gini classification, and second-order (gradient/hessian) trees used by the
-regularised boosting variant. Split-gain ties break toward the lower
-feature index, then the lower threshold.
+``_grow`` sorts every feature once per fit (stable mergesort) and hands each
+child the parent's sorted row ids filtered to the child's rows. At each node
+a criterion callback turns those orders into cumulative statistics for all
+candidate features at once: (sum y, sum y^2) for squared error, one-hot class
+counts for Gini, (sum g, sum h) for second-order boosting trees. The trees
+are bit-identical to a per-node re-sort and one-feature-at-a-time scan: a
+filtered stable sort of ascending rows is the node's own stable sort, and a
+cumsum along axis 1 adds in the same order as a 1-D cumsum. Split-gain ties
+break toward the lower feature index, then the lower threshold.
 
 Every tree model and Isolation Forest predict through ``PackedTrees``: the
 trees, packed once into flat arrays with global node ids and self-looping
@@ -75,131 +80,79 @@ def _candidate_features(m, feature_fraction, rng):
     return np.sort(rng.choice(m, size=k, replace=False))
 
 
-def _split_mask(x_col, threshold):
-    return x_col < threshold
+def _grow(X, max_depth, min_leaf, feature_fraction, rng, leaf, score, min_gain,
+          stop=None):
+    """Grow one tree over columns sorted once; ``leaf`` and ``score`` take rows.
 
+    ``score(idx, rows)`` gets the node's row ids (ascending) and, for each
+    candidate feature, its row ids sorted by that feature, shape
+    (features, n). It returns (scores of shape (features, n - 1), parent
+    score): the split after sorted position i scores ``scores[:, i]``, and
+    its gain is that minus the parent score.
+    """
+    m = X.shape[1]
+    # row ids sorted by each feature; filtering keeps the stable per-node order
+    sorted_rows = np.argsort(X.T, axis=1, kind="mergesort")
 
-def _best_split_mse(X, y, min_leaf, features):
-    """Return (score_reduction, feature, threshold) or None."""
-    n = y.shape[0]
-    best = None
-    sse_parent = float(np.sum(y * y) - np.sum(y) ** 2 / n)
-    for j in features:
-        order = np.argsort(X[:, j], kind="mergesort")
-        xs = X[order, j]
-        ys = y[order]
-        if xs[0] == xs[-1]:
-            continue
-        csum = np.cumsum(ys)[:-1]
-        csq = np.cumsum(ys * ys)[:-1]
-        n_left = np.arange(1, n)
-        n_right = n - n_left
-        valid = (xs[:-1] < xs[1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
-        if not np.any(valid):
-            continue
-        total, total_sq = csum[-1] + ys[-1], csq[-1] + ys[-1] ** 2
-        sse = (
-            csq
-            - csum**2 / n_left
-            + (total_sq - csq)
-            - (total - csum) ** 2 / n_right
+    def build(idx, order, depth):
+        n = idx.shape[0]
+        if depth >= max_depth or n < 2 * min_leaf or (stop is not None and stop(idx)):
+            return Node(value=leaf(idx))
+        feats = _candidate_features(m, feature_fraction, rng)
+        rows = order[feats]
+        xs = X[rows, feats[:, None]]
+        scores, parent = score(idx, rows)
+        lo, hi = min_leaf - 1, n - min_leaf  # both children keep min_leaf rows
+        distinct = xs[:, lo:hi] < xs[:, lo + 1:hi + 1]
+        scores = np.where(distinct, scores[:, lo:hi], -np.inf)
+        best = f = None
+        for c, gain in enumerate((scores.max(axis=1) - parent).tolist()):
+            if gain > min_gain and (best is None or gain > best + 1e-12):
+                best, f = gain, c  # ties go to the lower feature
+        if best is None:
+            return Node(value=leaf(idx))
+        j, i = int(feats[f]), lo + int(scores[f].argmax())
+        thr = float((xs[f, i] + xs[f, i + 1]) / 2.0)
+        col = X[:, j]
+        mask = col[idx] < thr
+        if not mask.any() or mask.all():
+            return Node(value=leaf(idx))
+        go_left = col[order] < thr  # every row of order holds the same row ids
+        return Node(
+            feature=j,
+            threshold=thr,
+            left=build(idx[mask], order[go_left].reshape(m, -1), depth + 1),
+            right=build(idx[~mask], order[~go_left].reshape(m, -1), depth + 1),
         )
-        sse = np.where(valid, sse, np.inf)
-        i = int(np.argmin(sse))
-        gain = sse_parent - float(sse[i])
-        if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
-            best = (gain, int(j), float((xs[i] + xs[i + 1]) / 2.0))
-    return best
 
-
-def _best_split_gini(X, onehot, min_leaf, features):
-    n = onehot.shape[0]
-    counts = onehot.sum(axis=0)
-    parent_score = float(np.sum(counts**2) / n)
-    best = None
-    for j in features:
-        order = np.argsort(X[:, j], kind="mergesort")
-        xs = X[order, j]
-        if xs[0] == xs[-1]:
-            continue
-        cum = np.cumsum(onehot[order], axis=0)[:-1]
-        n_left = np.arange(1, n)
-        n_right = n - n_left
-        valid = (xs[:-1] < xs[1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
-        if not np.any(valid):
-            continue
-        score = (
-            np.sum(cum**2, axis=1) / n_left
-            + np.sum((counts - cum) ** 2, axis=1) / n_right
-        )
-        score = np.where(valid, score, -np.inf)
-        i = int(np.argmax(score))
-        gain = float(score[i]) - parent_score
-        if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
-            best = (gain, int(j), float((xs[i] + xs[i + 1]) / 2.0))
-    return best
-
-
-def _best_split_second_order(
-    X, g, h, reg_lambda, gamma, min_leaf, min_child_weight, features
-):
-    n = g.shape[0]
-    G, H = float(np.sum(g)), float(np.sum(h))
-    parent = G * G / (H + reg_lambda)
-    best = None
-    for j in features:
-        order = np.argsort(X[:, j], kind="mergesort")
-        xs = X[order, j]
-        if xs[0] == xs[-1]:
-            continue
-        gl = np.cumsum(g[order])[:-1]
-        hl = np.cumsum(h[order])[:-1]
-        n_left = np.arange(1, n)
-        n_right = n - n_left
-        valid = (
-            (xs[:-1] < xs[1:])
-            & (n_left >= min_leaf)
-            & (n_right >= min_leaf)
-            & (hl >= min_child_weight)
-            & (H - hl >= min_child_weight)
-        )
-        if not np.any(valid):
-            continue
-        gain = 0.5 * (
-            gl**2 / (hl + reg_lambda)
-            + (G - gl) ** 2 / (H - hl + reg_lambda)
-            - parent
-        ) - gamma
-        gain = np.where(valid, gain, -np.inf)
-        i = int(np.argmax(gain))
-        if gain[i] > 0.0 and (best is None or gain[i] > best[0] + 1e-12):
-            best = (float(gain[i]), int(j), float((xs[i] + xs[i + 1]) / 2.0))
-    return best
+    return build(np.arange(X.shape[0]), sorted_rows, 0)
 
 
 def grow_mse_tree(X, y, max_depth, min_samples_leaf=1, feature_fraction=None, rng=None):
     """Greedy regression tree; leaves hold target means."""
 
-    def build(idx, depth):
-        ys = y[idx]
-        if depth >= max_depth or idx.shape[0] < 2 * min_samples_leaf:
-            return Node(value=float(np.mean(ys)))
-        feats = _candidate_features(X.shape[1], feature_fraction, rng)
-        found = _best_split_mse(X[idx], ys, min_samples_leaf, feats)
-        if found is None:
-            return Node(value=float(np.mean(ys)))
-        _, j, thr = found
-        mask = _split_mask(X[idx, j], thr)
-        if not mask.any() or mask.all():
-            return Node(value=float(np.mean(ys)))
-        return Node(
-            feature=j,
-            threshold=thr,
-            left=build(idx[mask], depth + 1),
-            right=build(idx[~mask], depth + 1),
+    def score(idx, rows):
+        ys, n = y[idx], idx.shape[0]
+        sse_parent = float((ys * ys).sum() - ys.sum() ** 2 / n)
+        ys = y[rows]
+        csum = ys.cumsum(axis=1)[:, :-1]
+        csq = (ys * ys).cumsum(axis=1)[:, :-1]
+        n_left = np.arange(1, n)
+        # float_power matches the scalar ``v ** 2``; ``**`` on arrays does not
+        total = csum[:, -1:] + ys[:, -1:]
+        total_sq = csq[:, -1:] + np.float_power(ys[:, -1:], 2)
+        sse = (
+            csq
+            - csum**2 / n_left
+            + (total_sq - csq)
+            - (total - csum) ** 2 / (n - n_left)
         )
+        return -sse, -sse_parent  # argmax keeps the first minimum of sse
 
-    return build(np.arange(X.shape[0]), 0)
+    return _grow(
+        X, max_depth, min_samples_leaf, feature_fraction, rng,
+        leaf=lambda idx: float(y[idx].mean()), score=score, min_gain=1e-12,
+    )
 
 
 def grow_gini_tree(
@@ -209,30 +162,24 @@ def grow_gini_tree(
     onehot = np.zeros((y_idx.shape[0], n_classes))
     onehot[np.arange(y_idx.shape[0]), y_idx] = 1.0
 
-    def build(idx, depth):
-        dist = onehot[idx].sum(axis=0)
-        if (
-            depth >= max_depth
-            or idx.shape[0] < 2 * min_samples_leaf
-            or np.count_nonzero(dist) <= 1
-        ):
-            return Node(value=dist)
-        feats = _candidate_features(X.shape[1], feature_fraction, rng)
-        found = _best_split_gini(X[idx], onehot[idx], min_samples_leaf, feats)
-        if found is None:
-            return Node(value=dist)
-        _, j, thr = found
-        mask = _split_mask(X[idx, j], thr)
-        if not mask.any() or mask.all():
-            return Node(value=dist)
-        return Node(
-            feature=j,
-            threshold=thr,
-            left=build(idx[mask], depth + 1),
-            right=build(idx[~mask], depth + 1),
-        )
+    def dist(idx):
+        return np.bincount(y_idx[idx], minlength=n_classes).astype(float)
 
-    return build(np.arange(X.shape[0]), 0)
+    def score(idx, rows):
+        n, counts = idx.shape[0], dist(idx)
+        cum = onehot[rows].cumsum(axis=1)[:, :-1]
+        n_left = np.arange(1, n)
+        gini = (
+            (cum**2).sum(axis=2) / n_left
+            + ((counts - cum) ** 2).sum(axis=2) / (n - n_left)
+        )
+        return gini, float((counts**2).sum() / n)
+
+    return _grow(
+        X, max_depth, min_samples_leaf, feature_fraction, rng,
+        leaf=dist, score=score, min_gain=1e-12,
+        stop=lambda idx: np.count_nonzero(dist(idx)) <= 1,
+    )
 
 
 def grow_second_order_tree(
@@ -250,31 +197,26 @@ def grow_second_order_tree(
     """Second-order tree: leaf weight -G/(H+lambda), gamma-thresholded gains."""
 
     def leaf(idx):
-        G, H = float(np.sum(g[idx])), float(np.sum(h[idx]))
-        return Node(value=-G / (H + reg_lambda))
+        G, H = float(g[idx].sum()), float(h[idx].sum())
+        return -G / (H + reg_lambda)
 
-    def build(idx, depth):
-        if depth >= max_depth or idx.shape[0] < 2 * min_samples_leaf:
-            return leaf(idx)
-        feats = _candidate_features(X.shape[1], feature_fraction, rng)
-        found = _best_split_second_order(
-            X[idx], g[idx], h[idx], reg_lambda, gamma,
-            min_samples_leaf, min_child_weight, feats,
-        )
-        if found is None:
-            return leaf(idx)
-        _, j, thr = found
-        mask = _split_mask(X[idx, j], thr)
-        if not mask.any() or mask.all():
-            return leaf(idx)
-        return Node(
-            feature=j,
-            threshold=thr,
-            left=build(idx[mask], depth + 1),
-            right=build(idx[~mask], depth + 1),
-        )
+    def score(idx, rows):
+        G, H = float(g[idx].sum()), float(h[idx].sum())
+        parent = G * G / (H + reg_lambda)
+        gl = g[rows].cumsum(axis=1)[:, :-1]
+        hl = h[rows].cumsum(axis=1)[:, :-1]
+        gain = 0.5 * (
+            gl**2 / (hl + reg_lambda)
+            + (G - gl) ** 2 / (H - hl + reg_lambda)
+            - parent
+        ) - gamma
+        heavy = (hl >= min_child_weight) & (H - hl >= min_child_weight)
+        return np.where(heavy, gain, -np.inf), 0.0
 
-    return build(np.arange(X.shape[0]), 0)
+    return _grow(
+        X, max_depth, min_samples_leaf, feature_fraction, rng,
+        leaf=leaf, score=score, min_gain=0.0,
+    )
 
 
 class PackedTrees:

@@ -23,6 +23,7 @@ __all__ = [
 
 MAX_ORM_PERCENT = 0.05
 LRD_CAP = 1e12
+LOF_BLOCK_CELLS = 1 << 20  # (row, row, feature) differences held at once
 
 _EULER_GAMMA = 0.5772156649015329
 
@@ -140,8 +141,11 @@ def lof_scores(X, k: int) -> AnomalyScores:
     if not 2 <= k < n:
         raise OrmError("need 2 <= k < number of rows")
 
-    diff = values[:, None, :] - values[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
+    dist = np.empty((n, n))
+    step = max(1, LOF_BLOCK_CELLS // (n * max(1, values.shape[1])))
+    for start in range(0, n, step):  # (row, row, feature) differences by block
+        diff = values[start:start + step, None, :] - values[None, :, :]
+        dist[start:start + step] = np.sqrt((diff**2).sum(axis=2))
     np.fill_diagonal(dist, np.inf)
 
     order = np.argsort(dist, axis=1, kind="stable")[:, :k]

@@ -1,6 +1,8 @@
 """Anomaly scoring oracles: hand-computed LOF, an independent O(n^2) LOF
 reference, Isolation Forest behaviour, and the removal rule."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,42 @@ def test_lof_permutation_equivariant():
     a = lof_scores(values, k=5).scores
     b = lof_scores(values[perm], k=5).scores
     assert np.allclose(a[perm], b, atol=1e-12)
+
+
+def _lof_full_tensor(values, k):
+    """LOF from one (n, n, m) difference tensor, the unblocked formula."""
+    n = values.shape[0]
+    diff = values[:, None, :] - values[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
+    np.fill_diagonal(dist, np.inf)
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    rows = np.arange(n)[:, None]
+    reach = np.maximum(dist[rows, order][:, -1][order], dist[rows, order])
+    mean_reach = reach.mean(axis=1)
+    lrd = np.where(mean_reach > 0, 1.0 / np.where(mean_reach > 0, mean_reach, 1.0), 1e12)
+    return lrd[order].mean(axis=1) / lrd
+
+
+def test_lof_blocked_distances_match_full_tensor():
+    # 400 x 12: 1.92M (row, row, feature) cells, so the rows span two blocks
+    for seed, (n, m) in enumerate([(400, 12), (300, 13), (97, 1)]):
+        rng = np.random.default_rng(seed)
+        values = np.round(rng.normal(size=(n, m)), 1)  # ties in distance
+        got = lof_scores(values, k=7).scores
+        assert np.array_equal(got, _lof_full_tensor(values, 7))
+
+
+def test_lof_memory_grows_with_n_squared_not_times_features():
+    n, m = 1500, 8
+    values = np.random.default_rng(0).normal(size=(n, m))
+    tracemalloc.start()
+    try:
+        lof_scores(values, k=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # dist and its argsort are n^2 each; the full tensor alone is n^2 * m
+    assert peak < 3 * n * n * 8 + 16 * 2**20
 
 
 def test_lof_rejects_bad_k():

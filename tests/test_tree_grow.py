@@ -1,0 +1,303 @@
+"""The presorted grower against a frozen per-node-argsort reference.
+
+``_ref_*`` below keep the earlier split scans and recursion: each node
+re-sorts every candidate feature of its own rows and scans one feature at a
+time. The grower in ``models.tree`` sorts each feature once per fit and
+filters those orders down the tree; every test here asks for trees with
+equal ``to_dict()`` (bit-identical thresholds and leaf values).
+"""
+
+import numpy as np
+import pytest
+
+from incdur.models import BoostParams, ForestParams, fit_model, model_to_json
+from incdur.models import boosting, forest
+from incdur.models.tree import (
+    Node,
+    _candidate_features,
+    grow_gini_tree,
+    grow_mse_tree,
+    grow_second_order_tree,
+)
+
+
+def _ref_split_mse(X, y, min_leaf, features):
+    n = y.shape[0]
+    best = None
+    sse_parent = float(np.sum(y * y) - np.sum(y) ** 2 / n)
+    for j in features:
+        order = np.argsort(X[:, j], kind="mergesort")
+        xs = X[order, j]
+        ys = y[order]
+        if xs[0] == xs[-1]:
+            continue
+        csum = np.cumsum(ys)[:-1]
+        csq = np.cumsum(ys * ys)[:-1]
+        n_left = np.arange(1, n)
+        n_right = n - n_left
+        valid = (xs[:-1] < xs[1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+        if not np.any(valid):
+            continue
+        total, total_sq = csum[-1] + ys[-1], csq[-1] + ys[-1] ** 2
+        sse = csq - csum**2 / n_left + (total_sq - csq) - (total - csum) ** 2 / n_right
+        sse = np.where(valid, sse, np.inf)
+        i = int(np.argmin(sse))
+        gain = sse_parent - float(sse[i])
+        if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
+            best = (gain, int(j), float((xs[i] + xs[i + 1]) / 2.0))
+    return best
+
+
+def _ref_split_gini(X, onehot, min_leaf, features):
+    n = onehot.shape[0]
+    counts = onehot.sum(axis=0)
+    parent_score = float(np.sum(counts**2) / n)
+    best = None
+    for j in features:
+        order = np.argsort(X[:, j], kind="mergesort")
+        xs = X[order, j]
+        if xs[0] == xs[-1]:
+            continue
+        cum = np.cumsum(onehot[order], axis=0)[:-1]
+        n_left = np.arange(1, n)
+        n_right = n - n_left
+        valid = (xs[:-1] < xs[1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+        if not np.any(valid):
+            continue
+        score = (
+            np.sum(cum**2, axis=1) / n_left
+            + np.sum((counts - cum) ** 2, axis=1) / n_right
+        )
+        score = np.where(valid, score, -np.inf)
+        i = int(np.argmax(score))
+        gain = float(score[i]) - parent_score
+        if gain > 1e-12 and (best is None or gain > best[0] + 1e-12):
+            best = (gain, int(j), float((xs[i] + xs[i + 1]) / 2.0))
+    return best
+
+
+def _ref_split_second_order(X, g, h, reg_lambda, gamma, min_leaf, min_child_weight, features):
+    n = g.shape[0]
+    G, H = float(np.sum(g)), float(np.sum(h))
+    parent = G * G / (H + reg_lambda)
+    best = None
+    for j in features:
+        order = np.argsort(X[:, j], kind="mergesort")
+        xs = X[order, j]
+        if xs[0] == xs[-1]:
+            continue
+        gl = np.cumsum(g[order])[:-1]
+        hl = np.cumsum(h[order])[:-1]
+        n_left = np.arange(1, n)
+        n_right = n - n_left
+        valid = (
+            (xs[:-1] < xs[1:])
+            & (n_left >= min_leaf)
+            & (n_right >= min_leaf)
+            & (hl >= min_child_weight)
+            & (H - hl >= min_child_weight)
+        )
+        if not np.any(valid):
+            continue
+        gain = 0.5 * (
+            gl**2 / (hl + reg_lambda) + (G - gl) ** 2 / (H - hl + reg_lambda) - parent
+        ) - gamma
+        gain = np.where(valid, gain, -np.inf)
+        i = int(np.argmax(gain))
+        if gain[i] > 0.0 and (best is None or gain[i] > best[0] + 1e-12):
+            best = (float(gain[i]), int(j), float((xs[i] + xs[i + 1]) / 2.0))
+    return best
+
+
+def _ref_build(X, max_depth, min_leaf, feature_fraction, rng, leaf, find, pure=None):
+    def build(idx, depth):
+        if depth >= max_depth or idx.shape[0] < 2 * min_leaf or (pure and pure(idx)):
+            return Node(value=leaf(idx))
+        feats = _candidate_features(X.shape[1], feature_fraction, rng)
+        found = find(idx, feats)
+        if found is None:
+            return Node(value=leaf(idx))
+        _, j, thr = found
+        mask = X[idx, j] < thr
+        if not mask.any() or mask.all():
+            return Node(value=leaf(idx))
+        return Node(
+            feature=j,
+            threshold=thr,
+            left=build(idx[mask], depth + 1),
+            right=build(idx[~mask], depth + 1),
+        )
+
+    return build(np.arange(X.shape[0]), 0)
+
+
+def ref_mse_tree(X, y, max_depth, min_samples_leaf=1, feature_fraction=None, rng=None):
+    return _ref_build(
+        X, max_depth, min_samples_leaf, feature_fraction, rng,
+        leaf=lambda idx: float(np.mean(y[idx])),
+        find=lambda idx, feats: _ref_split_mse(X[idx], y[idx], min_samples_leaf, feats),
+    )
+
+
+def ref_gini_tree(
+    X, y_idx, n_classes, max_depth, min_samples_leaf=1, feature_fraction=None, rng=None
+):
+    onehot = np.zeros((y_idx.shape[0], n_classes))
+    onehot[np.arange(y_idx.shape[0]), y_idx] = 1.0
+    return _ref_build(
+        X, max_depth, min_samples_leaf, feature_fraction, rng,
+        leaf=lambda idx: onehot[idx].sum(axis=0),
+        find=lambda idx, feats: _ref_split_gini(X[idx], onehot[idx], min_samples_leaf, feats),
+        pure=lambda idx: np.count_nonzero(onehot[idx].sum(axis=0)) <= 1,
+    )
+
+
+def ref_second_order_tree(
+    X, g, h, max_depth, reg_lambda, gamma, min_samples_leaf=1,
+    min_child_weight=0.0, feature_fraction=None, rng=None,
+):
+    return _ref_build(
+        X, max_depth, min_samples_leaf, feature_fraction, rng,
+        leaf=lambda idx: -float(np.sum(g[idx])) / (float(np.sum(h[idx])) + reg_lambda),
+        find=lambda idx, feats: _ref_split_second_order(
+            X[idx], g[idx], h[idx], reg_lambda, gamma,
+            min_samples_leaf, min_child_weight, feats,
+        ),
+    )
+
+
+def _matrix(rng, n, m):
+    """Continuous, tied (rounded), binary and constant columns, some NaN cells."""
+    X = rng.normal(size=(n, m)) * rng.uniform(0.1, 100.0, size=m)
+    kinds = rng.integers(0, 4, size=m)
+    X[:, kinds == 1] = np.round(X[:, kinds == 1] / 10.0)
+    X[:, kinds == 2] = rng.integers(0, 2, size=(n, int(np.sum(kinds == 2))))
+    X[:, kinds == 3] = 7.0
+    if rng.random() < 0.3:
+        X[rng.random(size=(n, m)) < 0.05] = np.nan
+    return X
+
+
+def _case(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([2, 3, 5, 17, 60, 150]))
+    m = int(rng.integers(1, 7))
+    X = _matrix(rng, n, m)
+    kw = dict(max_depth=int(rng.integers(0, 9)), min_samples_leaf=int(rng.integers(1, 6)))
+    if rng.random() < 0.5:
+        kw.update(feature_fraction=float(rng.uniform(0.2, 1.0)), rng_seed=int(seed))
+    return rng, X, kw
+
+
+def _both(grow, ref, args, kw):
+    """Trees from both growers, and the feature-draw rngs' states after."""
+    seed = kw.pop("rng_seed", None)
+    out = []
+    for fn in (grow, ref):
+        rng = None if seed is None else np.random.default_rng(seed)
+        tree = fn(*args, **kw, rng=rng)
+        out.append((tree.to_dict(), None if rng is None else rng.bit_generator.state))
+    return out
+
+
+SEEDS = range(300)
+
+
+def test_mse_trees_match_reference():
+    for seed in SEEDS:
+        rng, X, kw = _case(seed)
+        y = rng.normal(size=X.shape[0]) * 10.0 ** rng.integers(-2, 4)
+        if rng.random() < 0.3:
+            y = np.round(y)
+        got, want = _both(grow_mse_tree, ref_mse_tree, (X, y), kw)
+        assert got == want, seed
+
+
+def test_gini_trees_match_reference():
+    for seed in SEEDS:
+        rng, X, kw = _case(seed)
+        n_classes = int(rng.integers(1, 10))
+        y_idx = rng.integers(0, n_classes, size=X.shape[0])
+        got, want = _both(grow_gini_tree, ref_gini_tree, (X, y_idx, n_classes), kw)
+        assert got == want, seed
+
+
+def test_second_order_trees_match_reference():
+    for seed in SEEDS:
+        rng, X, kw = _case(seed)
+        n = X.shape[0]
+        g = rng.normal(size=n)
+        h = rng.uniform(0.01, 0.25, size=n) if rng.random() < 0.5 else np.ones(n)
+        kw.update(
+            reg_lambda=float(rng.choice([0.0, 1.0, 5.0])),
+            gamma=float(rng.choice([0.0, 0.0, 0.1, 2.0])),
+            min_child_weight=float(rng.choice([0.0, 0.5, 3.0])),
+        )
+        got, want = _both(grow_second_order_tree, ref_second_order_tree, (X, g, h), kw)
+        assert got == want, seed
+
+
+def test_mse_parent_total_rounds_like_the_scalar_square():
+    # targets whose scalar ``v ** 2`` differs from ``v * v`` in the last bit;
+    # twin columns give equal partitions whose gains differ only by rounding
+    pool = np.random.default_rng(0).normal(size=100_000) * 1e4
+    pool = pool[[np.float64(v) ** 2 != v * v for v in pool]]
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=40)
+        upper = a > np.median(a)
+        X = np.column_stack([a, upper + rng.uniform(0, 0.5, 40), rng.normal(size=40)])
+        y = rng.choice(pool, 40)
+        assert grow_mse_tree(X, y, 3).to_dict() == ref_mse_tree(X, y, 3).to_dict(), seed
+
+
+def test_edge_cases_match_reference():
+    X = np.array([[1.0, 5.0], [2.0, 5.0]])
+    y = np.array([3.0, -1.0])
+    y_idx = np.array([1, 1])
+    for depth in (0, 3):
+        assert grow_mse_tree(X, y, depth).to_dict() == ref_mse_tree(X, y, depth).to_dict()
+        assert grow_second_order_tree(X, y, np.ones(2), depth, 1.0, 0.0).to_dict() == (
+            ref_second_order_tree(X, y, np.ones(2), depth, 1.0, 0.0).to_dict()
+        )
+        for labels in (y_idx, np.array([0, 1])):
+            got = grow_gini_tree(X, labels, 2, depth).to_dict()
+            assert got == ref_gini_tree(X, labels, 2, depth).to_dict()
+    assert grow_gini_tree(X, y_idx, 2, 3).to_dict() == {"value": [0.0, 2.0]}
+    assert grow_mse_tree(X, y, 3).to_dict()["feature"] == 0
+
+
+def _fit_both(monkeypatch, kind, X, y, params, task):
+    got = model_to_json(fit_model(kind, X, y, params, task=task, seed=5))
+    monkeypatch.setattr(forest, "grow_mse_tree", ref_mse_tree)
+    monkeypatch.setattr(forest, "grow_gini_tree", ref_gini_tree)
+    monkeypatch.setattr(boosting, "grow_mse_tree", ref_mse_tree)
+    monkeypatch.setattr(boosting, "grow_second_order_tree", ref_second_order_tree)
+    want = model_to_json(fit_model(kind, X, y, params, task=task, seed=5))
+    monkeypatch.undo()
+    return got, want
+
+
+@pytest.mark.parametrize(
+    "kind, params, task",
+    [
+        ("random-forest", ForestParams(n_trees=8, max_depth=6), "regression"),
+        ("random-forest", ForestParams(n_trees=8, max_depth=6, min_samples_leaf=3), "classification"),
+        ("gbt", BoostParams(n_rounds=15, max_depth=4, subsample=0.7, colsample=0.6), "regression"),
+        ("gbt", BoostParams(n_rounds=15, max_depth=3, goss=(0.2, 0.3)), "classification"),
+        ("gbt-reg", BoostParams(n_rounds=15, max_depth=4, colsample=0.5, gamma=0.05,
+                                min_child_weight=1.0), "regression"),
+        ("gbt-reg", BoostParams(n_rounds=15, max_depth=3, subsample=0.8, goss=(0.3, 0.2),
+                                reg_lambda=2.0), "classification"),
+    ],
+)
+def test_fitted_ensembles_match_reference_growers(monkeypatch, kind, params, task):
+    rng = np.random.default_rng(11)
+    X = _matrix(rng, 120, 5)
+    X[np.isnan(X)] = 0.0
+    y = X[:, 0] * 3.0 + rng.normal(size=120) * 5.0
+    if task == "classification":
+        y = np.digitize(y, np.quantile(y, [0.33, 0.66])) if kind == "random-forest" else (y > 0)
+        y = y.astype(int)
+    got, want = _fit_both(monkeypatch, kind, X, y, params, task)
+    assert got == want
