@@ -34,7 +34,7 @@ from .dataset import (
 from .importance import subset_importance
 from .labeling import DEFAULT_TC_VALUES, ldo_hdo_sweep, quantile_grid, threshold_sweep
 from .metrics import mape_excluding_zero, rmse
-from .models import fit_model
+from .models import MODEL_KINDS, fit_model
 from .scenarios import (
     SCENARIO_NAMES,
     FusionConfig,
@@ -44,7 +44,7 @@ from .scenarios import (
     predict_pipeline,
     scenario_table,
 )
-from .tuning import CvPlan, iteration_curve, run_ieo
+from .tuning import METRICS, MODES, CvPlan, iteration_curve, run_ieo
 
 SUBCOMMANDS = (
     "profile",
@@ -281,8 +281,17 @@ def _cmd_scenarios(cfg, dataset, out, seed, workers):
     return [path], []
 
 
+IEO_KEYS = ("model", "mode", "iterations", "folds", "metric", "tc", "target_transform")
+
+
 def _cmd_ieo(cfg, dataset, out, seed, workers):
     block = _get(cfg, "ieo", kind=dict, required=False, default={})
+    for key in block:
+        if key not in IEO_KEYS:
+            raise ConfigError(f"unknown config field: ieo.{key}")
+    for key, allowed in (("model", MODEL_KINDS), ("mode", MODES), ("metric", METRICS)):
+        if key in block and block[key] not in allowed:
+            raise ConfigError(f"config field ieo.{key} must be one of: {', '.join(allowed)}")
     plan = CvPlan(
         n_folds=int(block.get("folds", 5)),
         mode=block.get("mode", "none"),

@@ -45,7 +45,6 @@ class DatasetError(ValueError):
 class FeatureColumn:
     name: str
     kind: str  # numeric | categorical | boolean
-    unit: str | None = None
 
     def __post_init__(self):
         if self.kind not in ("numeric", "categorical", "boolean"):

@@ -11,7 +11,7 @@ import numpy as np
 
 from .cv import derive_seed
 from .dataset import Dataset, encode
-from .metrics import classification_metrics, mape_excluding_zero, rmse
+from .metrics import metric_value
 from .models import TrainedModel, fit_model
 from .models.base import as_values
 
@@ -59,17 +59,6 @@ class ImportanceReport:
         raise KeyError(name)
 
 
-def _metric_value(metric, actual, predicted):
-    if metric == "rmse":
-        return rmse(actual, predicted)
-    if metric == "mape":
-        value, _ = mape_excluding_zero(actual, predicted)
-        return value
-    if metric == "f1":
-        return classification_metrics(actual, predicted, positive_label=0)["f1"]
-    raise ValueError(f"unknown metric {metric!r}")
-
-
 def _build_report(names, scores, method, subset, importance_key, notes=None):
     order = np.argsort(-np.asarray(importance_key), kind="stable")
     ranks = np.empty(len(names), dtype=int)
@@ -99,7 +88,7 @@ def permutation_importance(
     """
     values = as_values(X, model.feature_names)
     y = np.asarray(y)
-    baseline = _metric_value(metric, y, model.predict(values))
+    baseline = metric_value(metric, y, model.predict(values))
     rng = np.random.default_rng(seed)
     m = values.shape[1]
     scores = np.zeros(m)
@@ -108,7 +97,7 @@ def permutation_importance(
         for _ in range(n_repeats):
             shuffled = values.copy()
             shuffled[:, j] = values[rng.permutation(values.shape[0]), j]
-            total += _metric_value(metric, y, model.predict(shuffled))
+            total += metric_value(metric, y, model.predict(shuffled))
         scores[j] = total / n_repeats - baseline
     importance_key = scores if metric in _LOWER_BETTER else -scores
     names = list(model.feature_names or (f"x{j}" for j in range(m)))

@@ -12,6 +12,7 @@ __all__ = [
     "classification_metrics",
     "f1_macro",
     "mape",
+    "metric_value",
     "rmse",
 ]
 
@@ -113,3 +114,15 @@ def rmse(actual, predicted) -> float:
     if actual.size == 0:
         raise ValueError("need at least one pair")
     return float(np.sqrt(np.mean((actual - predicted) ** 2)))
+
+
+def metric_value(name, actual, predicted) -> float:
+    """A named metric: "rmse", "mape" over the pairs with actual > 0, or
+    "f1" with class 0 as the positive class."""
+    if name == "rmse":
+        return rmse(actual, predicted)
+    if name == "mape":
+        return mape_excluding_zero(actual, predicted)[0]
+    if name == "f1":
+        return classification_metrics(actual, predicted, positive_label=0)["f1"]
+    raise ValueError(f"unknown metric {name!r}")

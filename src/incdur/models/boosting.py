@@ -91,7 +91,7 @@ class _Booster:
         self.base_score = float(base_score)
         self.trees = list(trees)
         self.learning_rate = float(learning_rate)
-        self.packed = PackedTrees(self.trees)
+        self.packed = PackedTrees.from_nodes(self.trees)
 
     def score_values(self, values):
         return self.packed.leaf_sum(values, self.base_score, self.learning_rate)

@@ -11,7 +11,7 @@ from .tree import Node, PackedTrees, grow_gini_tree, grow_mse_tree
 class TreeRegressor:
     def __init__(self, root: Node):
         self.root = root
-        self.packed = PackedTrees([root])
+        self.packed = PackedTrees.from_nodes([root])
 
     def predict_values(self, values):
         return self.packed.stacked(values)[0]
@@ -27,7 +27,7 @@ class TreeRegressor:
 class TreeClassifier:
     def __init__(self, root: Node):
         self.root = root
-        self.packed = PackedTrees([root])
+        self.packed = PackedTrees.from_nodes([root])
 
     def predict_proba_values(self, values):
         dist = self.packed.stacked(values)[0]

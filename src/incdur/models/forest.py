@@ -11,7 +11,7 @@ from .tree import Node, PackedTrees, grow_gini_tree, grow_mse_tree
 class ForestRegressor:
     def __init__(self, trees):
         self.trees = list(trees)
-        self.packed = PackedTrees(self.trees)
+        self.packed = PackedTrees.from_nodes(self.trees)
 
     def predict_values(self, values):
         out = np.zeros(values.shape[0])
@@ -34,7 +34,7 @@ class ForestClassifier:
     def __init__(self, trees, n_classes):
         self.trees = list(trees)
         self.n_classes = int(n_classes)
-        self.packed = PackedTrees(self.trees)
+        self.packed = PackedTrees.from_nodes(self.trees)
 
     def predict_proba_values(self, values):
         votes = np.zeros((values.shape[0], self.n_classes))

@@ -1,10 +1,59 @@
-"""k-nearest neighbours on z-scored features with deterministic tie-breaks."""
+"""k-nearest neighbours on z-scored features with deterministic tie-breaks.
+
+``nearest_rows`` is the neighbour search that kNN and LOF share: Euclidean
+distances built in query-row blocks of at most ``BLOCK_CELLS`` (query, train,
+feature) differences, and from each block only the k nearest ids and their
+distances kept, so memory grows with the query and train sizes, not their
+product times the feature count. ``k_nearest`` picks the k nearest from a
+block by partition instead of a full sort, with ties to the lower column.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .base import KnnParams, ModelError, TrainedModel, as_values, prepare_targets
+
+BLOCK_CELLS = 1 << 20  # (query, train, feature) differences held at once
+
+
+def k_nearest(dist, k):
+    """Column ids of each row's k smallest entries, equal ones in column order.
+
+    Equals ``np.argsort(dist, axis=1, kind="stable")[:, :k]`` for 1 <= k <=
+    columns. ``np.partition`` finds each row's k-th smallest value; only the
+    cells not above it are sorted, by (row, value, column). A row whose k-th
+    value is NaN has fewer than k numbers, so all its cells are sorted: NaN
+    sorts last in both orders.
+    """
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+    rows, cols = np.nonzero(~(dist > kth))  # dist <= kth, or a NaN on either side
+    # nonzero lists cells by (row, column) and lexsort is stable
+    order = np.lexsort((dist[rows, cols], rows))
+    counts = np.bincount(rows, minlength=dist.shape[0])  # at least k per row
+    first = np.cumsum(counts) - counts
+    return cols[order[first[:, None] + np.arange(k)]]
+
+
+def nearest_rows(queries, train, k, skip_self=False):
+    """(ids, distances) of each query row's k nearest train rows, nearest first.
+
+    Distance ties go to the lower train row. With ``skip_self`` the queries
+    are the train rows themselves and no row is its own neighbour.
+    """
+    q = queries.shape[0]
+    ids = np.empty((q, k), dtype=int)
+    dist = np.empty((q, k))
+    step = max(1, BLOCK_CELLS // (train.shape[0] * max(1, train.shape[1])))
+    for start in range(0, q, step):
+        block = queries[start : start + step]
+        d = np.sqrt(((block[:, None, :] - train[None, :, :]) ** 2).sum(axis=2))
+        if skip_self:
+            d[np.arange(d.shape[0]), np.arange(start, start + d.shape[0])] = np.inf
+        nb = k_nearest(d, k)
+        ids[start : start + d.shape[0]] = nb
+        dist[start : start + d.shape[0]] = np.take_along_axis(d, nb, axis=1)
+    return ids, dist
 
 
 class KnnModel:
@@ -21,18 +70,7 @@ class KnnModel:
         self.n_classes = int(n_classes)
 
     def _neighbours(self, values):
-        q = (values - self.mean) / self.std
-        out = np.empty((q.shape[0], self.k), dtype=int)
-        chunk = max(1, int(2_000_000 / max(1, self.train.shape[0])))
-        for start in range(0, q.shape[0], chunk):
-            block = q[start : start + chunk]
-            d = np.sqrt(
-                ((block[:, None, :] - self.train[None, :, :]) ** 2).sum(axis=2)
-            )
-            out[start : start + block.shape[0]] = np.argsort(
-                d, axis=1, kind="stable"
-            )[:, : self.k]
-        return out
+        return nearest_rows((values - self.mean) / self.std, self.train, self.k)[0]
 
     def predict_values(self, values):
         nb = self._neighbours(values)

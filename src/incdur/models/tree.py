@@ -11,9 +11,11 @@ cumsum along axis 1 adds in the same order as a 1-D cumsum. Split-gain ties
 break toward the lower feature index, then the lower threshold.
 
 Every tree model and Isolation Forest predict through ``PackedTrees``: the
-trees, packed once into flat arrays with global node ids and self-looping
-leaves, are walked together one depth level per step with ``np.take``, in
-row chunks. Rows go left when ``x < threshold``, so NaN goes right.
+trees, held as flat arrays with global node ids and self-looping leaves, are
+walked together one depth level per step with ``np.take``, in row chunks.
+``Node`` trees are packed once after fitting; Isolation Forest grows its
+trees straight into the arrays. Rows go left when ``x < threshold``, so NaN
+goes right.
 """
 
 from __future__ import annotations
@@ -220,18 +222,34 @@ def grow_second_order_tree(
 
 
 class PackedTrees:
-    """Trees packed once into flat node arrays, walked together by ``leaves``."""
+    """Trees as flat node arrays with global ids, walked together by ``leaves``.
+
+    Node ``i`` splits on ``feature[i]`` at ``threshold[i]`` and goes to
+    ``child[2 * i + (x < threshold)]``, so ``child`` holds [right, left]
+    pairs; a leaf's children are itself and its payload is ``value[i]``.
+    ``depth`` is the deepest leaf's depth, the number of steps a walk takes.
+    """
 
     CHUNK_CELLS = 1 << 18  # (tree, row) cells walked per chunk
 
-    def __init__(self, trees):
+    def __init__(self, roots, feature, threshold, child, value, depth):
+        self.roots = np.asarray(roots)
+        self.depth = int(depth)
+        self.feature = np.maximum(np.asarray(feature), 0)  # leaves read column 0
+        self.threshold = np.asarray(threshold, dtype=float)
+        self.child = np.asarray(child)
+        self.value = np.asarray(value, dtype=float)
+
+    @classmethod
+    def from_nodes(cls, trees):
+        """Pack linked ``Node`` trees, pre-order."""
         feature, threshold, child, value, depths = [], [], [], [], []
 
-        def add(node, depth):  # pre-order; returns the node's global id
+        def add(node, depth):  # returns the node's global id
             i = len(feature)
             feature.append(node.feature)
             threshold.append(node.threshold)
-            child.extend((i, i))  # [right, left]: a leaf's children are itself
+            child.extend((i, i))
             value.append(node.value)
             depths.append(depth)
             if node.left is not None:
@@ -240,12 +258,8 @@ class PackedTrees:
                 value[i] = 0.0 * value[child[2 * i + 1]]  # zeros, leaf-shaped
             return i
 
-        self.roots = np.array([add(tree, 0) for tree in trees])
-        self.depth = max(depths)
-        self.feature = np.maximum(np.array(feature), 0)  # leaves read column 0
-        self.threshold = np.array(threshold, dtype=float)
-        self.child = np.array(child)  # go to child[2 * id + (x < threshold)]
-        self.value = np.array(value, dtype=float)
+        roots = [add(tree, 0) for tree in trees]
+        return cls(roots, feature, threshold, child, value, max(depths))
 
     def leaves(self, X):
         """Yield (row slice, leaf payloads of shape (trees, rows[, width]))."""
@@ -278,7 +292,7 @@ class PackedTrees:
 
 def predict_tree(node: Node, X) -> np.ndarray:
     """Evaluate a tree on a matrix; leaf payloads may be scalar or vector."""
-    return PackedTrees([node]).stacked(X)[0]
+    return PackedTrees.from_nodes([node]).stacked(X)[0]
 
 
 def leaf_values(node: Node) -> list:

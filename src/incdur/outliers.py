@@ -1,5 +1,13 @@
 """Anomaly scoring (Isolation Forest, Local Outlier Factor) and
-percentage-based record removal. Scores are higher-is-more-anomalous."""
+percentage-based record removal. Scores are higher-is-more-anomalous.
+
+Isolation Forest grows each tree iteratively, pre-order, straight into the
+flat arrays that ``models.tree.PackedTrees`` walks, so scoring is one stacked
+predict; each node carries its own rows and the rng draws stay in the order
+of a recursive build. LOF finds neighbours with ``models.knn.nearest_rows``,
+the blocked k-nearest search kNN uses: distances come in row blocks, and only
+each row's k nearest ids and distances are kept.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models.base import as_values
-from .models.tree import Node, PackedTrees
+from .models.knn import nearest_rows
+from .models.tree import PackedTrees
 
 __all__ = [
     "AnomalyScores",
@@ -23,7 +32,6 @@ __all__ = [
 
 MAX_ORM_PERCENT = 0.05
 LRD_CAP = 1e12
-LOF_BLOCK_CELLS = 1 << 20  # (row, row, feature) differences held at once
 
 _EULER_GAMMA = 0.5772156649015329
 
@@ -75,26 +83,53 @@ def _avg_path_length(n) -> float:
     return 2.0 * harmonic - 2.0 * (n - 1) / n
 
 
-def _build_isolation_tree(values, idx, depth, depth_limit, rng):
-    """Random-split tree; a leaf holds its path length depth + c(size)."""
-    if depth < depth_limit and idx.shape[0] > 1:
-        sub = values[idx]
-        lo = sub.min(axis=0)
-        hi = sub.max(axis=0)
-        usable = np.flatnonzero(hi > lo)
-        if usable.size:
-            feat = int(rng.choice(usable))
-            split = float(rng.uniform(lo[feat], hi[feat]))
-            mask = sub[:, feat] < split
-            if mask.any() and not mask.all():
-                below = (depth + 1, depth_limit, rng)
-                return Node(
-                    feature=feat,
-                    threshold=split,
-                    left=_build_isolation_tree(values, idx[mask], *below),
-                    right=_build_isolation_tree(values, idx[~mask], *below),
-                )
-    return Node(value=depth + _avg_path_length(idx.shape[0]))
+def _grow_isolation_trees(values, n_trees, psi, rng):
+    """Grow random-split trees straight into ``PackedTrees`` arrays.
+
+    Each tree takes a subsample of psi rows, then splits pre-order, left
+    subtree first: a uniform feature among those not constant in the node,
+    then a uniform threshold in [min, max). A leaf holds its path length
+    depth + c(size).
+    """
+    n = values.shape[0]
+    depth_limit = int(math.ceil(math.log2(max(2, psi))))
+    path_c = [_avg_path_length(size) for size in range(psi + 1)]
+    feature, threshold, child, value, roots = [], [], [], [], []
+    deepest = 0
+    for _ in range(n_trees):
+        roots.append(len(feature))
+        sample = values[rng.choice(n, size=psi, replace=False)]
+        stack = [(sample, 0, -1)]  # (node rows, depth, parent's child slot)
+        while stack:
+            rows, depth, slot = stack.pop()
+            i = len(feature)
+            if slot >= 0:
+                child[slot] = i
+            child += (i, i)
+            size = rows.shape[0]
+            if depth < depth_limit and size > 1:
+                lo = np.minimum.reduce(rows)
+                hi = np.maximum.reduce(rows)
+                usable = (hi > lo).nonzero()[0]
+                if usable.size:
+                    # the same draws as rng.choice(usable) and
+                    # rng.uniform(lo[feat], hi[feat]), without their overhead
+                    feat = int(usable[rng.integers(usable.size)])
+                    low = float(lo[feat])
+                    split = low + (float(hi[feat]) - low) * rng.random()
+                    mask = rows[:, feat] < split
+                    if 0 < np.count_nonzero(mask) < size:
+                        feature.append(feat)
+                        threshold.append(split)
+                        value.append(0.0)
+                        stack.append((rows[~mask], depth + 1, 2 * i))
+                        stack.append((rows[mask], depth + 1, 2 * i + 1))
+                        continue
+            feature.append(0)
+            threshold.append(0.0)
+            value.append(depth + path_c[size])
+            deepest = max(deepest, depth)
+    return PackedTrees(roots, feature, threshold, child, value, deepest)
 
 
 def isolation_forest_scores(
@@ -112,14 +147,9 @@ def isolation_forest_scores(
     if n < 2:
         raise OrmError("need at least 2 rows to score")
     psi = min(params.if_subsample, n)
-    depth_limit = int(math.ceil(math.log2(max(2, psi))))
     rng = np.random.default_rng(seed)
-
-    trees = []
-    for _ in range(params.if_n_trees):
-        sample = rng.choice(n, size=psi, replace=False)
-        trees.append(_build_isolation_tree(values, sample, 0, depth_limit, rng))
-    avg_depth = PackedTrees(trees).leaf_sum(values) / params.if_n_trees
+    trees = _grow_isolation_trees(values, params.if_n_trees, psi, rng)
+    avg_depth = trees.leaf_sum(values) / params.if_n_trees
     scores = np.power(2.0, -avg_depth / _avg_path_length(psi))
     return AnomalyScores(
         scores=scores,
@@ -141,18 +171,8 @@ def lof_scores(X, k: int) -> AnomalyScores:
     if not 2 <= k < n:
         raise OrmError("need 2 <= k < number of rows")
 
-    dist = np.empty((n, n))
-    step = max(1, LOF_BLOCK_CELLS // (n * max(1, values.shape[1])))
-    for start in range(0, n, step):  # (row, row, feature) differences by block
-        diff = values[start:start + step, None, :] - values[None, :, :]
-        dist[start:start + step] = np.sqrt((diff**2).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
-
-    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    rows = np.arange(n)[:, None]
-    k_distance = dist[rows, order][:, -1]
-
-    reach = np.maximum(k_distance[order], dist[rows, order])
+    order, dist = nearest_rows(values, values, k, skip_self=True)
+    reach = np.maximum(dist[:, -1][order], dist)  # k-distance of the neighbour
     mean_reach = reach.mean(axis=1)
     capped = int(np.sum(mean_reach == 0))
     lrd = np.where(mean_reach > 0, 1.0 / np.where(mean_reach > 0, mean_reach, 1.0), LRD_CAP)
@@ -173,14 +193,8 @@ def remove_top_percent(scores: AnomalyScores, percent: float) -> np.ndarray:
     """
     if not 0.0 <= percent <= 1.0:
         raise ValueError("percent must be in [0, 1]")
-    s = scores.scores
-    n = s.shape[0]
-    n_remove = int(percent * n)
-    if n_remove == 0:
-        return np.arange(n)
-    order = np.argsort(-s, kind="stable")
-    removed = set(order[:n_remove].tolist())
-    return np.array([i for i in range(n) if i not in removed], dtype=int)
+    n_remove = int(percent * scores.scores.shape[0])
+    return np.sort(np.argsort(-scores.scores, kind="stable")[n_remove:])
 
 
 def score_with(params: OrmParams, X, seed: int = 0) -> AnomalyScores:

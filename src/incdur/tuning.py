@@ -18,7 +18,7 @@ from ._parallel import parallel_map
 from .cv import derive_seed, fold_indexes
 from .dataset import Dataset, encode
 from .labeling import binary_labels
-from .metrics import classification_metrics, mape_excluding_zero, rmse
+from .metrics import metric_value
 from .models import ModelError, fit_model, make_params, params_to_dict
 from .outliers import (MAX_ORM_PERCENT, OrmError, OrmParams, remove_top_percent,
                        score_with)
@@ -188,15 +188,6 @@ def sample_draw(
     return HyperDraw(model_params, orm_params, draw_index)
 
 
-def _score(metric, actual, predicted):
-    if metric == "rmse":
-        return rmse(actual, predicted)
-    if metric == "mape":
-        value, _ = mape_excluding_zero(actual, predicted)
-        return value
-    return classification_metrics(actual, predicted, positive_label=0)["f1"]
-
-
 def _selection_key(metric, value):
     return -value if metric == "f1" else value
 
@@ -257,7 +248,7 @@ def _evaluate_draw(
         )
         oof[test_local] = model.predict(values[kept[test_local]])
 
-    score = _score(metric, y[kept], oof)
+    score = metric_value(metric, y[kept], oof)
     return {
         "oof_indices": kept,
         "oof_predictions": oof,
@@ -376,7 +367,7 @@ def run_ieo(
         seed=derive_seed(plan.seed, best_draw.draw_index, 9003),
     )
     valid_pred = final_model.predict(values[valid_part])
-    valid_metric = _score(metric, y[valid_part], valid_pred)
+    valid_metric = metric_value(metric, y[valid_part], valid_pred)
 
     return IeoResult(
         model_kind=model_kind,

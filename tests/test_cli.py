@@ -120,6 +120,24 @@ def test_invalid_config_reports_field_path(tmp_path, capsys):
     assert "dataset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"iteration": 3}, "ieo.iteration"),  # misspelled key, not ignored
+        ({"mode": "sideways"}, "ieo.mode"),
+        ({"metric": "mae"}, "ieo.metric"),
+        ({"model": "svm"}, "ieo.model"),
+    ],
+)
+def test_ieo_config_errors_exit_2_and_name_the_field(tmp_path, capsys, change, field):
+    cfg = {**BASE_CONFIG, "ieo": {**BASE_CONFIG["ieo"], **change}}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["ieo", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "o" / "ieo_trace.csv").exists()
+
+
 def test_missing_seed_rejected(tmp_path, capsys):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"dataset": {"synth": {"n": 10, "mu": 3, "sigma": 1}}}))

@@ -4,6 +4,8 @@ Every tree ensemble and Isolation Forest predict through
 ``PackedTrees.leaves``; each test here compares its output bit for bit
 (``np.array_equal``) with a reference that walks the linked ``Node`` trees
 one row at a time in plain Python and combines the trees in the same order.
+Isolation Forest grows straight into flat arrays, so its reference also
+keeps the recursive ``Node`` builder it replaced.
 """
 
 import math
@@ -22,13 +24,8 @@ from incdur.models import (
     model_to_json,
 )
 from incdur.models.boosting import _sigmoid
-from incdur.models.tree import PackedTrees, predict_tree
-from incdur.outliers import (
-    OrmParams,
-    _avg_path_length,
-    _build_isolation_tree,
-    isolation_forest_scores,
-)
+from incdur.models.tree import Node, PackedTrees, predict_tree
+from incdur.outliers import OrmParams, _avg_path_length, isolation_forest_scores
 
 
 def _walk(node, row):
@@ -224,6 +221,28 @@ def test_chunk_boundary(monkeypatch):
     assert np.array_equal(forest.predict_proba(Q), ref)
 
 
+def _build_isolation_tree(values, idx, depth, depth_limit, rng):
+    """Frozen recursive builder: random split, leaves hold depth + c(size)."""
+    if depth < depth_limit and idx.shape[0] > 1:
+        sub = values[idx]
+        lo = sub.min(axis=0)
+        hi = sub.max(axis=0)
+        usable = np.flatnonzero(hi > lo)
+        if usable.size:
+            feat = int(rng.choice(usable))
+            split = float(rng.uniform(lo[feat], hi[feat]))
+            mask = sub[:, feat] < split
+            if mask.any() and not mask.all():
+                below = (depth + 1, depth_limit, rng)
+                return Node(
+                    feature=feat,
+                    threshold=split,
+                    left=_build_isolation_tree(values, idx[mask], *below),
+                    right=_build_isolation_tree(values, idx[~mask], *below),
+                )
+    return Node(value=depth + _avg_path_length(idx.shape[0]))
+
+
 def _if_reference(values, params, seed):
     """Isolation Forest scores with each path length walked row by row."""
     n = values.shape[0]
@@ -245,3 +264,25 @@ def test_isolation_forest_matches_node_walk(n):
     params = OrmParams(if_n_trees=100, if_subsample=64)
     scores = isolation_forest_scores(values, params, seed=4)
     assert np.array_equal(scores.scores, _if_reference(values, params, 4))
+
+
+def _if_cases():
+    grid = np.random.default_rng(10).integers(0, 4, size=(80, 3)).astype(float)
+    mixed = _data(11, n=50, m=3)[0]
+    mixed[:, 1] = 7.0
+    yield "constant columns", np.ones((40, 3)), OrmParams(if_n_trees=20)
+    yield "one varying column", mixed, OrmParams(if_n_trees=30, if_subsample=16)
+    yield "duplicate rows", np.vstack([grid[:10]] * 6), OrmParams(if_n_trees=30)
+    yield "integer grid ties", grid, OrmParams(if_n_trees=30, if_subsample=32)
+    yield "psi=2", _data(12, n=40, m=2)[0], OrmParams(if_n_trees=50, if_subsample=2)
+    yield "n=2", np.array([[0.0, 1.0], [1.0, 1.0]]), OrmParams(if_n_trees=10)
+    yield "psi > n", _data(13, n=20, m=3)[0], OrmParams(if_n_trees=25, if_subsample=256)
+    yield "nan cells", _data(14, n=60, m=3, nan_share=0.2)[0], OrmParams(if_n_trees=25)
+
+
+@pytest.mark.parametrize("case", list(_if_cases()), ids=lambda case: case[0])
+def test_isolation_forest_edge_cases_match_recursive_builder(case):
+    _, values, params = case
+    for seed in range(3):
+        scores = isolation_forest_scores(values, params, seed=seed)
+        assert np.array_equal(scores.scores, _if_reference(values, params, seed))
