@@ -17,10 +17,8 @@ import sys
 import tempfile
 import time
 
-import numpy as np
-
 from . import __version__
-from .cv import derive_seed
+from .cv import derive_seed, holdout_split
 from .dataset import (
     Dataset,
     FeatureColumn,
@@ -80,6 +78,30 @@ def _get(cfg: dict, path: str, kind=None, required=True, default=None):
         )
         raise ConfigError(f"config field {path} must be {names}")
     return cur
+
+
+def _block(cfg: dict, name: str, keys, one_of=None, list_of=None) -> dict:
+    """The config block ``name`` ({} when absent), checked before any work.
+
+    Keys outside ``keys`` are rejected. ``one_of`` maps a key to the values it
+    may take; ``list_of`` maps a key to the values its list items may take.
+    """
+    block = _get(cfg, name, kind=dict, required=False, default={})
+    for key in block:
+        if key not in keys:
+            raise ConfigError(f"unknown config field: {name}.{key}")
+    for key, allowed in (one_of or {}).items():
+        if key in block and block[key] not in allowed:
+            raise ConfigError(
+                f"config field {name}.{key} must be one of: {', '.join(allowed)}"
+            )
+    for key, allowed in (list_of or {}).items():
+        value = block.get(key, [])
+        if not isinstance(value, list) or any(v not in allowed for v in value):
+            raise ConfigError(
+                f"config field {name}.{key} must be a list of: {', '.join(allowed)}"
+            )
+    return block
 
 
 def _load_config(path: str) -> dict:
@@ -177,7 +199,8 @@ def _write_json_atomic(path: str, payload: dict):
 
 
 def _cmd_profile(cfg, dataset, out, seed, workers):
-    report = profile(dataset, n_bins=int(_get(cfg, "profile.n_bins", required=False, default=30)))
+    block = _block(cfg, "profile", ("n_bins",))
+    report = profile(dataset, n_bins=int(block.get("n_bins", 30)))
     path = os.path.join(out, "profile.json")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
@@ -196,7 +219,9 @@ def _cmd_synth(cfg, dataset, out, seed, workers):
 
 
 def _cmd_sweep(cfg, dataset, out, seed, workers):
-    block = _get(cfg, "sweep", kind=dict, required=False, default={})
+    block = _block(
+        cfg, "sweep", ("models", "tc_values", "cv"), list_of={"models": MODEL_KINDS}
+    )
     rows = threshold_sweep(
         dataset,
         models=block.get("models", ["tree"]),
@@ -219,7 +244,7 @@ def _cmd_sweep(cfg, dataset, out, seed, workers):
 
 
 def _cmd_multiclass(cfg, dataset, out, seed, workers):
-    block = _get(cfg, "multiclass", kind=dict, required=False, default={})
+    block = _block(cfg, "multiclass", ("model", "cv"), one_of={"model": MODEL_KINDS})
     rows = quantile_grid(
         dataset,
         model=block.get("model", "tree"),
@@ -237,7 +262,10 @@ def _cmd_multiclass(cfg, dataset, out, seed, workers):
 
 
 def _cmd_ldo_sweep(cfg, dataset, out, seed, workers):
-    block = _get(cfg, "ldo_sweep", kind=dict, required=False, default={})
+    block = _block(
+        cfg, "ldo_sweep", ("model", "thresholds", "tc", "cv"),
+        one_of={"model": MODEL_KINDS},
+    )
     rows = ldo_hdo_sweep(
         dataset,
         model=block.get("model", "tree"),
@@ -259,7 +287,10 @@ def _cmd_ldo_sweep(cfg, dataset, out, seed, workers):
 
 
 def _cmd_scenarios(cfg, dataset, out, seed, workers):
-    block = _get(cfg, "scenarios", kind=dict, required=False, default={})
+    block = _block(
+        cfg, "scenarios", ("models", "tc", "folds", "names", "target_transform"),
+        list_of={"models": MODEL_KINDS, "names": SCENARIO_NAMES},
+    )
     plan = CvPlan(
         n_folds=int(block.get("folds", 10)),
         seed=seed,
@@ -281,17 +312,12 @@ def _cmd_scenarios(cfg, dataset, out, seed, workers):
     return [path], []
 
 
-IEO_KEYS = ("model", "mode", "iterations", "folds", "metric", "tc", "target_transform")
-
-
 def _cmd_ieo(cfg, dataset, out, seed, workers):
-    block = _get(cfg, "ieo", kind=dict, required=False, default={})
-    for key in block:
-        if key not in IEO_KEYS:
-            raise ConfigError(f"unknown config field: ieo.{key}")
-    for key, allowed in (("model", MODEL_KINDS), ("mode", MODES), ("metric", METRICS)):
-        if key in block and block[key] not in allowed:
-            raise ConfigError(f"config field ieo.{key} must be one of: {', '.join(allowed)}")
+    block = _block(
+        cfg, "ieo",
+        ("model", "mode", "iterations", "folds", "metric", "tc", "target_transform"),
+        one_of={"model": MODEL_KINDS, "mode": MODES, "metric": METRICS},
+    )
     plan = CvPlan(
         n_folds=int(block.get("folds", 5)),
         mode=block.get("mode", "none"),
@@ -338,13 +364,12 @@ def _cmd_ieo(cfg, dataset, out, seed, workers):
     return [trace_path, summary_path], []
 
 
-def _split_80_20(n):
-    cut = int(0.8 * n)
-    return np.arange(cut), np.arange(cut, n)
-
-
 def _cmd_fusion(cfg, dataset, out, seed, workers):
-    block = _get(cfg, "fusion", kind=dict, required=False, default={})
+    models = ("classifier", "regressor_a", "regressor_b", "regressor_all", "meta")
+    block = _block(
+        cfg, "fusion", models + ("tc", "folds", "target_transform"),
+        one_of=dict.fromkeys(models, MODEL_KINDS),
+    )
     tc = float(block.get("tc", 45.0))
     folds = int(block.get("folds", 5))
     config = FusionConfig(
@@ -355,7 +380,7 @@ def _cmd_fusion(cfg, dataset, out, seed, workers):
         meta_kind=block.get("meta", "linear"),
         target_transform=block.get("target_transform", "none"),
     )
-    train_idx, test_idx = _split_80_20(len(dataset))
+    train_idx, test_idx = holdout_split(len(dataset))
     train = dataset.subset(train_idx)
     test = dataset.subset(test_idx)
     actual = test.durations
@@ -385,7 +410,10 @@ def _cmd_fusion(cfg, dataset, out, seed, workers):
 
 
 def _cmd_importance(cfg, dataset, out, seed, workers):
-    block = _get(cfg, "importance", kind=dict, required=False, default={})
+    block = _block(
+        cfg, "importance", ("model", "tc", "metric", "n_repeats", "target_transform"),
+        one_of={"model": MODEL_KINDS},
+    )
     reports = subset_importance(
         dataset,
         tc=float(block.get("tc", 45.0)),
@@ -411,7 +439,11 @@ def _cmd_importance(cfg, dataset, out, seed, workers):
 
 
 def _cmd_timing(cfg, dataset, out, seed, workers):
-    block = _get(cfg, "timing", kind=dict, required=False, default={})
+    block = _block(
+        cfg, "timing",
+        ("models", "iteration_counts", "folds", "metric", "target_transform"),
+        one_of={"metric": METRICS}, list_of={"models": MODEL_KINDS},
+    )
     rows = iteration_curve(
         dataset,
         models=block.get("models", ["tree"]),

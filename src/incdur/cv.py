@@ -6,7 +6,7 @@ import numpy as np
 
 from .models import fit_model
 
-__all__ = ["fold_indexes", "derive_seed", "cross_val_predict"]
+__all__ = ["fold_indexes", "holdout_split", "derive_seed", "cross_val_predict"]
 
 
 def fold_indexes(n: int, folds: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -22,6 +22,12 @@ def fold_indexes(n: int, folds: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     test = np.arange(start, stop)
     train = np.concatenate([np.arange(0, start), np.arange(stop, n)])
     return train, test
+
+
+def holdout_split(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first 80% of the rows to train on, the last 20% held out."""
+    cut = int(0.8 * n)
+    return np.arange(cut), np.arange(cut, n)
 
 
 def derive_seed(*keys) -> int:

@@ -126,14 +126,10 @@ class EncodedMatrix:
 
     values: np.ndarray
     feature_names: tuple[str, ...]
-    row_index: np.ndarray
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        object.__setattr__(
-            self, "row_index", np.asarray(self.row_index, dtype=int)
-        )
         if values.ndim != 2 or values.shape[1] != len(self.feature_names):
             raise DatasetError("values shape must match feature_names")
         if values.size and not np.all(np.isfinite(values)):
@@ -210,7 +206,7 @@ class Encoder:
                 ).reshape(n, 1)
                 cols.append(col)
         values = np.hstack(cols) if cols else np.zeros((n, 0))
-        return EncodedMatrix(values, self.feature_names, np.arange(n))
+        return EncodedMatrix(values, self.feature_names)
 
     def _require_fitted(self):
         if not self._fitted:

@@ -1,7 +1,20 @@
-"""Baseline learners with a uniform fit/predict contract."""
+"""Baseline learners behind one fit entry point.
+
+``fit_model`` is the only way to fit a learner. It fills in default params,
+checks the inputs (``|y| = rows(X) >= 2``), prepares the targets (class
+indices, or the target transform for regression), calls the kind's fitter
+and wraps the result in a ``TrainedModel``. Each learner module holds only
+its algorithm: ``fit(values, targets, n_classes, params, seed)`` returns the
+inner predictor, with ``n_classes`` 0 for regression.
+"""
 
 from __future__ import annotations
 
+from functools import partial
+
+import numpy as np
+
+from . import boosting, cart, forest, knn, linear
 from .base import (
     MODEL_KINDS,
     BoostParams,
@@ -11,14 +24,11 @@ from .base import (
     ModelError,
     TrainedModel,
     TreeParams,
+    as_values,
     make_params,
     params_to_dict,
+    prepare_targets,
 )
-from .boosting import fit_gbt
-from .cart import fit_tree
-from .forest import fit_random_forest
-from .knn import fit_knn
-from .linear import fit_linear
 from .serialize import model_from_json, model_to_json
 
 __all__ = [
@@ -32,15 +42,19 @@ __all__ = [
     "TrainedModel",
     "make_params",
     "params_to_dict",
-    "fit_tree",
-    "fit_gbt",
-    "fit_random_forest",
-    "fit_knn",
-    "fit_linear",
     "fit_model",
     "model_to_json",
     "model_from_json",
 ]
+
+FITTERS = {
+    "tree": cart.fit,
+    "gbt": boosting.fit,
+    "gbt-reg": partial(boosting.fit, second_order=True),
+    "random-forest": forest.fit,
+    "knn": knn.fit,
+    "linear": linear.fit,
+}
 
 
 def fit_model(
@@ -52,19 +66,22 @@ def fit_model(
     target_transform: str = "none",
     seed: int = 0,
 ) -> TrainedModel:
-    """Fit any model kind through one entry point (used by sweeps and tuning)."""
-    if kind == "tree":
-        return fit_tree(X, y, params, task, target_transform)
-    if kind == "gbt":
-        return fit_gbt(X, y, params, "first-order", task, target_transform, seed)
-    if kind == "gbt-reg":
-        return fit_gbt(
-            X, y, params, "second-order-regularised", task, target_transform, seed
-        )
-    if kind == "random-forest":
-        return fit_random_forest(X, y, params, task, target_transform, seed)
-    if kind == "knn":
-        return fit_knn(X, y, params, task, target_transform)
-    if kind == "linear":
-        return fit_linear(X, y, params, task, target_transform)
-    raise ModelError(f"unknown model kind {kind!r}")
+    """Fit any model kind; classification ignores ``target_transform``."""
+    if kind not in FITTERS:
+        raise ModelError(f"unknown model kind {kind!r}")
+    params = params or make_params(kind)
+    values = as_values(X)
+    y = np.asarray(y)
+    if y.shape[0] != values.shape[0] or values.shape[0] < 2:
+        raise ModelError("need |y| = rows(X) >= 2")
+    targets, classes = prepare_targets(y, task, target_transform)
+    n_classes = 0 if classes is None else len(classes)
+    return TrainedModel(
+        kind=kind,
+        task=task,
+        inner=FITTERS[kind](values, targets, n_classes, params, seed),
+        feature_names=getattr(X, "feature_names", None),
+        target_transform=target_transform if task == "regression" else "none",
+        classes=classes,
+        params=params,
+    )

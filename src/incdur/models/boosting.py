@@ -6,12 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import (
-    BoostParams, ModelError, TrainedModel, _sigmoid, as_values, prepare_targets,
-)
+from .base import BoostParams, _sigmoid
 from .tree import Node, PackedTrees, grow_mse_tree, grow_second_order_tree, predict_tree
-
-VARIANTS = ("first-order", "second-order-regularised")
 
 
 def _remap_features(node: Node, cols):
@@ -58,17 +54,12 @@ def _select_cols(m, params: BoostParams, rng):
     return np.sort(rng.choice(m, size=k, replace=False))
 
 
-def _fit_round(values, grad, hess, params, variant, rng):
+def _fit_round(values, grad, hess, params, second_order, rng):
     """Grow one tree on the current pseudo-targets; returns a global-index tree."""
     rows, scale = _select_rows(grad, params, rng)
     cols = _select_cols(values.shape[1], params, rng)
     sub = values[np.ix_(rows, cols)]
-    if variant == "first-order":
-        # fitting a regression tree to (scaled) residuals
-        tree = grow_mse_tree(
-            sub, -grad[rows] * scale, params.max_depth, params.min_samples_leaf
-        )
-    else:
+    if second_order:
         tree = grow_second_order_tree(
             sub,
             grad[rows] * scale,
@@ -78,6 +69,11 @@ def _fit_round(values, grad, hess, params, variant, rng):
             params.gamma,
             params.min_samples_leaf,
             params.min_child_weight,
+        )
+    else:
+        # fitting a regression tree to (scaled) residuals
+        tree = grow_mse_tree(
+            sub, -grad[rows] * scale, params.max_depth, params.min_samples_leaf
         )
     if cols.shape[0] < values.shape[1]:
         _remap_features(tree, cols)
@@ -179,20 +175,20 @@ class BoostOvRClassifier:
         return BoostOvRClassifier([_Booster.from_dict(b) for b in d["boosters"]])
 
 
-def _boost_regression(values, y, params, variant, rng):
+def _boost_regression(values, y, params, second_order, rng):
     base = float(np.mean(y))
     score = np.full(values.shape[0], base)
     trees = []
     for _ in range(params.n_rounds):
         grad = score - y  # d/dF of 0.5*(F - y)^2
         hess = np.ones_like(y)
-        tree = _fit_round(values, grad, hess, params, variant, rng)
+        tree = _fit_round(values, grad, hess, params, second_order, rng)
         trees.append(tree)
         score = score + params.learning_rate * predict_tree(tree, values)
     return _Booster(base, trees, params.learning_rate)
 
 
-def _boost_binary(values, y01, params, variant, rng):
+def _boost_binary(values, y01, params, second_order, rng):
     p0 = float(np.clip(np.mean(y01), 1e-6, 1.0 - 1e-6))
     base = float(np.log(p0 / (1.0 - p0)))
     score = np.full(values.shape[0], base)
@@ -201,55 +197,28 @@ def _boost_binary(values, y01, params, variant, rng):
         p = _sigmoid(score)
         grad = p - y01
         hess = p * (1.0 - p)
-        tree = _fit_round(values, grad, hess, params, variant, rng)
+        tree = _fit_round(values, grad, hess, params, second_order, rng)
         trees.append(tree)
         score = score + params.learning_rate * predict_tree(tree, values)
     return _Booster(base, trees, params.learning_rate)
 
 
-def fit_gbt(
-    X,
-    y,
-    params: BoostParams | None = None,
-    variant: str = "first-order",
-    task: str = "regression",
-    target_transform: str = "none",
-    seed: int = 0,
-) -> TrainedModel:
-    """Fit a boosted-tree ensemble.
+def fit(values, targets, n_classes, params: BoostParams, seed, second_order=False):
+    """Boosted trees on prepared targets (``n_classes`` 0 means regression).
 
-    ``variant`` selects plain residual boosting ("first-order") or the
-    regularised second-order objective ("second-order-regularised").
+    ``second_order`` selects the regularised second-order objective instead
+    of plain residual boosting; more than two classes fit one-vs-rest.
     """
-    if variant not in VARIANTS:
-        raise ModelError(f"unknown variant {variant!r}")
-    params = params or BoostParams()
-    values = as_values(X)
-    y = np.asarray(y)
-    if y.shape[0] != values.shape[0] or values.shape[0] < 2:
-        raise ModelError("need |y| = rows(X) >= 2")
-    targets, classes = prepare_targets(y, task, target_transform)
     rng = np.random.default_rng(seed)
-
-    if task == "regression":
-        inner = BoostRegressor(_boost_regression(values, targets, params, variant, rng))
-    elif classes.shape[0] == 2:
-        inner = BoostBinaryClassifier(
-            _boost_binary(values, targets.astype(float), params, variant, rng)
+    if n_classes == 0:
+        return BoostRegressor(
+            _boost_regression(values, targets, params, second_order, rng)
         )
-    else:
-        boosters = [
-            _boost_binary(values, (targets == c).astype(float), params, variant, rng)
-            for c in range(classes.shape[0])
-        ]
-        inner = BoostOvRClassifier(boosters)
-
-    return TrainedModel(
-        kind="gbt-reg" if variant == "second-order-regularised" else "gbt",
-        task=task,
-        inner=inner,
-        feature_names=getattr(X, "feature_names", None),
-        target_transform=target_transform if task == "regression" else "none",
-        classes=classes,
-        params=params,
-    )
+    if n_classes == 2:
+        return BoostBinaryClassifier(
+            _boost_binary(values, targets.astype(float), params, second_order, rng)
+        )
+    return BoostOvRClassifier([
+        _boost_binary(values, (targets == c).astype(float), params, second_order, rng)
+        for c in range(n_classes)
+    ])

@@ -1,10 +1,8 @@
-"""Single CART fit wrappers (the base learner behind every ensemble)."""
+"""Single CART: the base learner behind every ensemble."""
 
 from __future__ import annotations
 
-import numpy as np
-
-from .base import ModelError, TrainedModel, TreeParams, as_values, prepare_targets
+from .base import TreeParams
 from .tree import Node, PackedTrees, grow_gini_tree, grow_mse_tree
 
 
@@ -41,32 +39,14 @@ class TreeClassifier:
         return TreeClassifier(Node.from_dict(d["root"]))
 
 
-def fit_tree(
-    X, y, params: TreeParams | None = None, task="regression", target_transform="none"
-) -> TrainedModel:
-    """Greedy binary CART minimising MSE (regression) or Gini (classification)."""
-    params = params or TreeParams()
-    values = as_values(X)
-    y = np.asarray(y)
-    if y.shape[0] != values.shape[0] or values.shape[0] < 2:
-        raise ModelError("need |y| = rows(X) >= 2")
-    targets, classes = prepare_targets(y, task, target_transform)
-    if task == "regression":
-        root = grow_mse_tree(
-            values, targets, params.max_depth, params.min_samples_leaf
+def fit(values, targets, n_classes, params: TreeParams, seed):
+    """Greedy binary CART minimising MSE (regression, ``n_classes`` 0) or Gini."""
+    if n_classes == 0:
+        return TreeRegressor(
+            grow_mse_tree(values, targets, params.max_depth, params.min_samples_leaf)
         )
-        inner = TreeRegressor(root)
-    else:
-        root = grow_gini_tree(
-            values, targets, len(classes), params.max_depth, params.min_samples_leaf
+    return TreeClassifier(
+        grow_gini_tree(
+            values, targets, n_classes, params.max_depth, params.min_samples_leaf
         )
-        inner = TreeClassifier(root)
-    return TrainedModel(
-        kind="tree",
-        task=task,
-        inner=inner,
-        feature_names=getattr(X, "feature_names", None),
-        target_transform=target_transform if task == "regression" else "none",
-        classes=classes,
-        params=params,
     )

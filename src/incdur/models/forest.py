@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ForestParams, ModelError, TrainedModel, as_values, prepare_targets
+from .base import ForestParams
 from .tree import Node, PackedTrees, grow_gini_tree, grow_mse_tree
 
 
@@ -57,22 +57,9 @@ class ForestClassifier:
         )
 
 
-def fit_random_forest(
-    X,
-    y,
-    params: ForestParams | None = None,
-    task: str = "regression",
-    target_transform: str = "none",
-    seed: int = 0,
-) -> TrainedModel:
-    params = params or ForestParams()
-    values = as_values(X)
-    y = np.asarray(y)
-    if y.shape[0] != values.shape[0] or values.shape[0] < 2:
-        raise ModelError("need |y| = rows(X) >= 2")
-    targets, classes = prepare_targets(y, task, target_transform)
+def fit(values, targets, n_classes, params: ForestParams, seed):
+    """Bagged CART trees on prepared targets (``n_classes`` 0 means regression)."""
     rng = np.random.default_rng(seed)
-
     n, m = values.shape
     frac = params.feature_fraction
     if frac is None:
@@ -86,29 +73,18 @@ def fit_random_forest(
         else:
             rows = np.sort(rng.permutation(n)[:size]) if size < n else np.arange(n)
         tree_rng = np.random.default_rng(rng.integers(0, 2**63))
-        if task == "regression":
+        if n_classes == 0:
             tree = grow_mse_tree(
                 values[rows], targets[rows], params.max_depth,
                 params.min_samples_leaf, feature_fraction=frac, rng=tree_rng,
             )
         else:
             tree = grow_gini_tree(
-                values[rows], targets[rows], len(classes), params.max_depth,
+                values[rows], targets[rows], n_classes, params.max_depth,
                 params.min_samples_leaf, feature_fraction=frac, rng=tree_rng,
             )
         trees.append(tree)
 
-    inner = (
-        ForestRegressor(trees)
-        if task == "regression"
-        else ForestClassifier(trees, len(classes))
-    )
-    return TrainedModel(
-        kind="random-forest",
-        task=task,
-        inner=inner,
-        feature_names=getattr(X, "feature_names", None),
-        target_transform=target_transform if task == "regression" else "none",
-        classes=classes,
-        params=params,
-    )
+    if n_classes == 0:
+        return ForestRegressor(trees)
+    return ForestClassifier(trees, n_classes)

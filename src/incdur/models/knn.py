@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import KnnParams, ModelError, TrainedModel, as_values, prepare_targets
+from .base import KnnParams, ModelError
 
 BLOCK_CELLS = 1 << 20  # (query, train, feature) differences held at once
 
@@ -108,40 +108,12 @@ class KnnModel:
         )
 
 
-def fit_knn(
-    X,
-    y,
-    params: KnnParams | None = None,
-    task: str = "regression",
-    target_transform: str = "none",
-) -> TrainedModel:
-    params = params or KnnParams()
-    values = as_values(X)
-    y = np.asarray(y)
-    if y.shape[0] != values.shape[0]:
-        raise ModelError("need |y| = rows(X)")
+def fit(values, targets, n_classes, params: KnnParams, seed):
+    """Store the z-scored training rows (``n_classes`` 0 means regression)."""
     if params.k > values.shape[0]:
         raise ModelError(f"k={params.k} exceeds training size {values.shape[0]}")
-    targets, classes = prepare_targets(y, task, target_transform)
-
     mean = values.mean(axis=0)
     std = values.std(axis=0)
     std = np.where(std == 0, 1.0, std)
-    inner = KnnModel(
-        (values - mean) / std,
-        targets,
-        params.k,
-        mean,
-        std,
-        task,
-        0 if classes is None else len(classes),
-    )
-    return TrainedModel(
-        kind="knn",
-        task=task,
-        inner=inner,
-        feature_names=getattr(X, "feature_names", None),
-        target_transform=target_transform if task == "regression" else "none",
-        classes=classes,
-        params=params,
-    )
+    task = "regression" if n_classes == 0 else "classification"
+    return KnnModel((values - mean) / std, targets, params.k, mean, std, task, n_classes)

@@ -5,9 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import (
-    LinearParams, ModelError, TrainedModel, _sigmoid, as_values, prepare_targets,
-)
+from .base import LinearParams, ModelError, _sigmoid
 
 GRAD_TOL = 1e-6
 MAX_ITERS = 10_000
@@ -98,21 +96,9 @@ def _fit_logistic_binary(values, y01, ridge):
     return weights
 
 
-def fit_linear(
-    X,
-    y,
-    params: LinearParams | None = None,
-    task: str = "regression",
-    target_transform: str = "none",
-) -> TrainedModel:
-    params = params or LinearParams()
-    values = as_values(X)
-    y = np.asarray(y)
-    if y.shape[0] != values.shape[0] or values.shape[0] < 2:
-        raise ModelError("need |y| = rows(X) >= 2")
-    targets, classes = prepare_targets(y, task, target_transform)
-
-    if task == "regression":
+def fit(values, targets, n_classes, params: LinearParams, seed):
+    """Least squares (``n_classes`` 0) or logistic, one-vs-rest past two classes."""
+    if n_classes == 0:
         n, m = values.shape
         aug = np.hstack([np.ones((n, 1)), values])
         gram = aug.T @ aug
@@ -126,29 +112,12 @@ def fit_linear(
             raise ModelError(
                 "singular normal equations; use ridge > 0 for rank-deficient X"
             ) from None
-        inner = LinearRegressor(beta[0], beta[1:])
-    else:
-        k = len(classes)
-        if k == 2:
-            w = _fit_logistic_binary(values, targets.astype(float), params.ridge)
-            inner = LogisticClassifier([w[0]], [w[1:]])
-        else:
-            rows = [
-                _fit_logistic_binary(
-                    values, (targets == c).astype(float), params.ridge
-                )
-                for c in range(k)
-            ]
-            inner = LogisticClassifier(
-                [w[0] for w in rows], [w[1:] for w in rows]
-            )
-
-    return TrainedModel(
-        kind="linear",
-        task=task,
-        inner=inner,
-        feature_names=getattr(X, "feature_names", None),
-        target_transform=target_transform if task == "regression" else "none",
-        classes=classes,
-        params=params,
-    )
+        return LinearRegressor(beta[0], beta[1:])
+    if n_classes == 2:
+        w = _fit_logistic_binary(values, targets.astype(float), params.ridge)
+        return LogisticClassifier([w[0]], [w[1:]])
+    rows = [
+        _fit_logistic_binary(values, (targets == c).astype(float), params.ridge)
+        for c in range(n_classes)
+    ]
+    return LogisticClassifier([w[0] for w in rows], [w[1:] for w in rows])

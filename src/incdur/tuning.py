@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._parallel import parallel_map
-from .cv import derive_seed, fold_indexes
+from .cv import derive_seed, fold_indexes, holdout_split
 from .dataset import Dataset, encode
 from .labeling import binary_labels
 from .metrics import metric_value
@@ -295,9 +295,7 @@ def run_ieo(
     else:
         y = durations
 
-    n_train = int(0.8 * n)
-    train_part = np.arange(n_train)
-    valid_part = np.arange(n_train, n)
+    train_part, valid_part = holdout_split(n)
     orm_matrix = np.hstack([values, durations[:, None]])
 
     def eval_one(it):

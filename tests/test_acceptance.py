@@ -39,9 +39,6 @@ from incdur.models import (
     BoostParams,
     KnnParams,
     TreeParams,
-    fit_gbt,
-    fit_knn,
-    fit_linear,
     fit_model,
 )
 from incdur.models.linear import logistic_loss, logistic_loss_grad
@@ -144,7 +141,7 @@ def test_criterion_2_knn_matches_linear_scan():
         X = rng.normal(size=(n, m))
         y = rng.normal(size=n)
         queries = rng.normal(size=(10, m))
-        model = fit_knn(X, y, KnnParams(k=k))
+        model = fit_model("knn", X, y, KnnParams(k=k))
         mean, std = X.mean(axis=0), X.std(axis=0)
         std = np.where(std == 0, 1.0, std)
         Xz, Qz = (X - mean) / std, (queries - mean) / std
@@ -202,8 +199,8 @@ def test_criterion_4_first_order_training_rmse_non_increasing():
         rng = np.random.default_rng(3000 + seed)
         X = rng.normal(size=(120, 4))
         y = X[:, 0] * 3 + np.sin(X[:, 1]) + rng.normal(scale=0.3, size=120)
-        model = fit_gbt(X, y, BoostParams(n_rounds=200, learning_rate=0.1,
-                                          max_depth=3), "first-order")
+        model = fit_model("gbt", X, y, BoostParams(n_rounds=200, learning_rate=0.1,
+                                                   max_depth=3))
         errors = [rmse(y, stage) for stage in model.inner.staged_predict_values(X)]
         assert all(b <= a + TOL for a, b in zip(errors, errors[1:]))
 
@@ -212,8 +209,8 @@ def test_criterion_4_second_order_leaf_weights_vanish_at_huge_lambda():
     rng = np.random.default_rng(3100)
     X = rng.normal(size=(100, 3))
     y = rng.normal(size=100)
-    model = fit_gbt(X, y, BoostParams(n_rounds=5, max_depth=3, reg_lambda=1e9),
-                    "second-order-regularised")
+    model = fit_model("gbt-reg", X, y,
+                      BoostParams(n_rounds=5, max_depth=3, reg_lambda=1e9))
     for tree in model.inner.booster.trees:
         assert np.max(np.abs(leaf_values(tree))) < 1e-6
 
@@ -424,7 +421,7 @@ def test_criterion_9_linear_contributions_within_five_percent():
     rng = np.random.default_rng(4100)
     X = rng.normal(size=(400, 4))
     beta = np.array([1.0, -2.0, 3.0, 0.5])
-    model = fit_linear(X, X @ beta)
+    model = fit_model("linear", X, X @ beta)
     background, record = X[:100], X[200]
     contrib = shapley_sampling(model, None, background, record,
                                n_samples=2000, seed=0)

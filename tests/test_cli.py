@@ -138,6 +138,29 @@ def test_ieo_config_errors_exit_2_and_name_the_field(tmp_path, capsys, change, f
     assert not (tmp_path / "o" / "ieo_trace.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "subcommand, block, field, artifact",
+    [
+        ("sweep", {"sweep": {"models": ["bogus"]}}, "sweep.models", "sweep.csv"),
+        # misspelled keys are not ignored
+        ("scenarios", {"scenarios": {"modles": ["linear"]}}, "scenarios.modles",
+         "scenarios.csv"),
+        ("fusion", {"fusion": {"classifer": "linear"}}, "fusion.classifer",
+         "fusion.csv"),
+        ("scenarios", {"scenarios": {"names": ["AtoC"]}}, "scenarios.names",
+         "scenarios.csv"),
+    ],
+)
+def test_block_config_errors_exit_2_and_name_the_field(
+    tmp_path, capsys, subcommand, block, field, artifact
+):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({**BASE_CONFIG, **block}))
+    assert main([subcommand, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "o" / artifact).exists()
+
+
 def test_missing_seed_rejected(tmp_path, capsys):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"dataset": {"synth": {"n": 10, "mu": 3, "sigma": 1}}}))

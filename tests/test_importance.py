@@ -13,7 +13,7 @@ from incdur.importance import (
     shapley_sampling,
     subset_importance,
 )
-from incdur.models import LinearParams, TreeParams, fit_linear, fit_model
+from incdur.models import LinearParams, TreeParams, fit_model
 
 
 def linear_problem(seed=0, n=200, m=3):
@@ -87,7 +87,7 @@ def test_permutation_deterministic_under_seed():
 def test_shapley_single_feature_exact():
     X = np.arange(20, dtype=float).reshape(-1, 1)
     y = 3.0 * X[:, 0]
-    model = fit_linear(X, y)
+    model = fit_model("linear", X, y)
     background = X[:10]
     record = X[15]
     contrib = shapley_sampling(model, None, background, record, n_samples=10)
@@ -100,7 +100,7 @@ def test_shapley_single_feature_exact():
 
 def test_shapley_linear_closed_form_monte_carlo():
     X, y, beta = linear_problem(seed=6, n=400, m=4)
-    model = fit_linear(X, y)
+    model = fit_model("linear", X, y)
     background = X[:100]
     record = X[200]
     contrib = shapley_sampling(model, None, background, record,

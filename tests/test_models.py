@@ -11,12 +11,7 @@ from incdur.models import (
     LinearParams,
     ModelError,
     TreeParams,
-    fit_gbt,
-    fit_knn,
-    fit_linear,
     fit_model,
-    fit_random_forest,
-    fit_tree,
     model_from_json,
     model_to_json,
 )
@@ -33,7 +28,7 @@ from incdur.models.tree import Node, grow_second_order_tree, leaf_values
 def test_tree_perfect_single_split():
     X = np.array([[0.0], [1.0]])
     y = np.array([0.0, 10.0])
-    model = fit_tree(X, y, TreeParams(max_depth=1))
+    model = fit_model("tree", X, y, TreeParams(max_depth=1))
     assert model.predict(np.array([[0.2]]))[0] == 0.0
     assert model.predict(np.array([[0.5]]))[0] == 10.0
     assert model.predict(np.array([[0.9]]))[0] == 10.0
@@ -42,7 +37,7 @@ def test_tree_perfect_single_split():
 def test_tree_constant_target_is_single_leaf():
     X = np.arange(8, dtype=float).reshape(-1, 1)
     y = np.full(8, 3.5)
-    model = fit_tree(X, y, TreeParams(max_depth=5))
+    model = fit_model("tree", X, y, TreeParams(max_depth=5))
     assert leaf_values(model.inner.root) == [3.5]
     assert (model.predict(X) == 3.5).all()
 
@@ -52,21 +47,21 @@ def test_tree_step_function_depth_two_zero_mse():
     # are chosen so the greedy root split separates {0,1} from {10,11}
     X = np.arange(8, dtype=float).reshape(-1, 1)
     y = np.array([0.0, 0.0, 1.0, 1.0, 10.0, 10.0, 11.0, 11.0])
-    model = fit_tree(X, y, TreeParams(max_depth=2))
+    model = fit_model("tree", X, y, TreeParams(max_depth=2))
     assert np.array_equal(model.predict(X), y)
 
 
 def test_tree_constant_feature_degenerate():
     X = np.ones((5, 1))
     y = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    model = fit_tree(X, y, TreeParams(max_depth=3))
+    model = fit_model("tree", X, y, TreeParams(max_depth=3))
     assert model.predict(X)[0] == pytest.approx(3.0)
 
 
 def test_tree_classification_gini():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 0, 1, 1])
-    model = fit_tree(X, y, TreeParams(max_depth=1), task="classification")
+    model = fit_model("tree", X, y, TreeParams(max_depth=1), task="classification")
     assert model.predict(X).tolist() == [0, 0, 1, 1]
     proba = model.predict_proba(X)
     assert proba.shape == (4, 2)
@@ -78,7 +73,7 @@ def test_tree_split_tie_breaks_lower_feature_index():
     x = np.array([0.0, 1.0, 2.0, 3.0])
     X = np.column_stack([x, x])
     y = np.array([0.0, 0.0, 4.0, 4.0])
-    model = fit_tree(X, y, TreeParams(max_depth=1))
+    model = fit_model("tree", X, y, TreeParams(max_depth=1))
     assert model.inner.root.feature == 0
 
 
@@ -97,16 +92,16 @@ def _random_regression(seed, n=80, m=4):
 def test_gbt_one_round_depth0_predicts_mean():
     X, y = _random_regression(0)
     params = BoostParams(n_rounds=1, learning_rate=1.0, max_depth=0)
-    for variant in ("first-order", "second-order-regularised"):
-        model = fit_gbt(X, y, params, variant)
+    for kind in ("gbt", "gbt-reg"):
+        model = fit_model(kind, X, y, params)
         assert np.allclose(model.predict(X), np.mean(y), atol=1e-9)
 
 
 def test_gbt_training_rmse_non_increasing():
     for seed in range(10):
         X, y = _random_regression(seed)
-        model = fit_gbt(X, y, BoostParams(n_rounds=200, learning_rate=0.1,
-                                          max_depth=3), "first-order")
+        model = fit_model("gbt", X, y, BoostParams(n_rounds=200, learning_rate=0.1,
+                                                   max_depth=3))
         staged = model.inner.staged_predict_values(X)
         errors = [rmse(y, stage) for stage in staged]
         assert all(b <= a + 1e-9 for a, b in zip(errors, errors[1:]))
@@ -114,11 +109,10 @@ def test_gbt_training_rmse_non_increasing():
 
 def test_second_order_leaf_weights_vanish_at_huge_lambda():
     X, y = _random_regression(1)
-    model = fit_gbt(
-        X, y,
+    model = fit_model(
+        "gbt-reg", X, y,
         BoostParams(n_rounds=5, learning_rate=0.3, max_depth=3,
                     reg_lambda=1e9),
-        "second-order-regularised",
     )
     for tree in model.inner.booster.trees:
         weights = np.abs(np.asarray(leaf_values(tree), dtype=float))
@@ -141,10 +135,9 @@ def test_second_order_leaf_weight_formula():
 
 def test_second_order_gamma_blocks_weak_splits():
     X, y = _random_regression(2)
-    model = fit_gbt(
-        X, y,
+    model = fit_model(
+        "gbt-reg", X, y,
         BoostParams(n_rounds=3, max_depth=3, learning_rate=0.5, gamma=1e12),
-        "second-order-regularised",
     )
     for tree in model.inner.booster.trees:
         assert tree.is_leaf
@@ -154,7 +147,7 @@ def test_goss_still_learns():
     X, y = _random_regression(3, n=300)
     params = BoostParams(n_rounds=80, learning_rate=0.1, max_depth=3,
                          goss=(0.2, 0.2))
-    model = fit_gbt(X, y, params, "first-order", seed=0)
+    model = fit_model("gbt", X, y, params, seed=0)
     base = rmse(y, np.full_like(y, y.mean()))
     assert rmse(y, model.predict(X)) < 0.5 * base
 
@@ -162,9 +155,9 @@ def test_goss_still_learns():
 def test_gbt_classification_separable():
     X = np.array([[0.0], [1.0], [2.0], [3.0], [10.0], [11.0], [12.0], [13.0]])
     y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-    model = fit_gbt(X, y, BoostParams(n_rounds=20, max_depth=2,
-                                      learning_rate=0.3),
-                    "first-order", task="classification")
+    model = fit_model("gbt", X, y, BoostParams(n_rounds=20, max_depth=2,
+                                               learning_rate=0.3),
+                      task="classification")
     assert model.predict(X).tolist() == y.tolist()
 
 
@@ -172,8 +165,8 @@ def test_gbt_deterministic_under_seed():
     X, y = _random_regression(4, n=120)
     params = BoostParams(n_rounds=30, max_depth=3, subsample=0.7,
                          colsample=0.8, learning_rate=0.2)
-    a = fit_gbt(X, y, params, "first-order", seed=9).predict(X)
-    b = fit_gbt(X, y, params, "first-order", seed=9).predict(X)
+    a = fit_model("gbt", X, y, params, seed=9).predict(X)
+    b = fit_model("gbt", X, y, params, seed=9).predict(X)
     assert np.array_equal(a, b)
 
 
@@ -184,13 +177,13 @@ def test_gbt_deterministic_under_seed():
 
 def test_forest_degenerate_equals_single_tree():
     X, y = _random_regression(5, n=60)
-    forest = fit_random_forest(
-        X, y,
+    forest = fit_model(
+        "random-forest", X, y,
         ForestParams(n_trees=1, max_depth=4, bootstrap=False,
                      bootstrap_fraction=1.0, feature_fraction=1.0),
         seed=0,
     )
-    tree = fit_tree(X, y, TreeParams(max_depth=4))
+    tree = fit_model("tree", X, y, TreeParams(max_depth=4))
     assert np.allclose(forest.predict(X), tree.predict(X))
 
 
@@ -212,8 +205,9 @@ def test_forest_variance_shrinks_with_trees():
 
     def spread(n_trees):
         preds = [
-            fit_random_forest(
-                X, y, ForestParams(n_trees=n_trees, max_depth=5), seed=s
+            fit_model(
+                "random-forest", X, y, ForestParams(n_trees=n_trees, max_depth=5),
+                seed=s,
             ).predict(query)[0]
             for s in range(50)
         ]
@@ -226,8 +220,8 @@ def test_forest_classification_runs():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(90, 3))
     y = (X[:, 0] > 0).astype(int)
-    model = fit_random_forest(X, y, ForestParams(n_trees=20, max_depth=4),
-                              task="classification", seed=2)
+    model = fit_model("random-forest", X, y, ForestParams(n_trees=20, max_depth=4),
+                      task="classification", seed=2)
     assert (model.predict(X) == y).mean() > 0.9
 
 
@@ -239,20 +233,20 @@ def test_forest_classification_runs():
 def test_knn_k1_returns_matching_target():
     X = np.array([[0.0], [5.0], [10.0]])
     y = np.array([1.0, 2.0, 3.0])
-    model = fit_knn(X, y, KnnParams(k=1))
+    model = fit_model("knn", X, y, KnnParams(k=1))
     assert model.predict(np.array([[5.0]]))[0] == 2.0
 
 
 def test_knn_k_equals_n_is_global_mean():
     X = np.array([[0.0], [5.0], [10.0]])
     y = np.array([1.0, 2.0, 6.0])
-    model = fit_knn(X, y, KnnParams(k=3))
+    model = fit_model("knn", X, y, KnnParams(k=3))
     assert model.predict(np.array([[-100.0]]))[0] == pytest.approx(3.0)
 
 
 def test_knn_k_exceeding_n_rejected():
     with pytest.raises(ModelError):
-        fit_knn(np.zeros((2, 1)), np.zeros(2), KnnParams(k=3))
+        fit_model("knn", np.zeros((2, 1)), np.zeros(2), KnnParams(k=3))
 
 
 def _knn_oracle(train, targets, query, k):
@@ -274,7 +268,7 @@ def test_knn_matches_brute_force_oracle():
         X = rng.normal(size=(n, m))
         y = rng.normal(size=n)
         queries = rng.normal(size=(15, m))
-        model = fit_knn(X, y, KnnParams(k=k))
+        model = fit_model("knn", X, y, KnnParams(k=k))
         mean = X.mean(axis=0)
         std = np.where(X.std(axis=0) == 0, 1.0, X.std(axis=0))
         expected = _knn_oracle((X - mean) / std, y, (queries - mean) / std, k)
@@ -284,7 +278,7 @@ def test_knn_matches_brute_force_oracle():
 def test_knn_classification_majority_vote():
     X = np.array([[0.0], [0.1], [0.2], [10.0]])
     y = np.array([0, 0, 1, 1])
-    model = fit_knn(X, y, KnnParams(k=3), task="classification")
+    model = fit_model("knn", X, y, KnnParams(k=3), task="classification")
     assert model.predict(np.array([[0.05]]))[0] == 0
 
 
@@ -296,7 +290,7 @@ def test_knn_classification_majority_vote():
 def test_linear_exact_slope():
     X = np.arange(6, dtype=float).reshape(-1, 1)
     y = 2.0 * X[:, 0]
-    model = fit_linear(X, y, LinearParams(ridge=0.0))
+    model = fit_model("linear", X, y, LinearParams(ridge=0.0))
     assert model.inner.coefs[0] == pytest.approx(2.0, abs=1e-9)
     assert model.inner.intercept == pytest.approx(0.0, abs=1e-9)
 
@@ -304,7 +298,7 @@ def test_linear_exact_slope():
 def test_linear_orthogonal_target_gives_intercept_mean():
     X = np.array([[1.0], [-1.0], [1.0], [-1.0]])
     y = np.array([5.0, 5.0, 5.0, 5.0])
-    model = fit_linear(X, y, LinearParams(ridge=0.0))
+    model = fit_model("linear", X, y, LinearParams(ridge=0.0))
     assert model.inner.coefs[0] == pytest.approx(0.0, abs=1e-9)
     assert model.inner.intercept == pytest.approx(5.0, abs=1e-9)
 
@@ -313,8 +307,8 @@ def test_linear_singular_requires_ridge():
     X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     y = np.array([1.0, 2.0, 3.0])
     with pytest.raises(ModelError):
-        fit_linear(X, y, LinearParams(ridge=0.0))
-    model = fit_linear(X, y, LinearParams(ridge=1e-6))
+        fit_model("linear", X, y, LinearParams(ridge=0.0))
+    model = fit_model("linear", X, y, LinearParams(ridge=1e-6))
     assert np.allclose(model.predict(X), y, atol=1e-3)
 
 
@@ -322,7 +316,7 @@ def test_linear_matches_lstsq_oracle():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(40, 3))
     y = rng.normal(size=40)
-    model = fit_linear(X, y, LinearParams(ridge=0.0))
+    model = fit_model("linear", X, y, LinearParams(ridge=0.0))
     aug = np.hstack([np.ones((40, 1)), X])
     beta, *_ = np.linalg.lstsq(aug, y, rcond=None)
     assert np.allclose([model.inner.intercept, *model.inner.coefs], beta,
@@ -332,7 +326,7 @@ def test_linear_matches_lstsq_oracle():
 def test_logistic_separable_two_points():
     X = np.array([[-1.0], [1.0]])
     y = np.array([0, 1])
-    model = fit_linear(X, y, LinearParams(ridge=0.0), task="classification")
+    model = fit_model("linear", X, y, LinearParams(ridge=0.0), task="classification")
     proba = model.predict_proba(X)
     assert proba[0, 1] < 0.5 < proba[1, 1]
     assert model.predict(X).tolist() == [0, 1]
@@ -402,10 +396,47 @@ def test_predict_is_pure():
 def test_feature_name_snapshot_enforced():
     from incdur.dataset import EncodedMatrix
 
-    X = EncodedMatrix(np.random.default_rng(0).normal(size=(20, 2)),
-                      ("a", "b"), np.arange(20))
+    X = EncodedMatrix(np.random.default_rng(0).normal(size=(20, 2)), ("a", "b"))
     y = X.values[:, 0]
     model = fit_model("tree", X, y)
-    wrong = EncodedMatrix(X.values, ("a", "c"), np.arange(20))
+    wrong = EncodedMatrix(X.values, ("a", "c"))
     with pytest.raises(ModelError):
         model.predict(wrong)
+
+
+SMALL_PARAMS = {
+    "tree": TreeParams(max_depth=2),
+    "gbt": BoostParams(n_rounds=3),
+    "gbt-reg": BoostParams(n_rounds=3),
+    "random-forest": ForestParams(n_trees=3),
+    "knn": KnnParams(k=1),
+    "linear": LinearParams(ridge=0.1),
+}
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_fit_model_is_the_one_fit_contract(kind, task):
+    from incdur.dataset import EncodedMatrix
+
+    rng = np.random.default_rng(3)
+    X = EncodedMatrix(rng.normal(size=(12, 2)), ("a", "b"))
+    if task == "regression":
+        y = rng.uniform(1.0, 50.0, size=12)
+    else:
+        y = np.tile(["long", "mid", "short"], 4)
+    params = SMALL_PARAMS[kind]
+    with pytest.raises(ModelError, match=r"rows\(X\) >= 2"):
+        fit_model(kind, X, y[:-1], params, task)
+    # kNN included: a 1-row fit is rejected even when k = 1 would fit
+    with pytest.raises(ModelError, match=r"rows\(X\) >= 2"):
+        fit_model(kind, X.values[:1], y[:1], params, task)
+    with pytest.raises(ModelError, match="unknown model kind"):
+        fit_model(kind + "-x", X, y, params, task)
+    model = fit_model(kind, X, y, params, task, target_transform="log1p", seed=1)
+    assert model.kind == kind
+    assert model.params is params
+    assert model.feature_names == ("a", "b")
+    expected = "log1p" if task == "regression" else "none"
+    assert model.target_transform == expected
+    assert model.predict(X).shape == (12,)

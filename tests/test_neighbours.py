@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from incdur.models import KnnParams, fit_knn
+from incdur.models import KnnParams, fit_model
 from incdur.models import knn
 from incdur.models.knn import k_nearest, nearest_rows
 
@@ -83,7 +83,7 @@ def _knn_data(seed, n=90, m=4):
 @pytest.mark.parametrize("k", [1, 5, 105])
 def test_knn_regression_matches_full_argsort(k):
     X, y, Q = _knn_data(0)
-    model = fit_knn(X, y, KnnParams(k=k))
+    model = fit_model("knn", X, y, KnnParams(k=k))
     nb = _knn_reference(model, Q)
     assert np.array_equal(model.inner.predict_values(Q), model.inner.targets[nb].mean(axis=1))
 
@@ -92,7 +92,7 @@ def test_knn_regression_matches_full_argsort(k):
 def test_knn_classification_matches_full_argsort(k):
     X, y, Q = _knn_data(1)
     labels = np.digitize(y, np.quantile(y, [0.3, 0.6]))
-    model = fit_knn(X, labels, KnnParams(k=k), task="classification")
+    model = fit_model("knn", X, labels, KnnParams(k=k), task="classification")
     inner = model.inner
     nb = _knn_reference(model, Q)
     votes = np.stack([(inner.targets[nb] == c).sum(axis=1) for c in range(3)], axis=1)
@@ -101,7 +101,9 @@ def test_knn_classification_matches_full_argsort(k):
 
 def test_knn_memory_grows_with_rows_not_rows_times_train_times_features():
     rng = np.random.default_rng(0)
-    model = fit_knn(rng.normal(size=(768, 13)), rng.normal(size=768), KnnParams(k=10))
+    model = fit_model(
+        "knn", rng.normal(size=(768, 13)), rng.normal(size=768), KnnParams(k=10)
+    )
     Q = rng.normal(size=(3000, 13))
     tracemalloc.start()
     try:

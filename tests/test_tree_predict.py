@@ -17,9 +17,7 @@ from incdur.models import (
     BoostParams,
     ForestParams,
     TreeParams,
-    fit_gbt,
-    fit_random_forest,
-    fit_tree,
+    fit_model,
     model_from_json,
     model_to_json,
 )
@@ -90,11 +88,13 @@ GBT_PARAMS = [
 ]
 
 
-@pytest.mark.parametrize("variant", ["first-order", "second-order-regularised"])
+@pytest.mark.parametrize(
+    "kind", ["gbt", "gbt-reg"], ids=["first-order", "second-order-regularised"]
+)
 @pytest.mark.parametrize("params", GBT_PARAMS)
-def test_gbt_regression_matches_node_walk(variant, params):
+def test_gbt_regression_matches_node_walk(kind, params):
     X, y = _data(0)
-    model = fit_gbt(X, y, params, variant, seed=3)
+    model = fit_model(kind, X, y, params, seed=3)
     booster = model.inner.booster
     for Q in _queries(0):
         assert np.array_equal(model.predict(Q), _booster_ref(booster, Q))
@@ -104,13 +104,15 @@ def test_gbt_regression_matches_node_walk(variant, params):
         assert all(np.array_equal(a, b) for a, b in zip(staged, ref))
 
 
-@pytest.mark.parametrize("variant", ["first-order", "second-order-regularised"])
+@pytest.mark.parametrize(
+    "kind", ["gbt", "gbt-reg"], ids=["first-order", "second-order-regularised"]
+)
 @pytest.mark.parametrize("n_classes", [2, 4])
-def test_gbt_classification_matches_node_walk(variant, n_classes):
+def test_gbt_classification_matches_node_walk(kind, n_classes):
     X, y = _data(1)
     labels = _labels(y, n_classes)
     params = BoostParams(n_rounds=15, max_depth=3, colsample=0.6)
-    model = fit_gbt(X, labels, params, variant, task="classification", seed=5)
+    model = fit_model(kind, X, labels, params, task="classification", seed=5)
     inner = model.inner
     boosters = [inner.booster] if n_classes == 2 else inner.boosters
     for Q in _queries(1):
@@ -127,7 +129,7 @@ def test_gbt_classification_matches_node_walk(variant, n_classes):
 
 def test_gbt_colsample_remaps_features_to_global_columns():
     X, y = _data(2, m=8)
-    model = fit_gbt(X, y, BoostParams(n_rounds=30, colsample=0.4), seed=1)
+    model = fit_model("gbt", X, y, BoostParams(n_rounds=30, colsample=0.4), seed=1)
     used = {int(f) for f in model.inner.booster.packed.feature}
     assert max(used) > 2  # a 3-column subset has local ids 0..2 only
     Q = _queries(2, m=8)[2]
@@ -136,7 +138,8 @@ def test_gbt_colsample_remaps_features_to_global_columns():
 
 def test_random_forest_regression_matches_node_walk():
     X, y = _data(3)
-    model = fit_random_forest(X, y, ForestParams(n_trees=30, max_depth=5), seed=2)
+    model = fit_model("random-forest", X, y, ForestParams(n_trees=30, max_depth=5),
+                      seed=2)
     for Q in _queries(3):
         assert np.array_equal(model.predict(Q), _forest_reg_ref(model.inner.trees, Q))
 
@@ -144,8 +147,9 @@ def test_random_forest_regression_matches_node_walk():
 def test_random_forest_classification_matches_node_walk():
     X, y = _data(4)
     labels = _labels(y, 3)
-    model = fit_random_forest(
-        X, labels, ForestParams(n_trees=30, max_depth=5), task="classification", seed=2
+    model = fit_model(
+        "random-forest", X, labels, ForestParams(n_trees=30, max_depth=5),
+        task="classification", seed=2,
     )
     inner = model.inner
     for Q in _queries(4):
@@ -155,8 +159,9 @@ def test_random_forest_classification_matches_node_walk():
 
 def test_cart_regression_and_classification_match_node_walk():
     X, y = _data(5)
-    reg = fit_tree(X, y, TreeParams(max_depth=6))
-    clf = fit_tree(X, _labels(y, 3), TreeParams(max_depth=4), task="classification")
+    reg = fit_model("tree", X, y, TreeParams(max_depth=6))
+    clf = fit_model("tree", X, _labels(y, 3), TreeParams(max_depth=4),
+                    task="classification")
     for Q in _queries(5):
         assert np.array_equal(reg.predict(Q), _tree_ref(reg.inner.root, Q))
         dist = _tree_ref(clf.inner.root, Q).reshape(Q.shape[0], 3)
@@ -168,9 +173,9 @@ def test_single_leaf_trees():
     X, _ = _data(6)
     y = np.full(X.shape[0], 2.5)
     for model in (
-        fit_tree(X, y, TreeParams(max_depth=4)),
-        fit_random_forest(X, y, ForestParams(n_trees=5), seed=0),
-        fit_gbt(X, y, BoostParams(n_rounds=4)),
+        fit_model("tree", X, y, TreeParams(max_depth=4)),
+        fit_model("random-forest", X, y, ForestParams(n_trees=5), seed=0),
+        fit_model("gbt", X, y, BoostParams(n_rounds=4)),
     ):
         packed = getattr(model.inner, "booster", model.inner).packed
         assert packed.depth == 0
@@ -180,7 +185,8 @@ def test_single_leaf_trees():
 
 def test_nan_goes_right():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
-    model = fit_tree(X, np.array([0.0, 0.0, 5.0, 5.0]), TreeParams(max_depth=1))
+    y = np.array([0.0, 0.0, 5.0, 5.0])
+    model = fit_model("tree", X, y, TreeParams(max_depth=1))
     assert model.inner.root.right.value == 5.0
     assert np.array_equal(model.predict(np.array([[np.nan]])), [5.0])
 
@@ -189,12 +195,11 @@ def test_nan_goes_right():
 def test_json_round_trip_repacks_identically(kind):
     X, y = _data(7)
     if kind == "tree":
-        model = fit_tree(X, y, TreeParams(max_depth=5))
+        model = fit_model("tree", X, y, TreeParams(max_depth=5))
     elif kind == "random-forest":
-        model = fit_random_forest(X, y, ForestParams(n_trees=10), seed=1)
+        model = fit_model("random-forest", X, y, ForestParams(n_trees=10), seed=1)
     else:
-        variant = "first-order" if kind == "gbt" else "second-order-regularised"
-        model = fit_gbt(X, y, BoostParams(n_rounds=10, colsample=0.6), variant, seed=1)
+        model = fit_model(kind, X, y, BoostParams(n_rounds=10, colsample=0.6), seed=1)
     restored = model_from_json(model_to_json(model))
     for Q in _queries(7):
         assert np.array_equal(restored.predict(Q), model.predict(Q))
@@ -202,7 +207,7 @@ def test_json_round_trip_repacks_identically(kind):
 
 def test_chunk_boundary(monkeypatch):
     X, y = _data(8, n=200)
-    model = fit_gbt(X, y, BoostParams(n_rounds=7, max_depth=3), seed=0)
+    model = fit_model("gbt", X, y, BoostParams(n_rounds=7, max_depth=3), seed=0)
     Q = _queries(8)[2]
     whole = model.predict(Q)
     # 7 trees x 5 rows per chunk: 60 rows cross eleven chunk boundaries
@@ -211,11 +216,13 @@ def test_chunk_boundary(monkeypatch):
     assert np.array_equal(model.predict(Q), _booster_ref(model.inner.booster, Q))
     tree = model.inner.booster.trees[0]
     assert np.array_equal(predict_tree(tree, Q), _tree_ref(tree, Q))
-    forest = fit_random_forest(X, y, ForestParams(n_trees=7, max_depth=4), seed=0)
+    forest = fit_model("random-forest", X, y, ForestParams(n_trees=7, max_depth=4),
+                       seed=0)
     assert np.array_equal(forest.predict(Q), _forest_reg_ref(forest.inner.trees, Q))
     labels = _labels(y, 3)
-    forest = fit_random_forest(
-        X, labels, ForestParams(n_trees=7, max_depth=4), task="classification", seed=0
+    forest = fit_model(
+        "random-forest", X, labels, ForestParams(n_trees=7, max_depth=4),
+        task="classification", seed=0,
     )
     ref = _forest_clf_ref(forest.inner.trees, 3, Q)
     assert np.array_equal(forest.predict_proba(Q), ref)
