@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -29,10 +30,11 @@ from .dataset import (
     profile,
     synthesize,
 )
-from .importance import subset_importance
+from .importance import ERROR_METRICS, subset_importance
 from .labeling import DEFAULT_TC_VALUES, ldo_hdo_sweep, quantile_grid, threshold_sweep
 from .metrics import mape_excluding_zero, rmse
 from .models import MODEL_KINDS, fit_model
+from .models.base import TARGET_TRANSFORMS
 from .scenarios import (
     SCENARIO_NAMES,
     FusionConfig,
@@ -412,14 +414,22 @@ def _cmd_fusion(cfg, dataset, out, seed, workers):
 def _cmd_importance(cfg, dataset, out, seed, workers):
     block = _block(
         cfg, "importance", ("model", "tc", "metric", "n_repeats", "target_transform"),
-        one_of={"model": MODEL_KINDS},
+        one_of={"model": MODEL_KINDS, "metric": ERROR_METRICS,
+                "target_transform": TARGET_TRANSFORMS},
     )
+    n_repeats = block.get("n_repeats", 5)
+    if isinstance(n_repeats, bool) or not isinstance(n_repeats, int) or n_repeats < 1:
+        raise ConfigError("config field importance.n_repeats must be an integer >= 1")
+    tc = block.get("tc", 45.0)
+    if (isinstance(tc, bool) or not isinstance(tc, (int, float))
+            or not 0 < tc < math.inf):
+        raise ConfigError("config field importance.tc must be a finite number > 0")
     reports = subset_importance(
         dataset,
-        tc=float(block.get("tc", 45.0)),
+        tc=float(tc),
         model_kind=block.get("model", "tree"),
         metric=block.get("metric", "rmse"),
-        n_repeats=int(block.get("n_repeats", 5)),
+        n_repeats=n_repeats,
         seed=seed,
         target_transform=block.get("target_transform", "none"),
     )

@@ -1,5 +1,15 @@
 """Model-agnostic feature importance: permutation screening and
-Monte-Carlo Shapley value sampling, with per-duration-subset rankings."""
+Monte-Carlo Shapley value sampling, with per-duration-subset rankings.
+
+Permutation importance draws one ``rng.permutation(n)`` per column and
+repeat, column by column, and scores each shuffled copy. For a tree
+regressor it walks the rows through every tree once and keeps the leaf
+payloads (trees × rows floats); a shuffled copy then goes only through the
+trees that split on the shuffled column, since no other tree's leaves can
+change, and the learner's combine step and target transform finish the
+prediction exactly as ``TrainedModel.predict`` does. Every other model
+predicts each shuffled copy in full.
+"""
 
 from __future__ import annotations
 
@@ -16,6 +26,7 @@ from .models import TrainedModel, fit_model
 from .models.base import as_values
 
 __all__ = [
+    "ERROR_METRICS",
     "ImportanceReport",
     "permutation_importance",
     "shapley_sampling",
@@ -25,9 +36,10 @@ __all__ = [
 SUBSET_TAGS = ("all", "A", "B")
 MIN_SUBSET_SIZE = 20
 
-#: Metrics where lower is better; their permutation score is the error
-#: increase caused by shuffling, so larger means more important.
-_LOWER_BETTER = ("rmse", "mape")
+#: Error metrics, where lower is better: their permutation score is the
+#: error increase caused by shuffling, so larger means more important. They
+#: are the only metrics ``subset_importance`` takes, as it fits regressors.
+ERROR_METRICS = ("rmse", "mape")
 
 
 @dataclass(frozen=True)
@@ -46,18 +58,6 @@ class ImportanceReport:
         if not all(math.isfinite(r["score"]) for r in self.rows):
             raise ValueError("scores must be finite")
 
-    def score_of(self, name: str) -> float:
-        for row in self.rows:
-            if row["name"] == name:
-                return row["score"]
-        raise KeyError(name)
-
-    def rank_of(self, name: str) -> int:
-        for row in self.rows:
-            if row["name"] == name:
-                return row["rank"]
-        raise KeyError(name)
-
 
 def _build_report(names, scores, method, subset, importance_key, notes=None):
     order = np.argsort(-np.asarray(importance_key), kind="stable")
@@ -70,6 +70,36 @@ def _build_report(names, scores, method, subset, importance_key, notes=None):
     return ImportanceReport(
         rows=rows, method=method, subset=subset, notes=notes or {}
     )
+
+
+def _predictors(model: TrainedModel, values):
+    """(baseline predictions, predict(shuffled, j)), both bit-identical to
+    ``model.predict``; for a tree regressor ``predict`` re-walks only the
+    trees that split on column j."""
+    inner = model.inner
+    if model.task != "regression" or not hasattr(inner, "combine"):
+        return model.predict(values), lambda shuffled, j: model.predict(shuffled)
+    packed = inner.packed
+    leaves = packed.stacked(values)
+    uses = packed.split_columns(values.shape[1])
+
+    def finish(payloads):
+        return model.from_raw(packed.reduce_stacked(payloads, inner.combine))
+
+    baseline = finish(leaves)
+
+    def predict(shuffled, j):
+        trees = np.flatnonzero(uses[:, j])
+        if trees.size == 0:
+            return baseline
+        # walk, then copy: the walk's temporaries and the copy never coexist
+        walked = list(packed.leaves(shuffled, trees))
+        payloads = leaves.copy()
+        for rows, leaf in walked:
+            payloads[trees, rows] = leaf
+        return finish(payloads)
+
+    return baseline, predict
 
 
 def permutation_importance(
@@ -85,10 +115,15 @@ def permutation_importance(
 
     For error metrics a positive score means the feature matters; for
     higher-is-better metrics the sign flips, and ranking accounts for it.
+    Tree regressors re-walk only the trees that split on the shuffled
+    column; every other model predicts each shuffled copy in full.
     """
+    if n_repeats < 1:
+        raise ValueError(f"n_repeats must be >= 1, got {n_repeats}")
     values = as_values(X, model.feature_names)
     y = np.asarray(y)
-    baseline = metric_value(metric, y, model.predict(values))
+    baseline_pred, predict = _predictors(model, values)
+    baseline = metric_value(metric, y, baseline_pred)
     rng = np.random.default_rng(seed)
     m = values.shape[1]
     scores = np.zeros(m)
@@ -97,9 +132,9 @@ def permutation_importance(
         for _ in range(n_repeats):
             shuffled = values.copy()
             shuffled[:, j] = values[rng.permutation(values.shape[0]), j]
-            total += metric_value(metric, y, model.predict(shuffled))
+            total += metric_value(metric, y, predict(shuffled, j))
         scores[j] = total / n_repeats - baseline
-    importance_key = scores if metric in _LOWER_BETTER else -scores
+    importance_key = scores if metric in ERROR_METRICS else -scores
     names = list(model.feature_names or (f"x{j}" for j in range(m)))
     return _build_report(
         names, scores, "permutation", subset, importance_key,
@@ -205,6 +240,11 @@ def subset_importance(
     records are flagged in the report notes."""
     if tc <= 0:
         raise ValueError("tc must be > 0")
+    if metric not in ERROR_METRICS:
+        raise ValueError(
+            f"metric must be one of {', '.join(ERROR_METRICS)} for the "
+            f"regression models subset importance fits, got {metric!r}"
+        )
     enc = encode(dataset)
     values = enc.values
     durations = dataset.durations

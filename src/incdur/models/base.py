@@ -163,12 +163,14 @@ class TrainedModel:
     def predict(self, X) -> np.ndarray:
         values = as_values(X, self.feature_names)
         if self.task == "regression":
-            raw = self.inner.predict_values(values)
-            if self.target_transform == "log1p":
-                return np.expm1(raw)
-            return raw
+            return self.from_raw(self.inner.predict_values(values))
         probs = self.inner.predict_proba_values(values)
         return self.classes[np.argmax(probs, axis=1)]
+
+    def from_raw(self, raw) -> np.ndarray:
+        """Regression predictions from the learner's raw outputs: undoes the
+        target transform."""
+        return np.expm1(raw) if self.target_transform == "log1p" else raw
 
     def predict_proba(self, X) -> np.ndarray:
         if self.task != "classification":

@@ -7,7 +7,14 @@ from __future__ import annotations
 import numpy as np
 
 from .base import BoostParams, _sigmoid
-from .tree import Node, PackedTrees, grow_mse_tree, grow_second_order_tree, predict_tree
+from .tree import (
+    Node,
+    PackedTrees,
+    grow_mse_tree,
+    grow_second_order_tree,
+    ordered_sum,
+    predict_tree,
+)
 
 
 def _remap_features(node: Node, cols):
@@ -89,8 +96,12 @@ class _Booster:
         self.learning_rate = float(learning_rate)
         self.packed = PackedTrees.from_nodes(self.trees)
 
+    def combine(self, leaf):
+        """Raw scores from a row chunk's leaf payloads (trees, rows)."""
+        return ordered_sum(leaf, self.base_score, self.learning_rate)
+
     def score_values(self, values):
-        return self.packed.leaf_sum(values, self.base_score, self.learning_rate)
+        return self.packed.reduce(values, self.combine)
 
     def staged_scores(self, values):
         """Cumulative raw scores after each round (round count + 1 entries)."""
@@ -119,6 +130,8 @@ class _Booster:
 class BoostRegressor:
     def __init__(self, booster: _Booster):
         self.booster = booster
+        self.packed = booster.packed
+        self.combine = booster.combine
 
     def predict_values(self, values):
         return self.booster.score_values(values)

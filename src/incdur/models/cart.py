@@ -11,8 +11,12 @@ class TreeRegressor:
         self.root = root
         self.packed = PackedTrees.from_nodes([root])
 
+    @staticmethod
+    def combine(leaf):
+        return leaf[0]
+
     def predict_values(self, values):
-        return self.packed.stacked(values)[0]
+        return self.packed.reduce(values, self.combine)
 
     def to_dict(self):
         return {"type": "tree-regressor", "root": self.root.to_dict()}

@@ -13,11 +13,12 @@ class ForestRegressor:
         self.trees = list(trees)
         self.packed = PackedTrees.from_nodes(self.trees)
 
+    @staticmethod
+    def combine(leaf):
+        return leaf.mean(axis=0)
+
     def predict_values(self, values):
-        out = np.zeros(values.shape[0])
-        for rows, leaf in self.packed.leaves(values):
-            out[rows] = leaf.mean(axis=0)
-        return out
+        return self.packed.reduce(values, self.combine)
 
     def to_dict(self):
         return {"type": "forest-regressor", "trees": [t.to_dict() for t in self.trees]}

@@ -15,7 +15,10 @@ trees, held as flat arrays with global node ids and self-looping leaves, are
 walked together one depth level per step with ``np.take``, in row chunks.
 ``Node`` trees are packed once after fitting; Isolation Forest grows its
 trees straight into the arrays. Rows go left when ``x < threshold``, so NaN
-goes right.
+goes right. A walk may take a subset of the trees, and a learner's
+``combine`` step turns a row chunk's leaf payloads into predictions, so
+permutation importance can re-walk only the trees that split on a shuffled
+column and finish the prediction as ``predict`` does.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "grow_gini_tree",
     "grow_second_order_tree",
     "PackedTrees",
+    "ordered_sum",
     "predict_tree",
     "leaf_values",
 ]
@@ -227,6 +231,7 @@ class PackedTrees:
     Node ``i`` splits on ``feature[i]`` at ``threshold[i]`` and goes to
     ``child[2 * i + (x < threshold)]``, so ``child`` holds [right, left]
     pairs; a leaf's children are itself and its payload is ``value[i]``.
+    Each tree's nodes run from its root up to the next tree's root.
     ``depth`` is the deepest leaf's depth, the number of steps a walk takes.
     """
 
@@ -261,33 +266,68 @@ class PackedTrees:
         roots = [add(tree, 0) for tree in trees]
         return cls(roots, feature, threshold, child, value, max(depths))
 
-    def leaves(self, X):
-        """Yield (row slice, leaf payloads of shape (trees, rows[, width]))."""
+    def _chunks(self, n, trees):
+        """Row slices of a walk over ``trees`` trees; 0 rows: one empty slice."""
+        step = max(1, self.CHUNK_CELLS // trees)
+        for start in range(0, max(n, 1), step):
+            yield slice(start, min(n, start + step))
+
+    def leaves(self, X, trees=None):
+        """Yield (row slice, leaf payloads of shape (trees, rows[, width])).
+
+        ``trees`` (tree indices) walks only those trees, in that order.
+        """
+        roots = self.roots if trees is None else self.roots[trees]
         n, m = X.shape
         flat = np.ascontiguousarray(X, dtype=float).reshape(-1)
-        step = max(1, self.CHUNK_CELLS // self.roots.shape[0])
-        for start in range(0, max(n, 1), step):  # 0 rows: one empty chunk
-            stop = min(n, start + step)
-            node = np.repeat(self.roots[:, None], stop - start, axis=1)
-            base = np.arange(start, stop) * m
+        for rows in self._chunks(n, roots.shape[0]):
+            node = np.repeat(roots[:, None], rows.stop - rows.start, axis=1)
+            base = np.arange(rows.start, rows.stop) * m
             for _ in range(self.depth):
                 x = np.take(flat, base + np.take(self.feature, node))
                 go_left = x < np.take(self.threshold, node)
                 node = np.take(self.child, 2 * node + go_left)
-            yield slice(start, stop), np.take(self.value, node, axis=0)
-
-    def leaf_sum(self, X, start=0.0, scale=1.0):
-        """start + scale * leaf payload, added one tree at a time in tree order."""
-        total = np.full(X.shape[0], start)
-        for rows, leaf in self.leaves(X):
-            part = total[rows]  # a view: adding to it fills total
-            for tree_leaf in leaf:
-                part += scale * tree_leaf
-        return total
+            yield rows, np.take(self.value, node, axis=0)
 
     def stacked(self, X):
         """All leaf payloads at once, (trees, rows[, width]); for few trees."""
         return np.concatenate([leaf for _, leaf in self.leaves(X)], axis=1)
+
+    def reduce(self, X, combine):
+        """``combine(leaf payloads of a row chunk)`` per chunk: one value per row."""
+        out = np.empty(X.shape[0])
+        for rows, leaf in self.leaves(X):
+            out[rows] = combine(leaf)
+        return out
+
+    def reduce_stacked(self, payloads, combine):
+        """``reduce`` from every tree's payloads (trees, rows), already walked.
+
+        It combines the same row chunks as ``reduce``, each as a contiguous
+        array, so the two give bit-identical values.
+        """
+        out = np.empty(payloads.shape[1])
+        for rows in self._chunks(payloads.shape[1], self.roots.shape[0]):
+            out[rows] = combine(np.ascontiguousarray(payloads[:, rows]))
+        return out
+
+    def split_columns(self, m):
+        """(trees, m) bool: whether tree t splits on column j at any node."""
+        ids = np.arange(self.threshold.shape[0])
+        split = self.child[0::2] != ids  # a leaf's children are itself
+        tree = np.searchsorted(self.roots, ids, side="right") - 1
+        uses = np.zeros((self.roots.shape[0], m), dtype=bool)
+        uses[tree[split], self.feature[split]] = True
+        return uses
+
+
+def ordered_sum(leaf, start=0.0, scale=1.0):
+    """start + scale * leaf payloads (trees, rows), added one tree at a time
+    in tree order."""
+    total = np.full(leaf.shape[1], start)
+    for tree_leaf in scale * leaf:  # scaling is elementwise: one call for all
+        total += tree_leaf
+    return total
 
 
 def predict_tree(node: Node, X) -> np.ndarray:

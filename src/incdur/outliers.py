@@ -18,7 +18,7 @@ import numpy as np
 
 from .models.base import as_values
 from .models.knn import nearest_rows
-from .models.tree import PackedTrees
+from .models.tree import PackedTrees, ordered_sum
 
 __all__ = [
     "AnomalyScores",
@@ -149,7 +149,7 @@ def isolation_forest_scores(
     psi = min(params.if_subsample, n)
     rng = np.random.default_rng(seed)
     trees = _grow_isolation_trees(values, params.if_n_trees, psi, rng)
-    avg_depth = trees.leaf_sum(values) / params.if_n_trees
+    avg_depth = trees.reduce(values, ordered_sum) / params.if_n_trees
     scores = np.power(2.0, -avg_depth / _avg_path_length(psi))
     return AnomalyScores(
         scores=scores,

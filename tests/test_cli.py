@@ -161,6 +161,30 @@ def test_block_config_errors_exit_2_and_name_the_field(
     assert not (tmp_path / "o" / artifact).exists()
 
 
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"n_repeats": -2}, "importance.n_repeats"),
+        ({"n_repeats": 0}, "importance.n_repeats"),
+        ({"n_repeats": 2.7}, "importance.n_repeats"),
+        ({"metric": "f1"}, "importance.metric"),
+        ({"metric": "mae"}, "importance.metric"),
+        ({"tc": "x"}, "importance.tc"),
+        ({"tc": 0}, "importance.tc"),
+        ({"target_transform": "log"}, "importance.target_transform"),
+    ],
+)
+def test_importance_config_errors_exit_2_and_name_the_field(
+    tmp_path, capsys, change, field
+):
+    cfg = {**BASE_CONFIG, "importance": {**BASE_CONFIG["importance"], **change}}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["importance", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "o" / "importance.csv").exists()
+
+
 def test_missing_seed_rejected(tmp_path, capsys):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"dataset": {"synth": {"n": 10, "mu": 3, "sigma": 1}}}))
