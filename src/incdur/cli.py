@@ -82,16 +82,55 @@ def _get(cfg: dict, path: str, kind=None, required=True, default=None):
     return cur
 
 
-def _block(cfg: dict, name: str, keys, one_of=None, list_of=None) -> dict:
+def _object(value, path: str, keys) -> dict:
+    """``value`` as a config object with no keys outside ``keys``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"config field {path} must be dict")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"unknown config field: {path}.{key}")
+    return value
+
+
+def _number_ok(value, kind, low) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        return False
+    return value >= low if kind is int else low < value < math.inf
+
+
+def _number_text(kind, low) -> str:
+    if kind is int:
+        return f"an integer >= {low}"
+    return "a finite number" + (f" > {low}" if low > -math.inf else "")
+
+
+def _block(cfg: dict, name: str, keys, one_of=None, list_of=None,
+           numbers=None) -> dict:
     """The config block ``name`` ({} when absent), checked before any work.
 
     Keys outside ``keys`` are rejected. ``one_of`` maps a key to the values it
     may take; ``list_of`` maps a key to the values its list items may take.
+    ``numbers`` maps a key to (int, low), an integer >= low, or (float, low),
+    a finite number > low; a spec in a one-item list asks for a list of them.
     """
-    block = _get(cfg, name, kind=dict, required=False, default={})
-    for key in block:
-        if key not in keys:
-            raise ConfigError(f"unknown config field: {name}.{key}")
+    block = _object(
+        _get(cfg, name, kind=dict, required=False, default={}), name, keys
+    )
+    for key, spec in (numbers or {}).items():
+        if key not in block:
+            continue
+        value = block[key]
+        many = isinstance(spec, list)
+        kind, low = spec[0] if many else spec
+        items = value if many and isinstance(value, list) else [value]
+        if (many and not isinstance(value, list)) or not all(
+            _number_ok(v, kind, low) for v in items
+        ):
+            what = _number_text(kind, low)
+            raise ConfigError(
+                f"config field {name}.{key} must be "
+                + (f"a list, each {what}" if many else what)
+            )
     for key, allowed in (one_of or {}).items():
         if key in block and block[key] not in allowed:
             raise ConfigError(
@@ -119,17 +158,26 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+SYNTH_KEYS = ("n", "seed", "mu", "sigma", "effects", "corrupt_fraction",
+              "corrupt_multiplier")
+EFFECT_KEYS = ("name", "kind", "low", "high", "slope", "true_rate", "multiplier",
+               "levels", "multipliers", "min_base_duration")
+CSV_KEYS = ("path", "columns", "target_column", "column_map")
+
+
 def _build_dataset(cfg: dict, seed: int) -> Dataset:
-    source = _get(cfg, "dataset", kind=dict)
+    source = _object(_get(cfg, "dataset"), "dataset", ("csv", "synth"))
     has_csv = "csv" in source
     has_synth = "synth" in source
     if has_csv == has_synth:
         raise ConfigError("dataset must declare exactly one of: csv, synth")
 
     if has_synth:
-        block = _get(cfg, "dataset.synth", kind=dict)
-        effects = tuple(
-            PlantedEffect(
+        block = _object(_get(cfg, "dataset.synth"), "dataset.synth", SYNTH_KEYS)
+        effects = []
+        for i, e in enumerate(block.get("effects", [])):
+            _object(e, f"dataset.synth.effects[{i}]", EFFECT_KEYS)
+            effects.append(PlantedEffect(
                 name=_get(e, "name", kind=str),
                 kind=e.get("kind", "numeric"),
                 low=float(e.get("low", 0.0)),
@@ -140,25 +188,25 @@ def _build_dataset(cfg: dict, seed: int) -> Dataset:
                 levels=tuple(e.get("levels", ())),
                 multipliers=tuple(e.get("multipliers", ())),
                 min_base_duration=float(e.get("min_base_duration", 0.0)),
-            )
-            for e in block.get("effects", [])
-        )
+            ))
         return synthesize(
             SynthConfig(
                 n=_get(block, "n", kind=int),
                 seed=int(block.get("seed", seed)),
                 mu=float(_get(block, "mu", kind=(int, float))),
                 sigma=float(_get(block, "sigma", kind=(int, float))),
-                effects=effects,
+                effects=tuple(effects),
                 corrupt_fraction=float(block.get("corrupt_fraction", 0.0)),
                 corrupt_multiplier=float(block.get("corrupt_multiplier", 30.0)),
             )
         )
 
-    block = _get(cfg, "dataset.csv", kind=dict)
+    block = _object(_get(cfg, "dataset.csv"), "dataset.csv", CSV_KEYS)
     columns = _get(block, "columns", kind=list)
     if not columns:
         raise ConfigError("dataset.csv.columns must be non-empty")
+    for i, c in enumerate(columns):
+        _object(c, f"dataset.csv.columns[{i}]", ("name", "kind"))
     schema = FeatureSchema(
         columns=tuple(
             FeatureColumn(_get(c, "name", kind=str), c.get("kind", "numeric"))
@@ -201,8 +249,8 @@ def _write_json_atomic(path: str, payload: dict):
 
 
 def _cmd_profile(cfg, dataset, out, seed, workers):
-    block = _block(cfg, "profile", ("n_bins",))
-    report = profile(dataset, n_bins=int(block.get("n_bins", 30)))
+    block = _block(cfg, "profile", ("n_bins",), numbers={"n_bins": (int, 1)})
+    report = profile(dataset, n_bins=block.get("n_bins", 30))
     path = os.path.join(out, "profile.json")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
@@ -222,13 +270,14 @@ def _cmd_synth(cfg, dataset, out, seed, workers):
 
 def _cmd_sweep(cfg, dataset, out, seed, workers):
     block = _block(
-        cfg, "sweep", ("models", "tc_values", "cv"), list_of={"models": MODEL_KINDS}
+        cfg, "sweep", ("models", "tc_values", "cv"), list_of={"models": MODEL_KINDS},
+        numbers={"tc_values": [(float, 0)], "cv": (int, 2)},
     )
     rows = threshold_sweep(
         dataset,
         models=block.get("models", ["tree"]),
         tc_values=block.get("tc_values", list(DEFAULT_TC_VALUES)),
-        cv=int(block.get("cv", 5)),
+        cv=block.get("cv", 5),
         seed=seed,
         workers=workers,
     )
@@ -246,11 +295,14 @@ def _cmd_sweep(cfg, dataset, out, seed, workers):
 
 
 def _cmd_multiclass(cfg, dataset, out, seed, workers):
-    block = _block(cfg, "multiclass", ("model", "cv"), one_of={"model": MODEL_KINDS})
+    block = _block(
+        cfg, "multiclass", ("model", "cv"), one_of={"model": MODEL_KINDS},
+        numbers={"cv": (int, 2)},
+    )
     rows = quantile_grid(
         dataset,
         model=block.get("model", "tree"),
-        cv=int(block.get("cv", 5)),
+        cv=block.get("cv", 5),
         seed=seed,
         workers=workers,
     )
@@ -267,13 +319,14 @@ def _cmd_ldo_sweep(cfg, dataset, out, seed, workers):
     block = _block(
         cfg, "ldo_sweep", ("model", "thresholds", "tc", "cv"),
         one_of={"model": MODEL_KINDS},
+        numbers={"thresholds": [(float, -math.inf)], "tc": (float, 0), "cv": (int, 2)},
     )
     rows = ldo_hdo_sweep(
         dataset,
         model=block.get("model", "tree"),
         ldo_thresholds=block.get("thresholds", [0, 5, 10, 15, 20]),
         tc=float(block.get("tc", 45.0)),
-        cv=int(block.get("cv", 5)),
+        cv=block.get("cv", 5),
         seed=seed,
     )
     path = os.path.join(out, "ldo_sweep.csv")
@@ -292,9 +345,10 @@ def _cmd_scenarios(cfg, dataset, out, seed, workers):
     block = _block(
         cfg, "scenarios", ("models", "tc", "folds", "names", "target_transform"),
         list_of={"models": MODEL_KINDS, "names": SCENARIO_NAMES},
+        numbers={"tc": (float, 0), "folds": (int, 2)},
     )
     plan = CvPlan(
-        n_folds=int(block.get("folds", 10)),
+        n_folds=block.get("folds", 10),
         seed=seed,
         target_transform=block.get("target_transform", "none"),
     )
@@ -319,11 +373,12 @@ def _cmd_ieo(cfg, dataset, out, seed, workers):
         cfg, "ieo",
         ("model", "mode", "iterations", "folds", "metric", "tc", "target_transform"),
         one_of={"model": MODEL_KINDS, "mode": MODES, "metric": METRICS},
+        numbers={"iterations": (int, 1), "folds": (int, 2), "tc": (float, 0)},
     )
     plan = CvPlan(
-        n_folds=int(block.get("folds", 5)),
+        n_folds=block.get("folds", 5),
         mode=block.get("mode", "none"),
-        iterations=int(block.get("iterations", 250)),
+        iterations=block.get("iterations", 250),
         seed=seed,
         target_transform=block.get("target_transform", "none"),
     )
@@ -371,9 +426,10 @@ def _cmd_fusion(cfg, dataset, out, seed, workers):
     block = _block(
         cfg, "fusion", models + ("tc", "folds", "target_transform"),
         one_of=dict.fromkeys(models, MODEL_KINDS),
+        numbers={"tc": (float, 0), "folds": (int, 2)},
     )
     tc = float(block.get("tc", 45.0))
-    folds = int(block.get("folds", 5))
+    folds = block.get("folds", 5)
     config = FusionConfig(
         classifier_kind=block.get("classifier", "gbt"),
         regressor_a_kind=block.get("regressor_a", "gbt"),
@@ -416,20 +472,14 @@ def _cmd_importance(cfg, dataset, out, seed, workers):
         cfg, "importance", ("model", "tc", "metric", "n_repeats", "target_transform"),
         one_of={"model": MODEL_KINDS, "metric": ERROR_METRICS,
                 "target_transform": TARGET_TRANSFORMS},
+        numbers={"n_repeats": (int, 1), "tc": (float, 0)},
     )
-    n_repeats = block.get("n_repeats", 5)
-    if isinstance(n_repeats, bool) or not isinstance(n_repeats, int) or n_repeats < 1:
-        raise ConfigError("config field importance.n_repeats must be an integer >= 1")
-    tc = block.get("tc", 45.0)
-    if (isinstance(tc, bool) or not isinstance(tc, (int, float))
-            or not 0 < tc < math.inf):
-        raise ConfigError("config field importance.tc must be a finite number > 0")
     reports = subset_importance(
         dataset,
-        tc=float(tc),
+        tc=float(block.get("tc", 45.0)),
         model_kind=block.get("model", "tree"),
         metric=block.get("metric", "rmse"),
-        n_repeats=n_repeats,
+        n_repeats=block.get("n_repeats", 5),
         seed=seed,
         target_transform=block.get("target_transform", "none"),
     )
@@ -452,13 +502,14 @@ def _cmd_timing(cfg, dataset, out, seed, workers):
     block = _block(
         cfg, "timing",
         ("models", "iteration_counts", "folds", "metric", "target_transform"),
-        one_of={"metric": METRICS}, list_of={"models": MODEL_KINDS},
+        one_of={"metric": ERROR_METRICS}, list_of={"models": MODEL_KINDS},
+        numbers={"iteration_counts": [(int, 1)], "folds": (int, 2)},
     )
     rows = iteration_curve(
         dataset,
         models=block.get("models", ["tree"]),
         iteration_counts=block.get("iteration_counts", list(range(25, 251, 25))),
-        folds=int(block.get("folds", 5)),
+        folds=block.get("folds", 5),
         seed=seed,
         metric=block.get("metric", "mape"),
         target_transform=block.get("target_transform", "none"),

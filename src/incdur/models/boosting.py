@@ -61,11 +61,25 @@ def _select_cols(m, params: BoostParams, rng):
     return np.sort(rng.choice(m, size=k, replace=False))
 
 
-def _fit_round(values, grad, hess, params, second_order, rng):
-    """Grow one tree on the current pseudo-targets; returns a global-index tree."""
+def _fit_round(values, presort, grad, hess, params, second_order, rng):
+    """Grow one tree on the current pseudo-targets; returns a global-index tree.
+
+    ``presort`` is the stable argsort of every column of ``values``. A round
+    on a subset keeps, per chosen column, its rows in that order and renumbers
+    them by their place in the ascending ``rows``: the stable argsort of the
+    submatrix.
+    """
     rows, scale = _select_rows(grad, params, rng)
-    cols = _select_cols(values.shape[1], params, rng)
-    sub = values[np.ix_(rows, cols)]
+    n, m = values.shape
+    cols = _select_cols(m, params, rng)
+    if rows.shape[0] == n and cols.shape[0] == m:
+        sub, order = values, presort
+    else:
+        sub = values[np.ix_(rows, cols)]
+        local = np.full(n, -1)
+        local[rows] = np.arange(rows.shape[0])
+        order = local[presort[cols]]
+        order = order[order >= 0].reshape(cols.shape[0], -1)
     if second_order:
         tree = grow_second_order_tree(
             sub,
@@ -76,13 +90,15 @@ def _fit_round(values, grad, hess, params, second_order, rng):
             params.gamma,
             params.min_samples_leaf,
             params.min_child_weight,
+            presort=order,
         )
     else:
         # fitting a regression tree to (scaled) residuals
         tree = grow_mse_tree(
-            sub, -grad[rows] * scale, params.max_depth, params.min_samples_leaf
+            sub, -grad[rows] * scale, params.max_depth, params.min_samples_leaf,
+            presort=order,
         )
-    if cols.shape[0] < values.shape[1]:
+    if cols.shape[0] < m:
         _remap_features(tree, cols)
     return tree
 
@@ -188,20 +204,20 @@ class BoostOvRClassifier:
         return BoostOvRClassifier([_Booster.from_dict(b) for b in d["boosters"]])
 
 
-def _boost_regression(values, y, params, second_order, rng):
+def _boost_regression(values, presort, y, params, second_order, rng):
     base = float(np.mean(y))
     score = np.full(values.shape[0], base)
     trees = []
     for _ in range(params.n_rounds):
         grad = score - y  # d/dF of 0.5*(F - y)^2
         hess = np.ones_like(y)
-        tree = _fit_round(values, grad, hess, params, second_order, rng)
+        tree = _fit_round(values, presort, grad, hess, params, second_order, rng)
         trees.append(tree)
         score = score + params.learning_rate * predict_tree(tree, values)
     return _Booster(base, trees, params.learning_rate)
 
 
-def _boost_binary(values, y01, params, second_order, rng):
+def _boost_binary(values, presort, y01, params, second_order, rng):
     p0 = float(np.clip(np.mean(y01), 1e-6, 1.0 - 1e-6))
     base = float(np.log(p0 / (1.0 - p0)))
     score = np.full(values.shape[0], base)
@@ -210,7 +226,7 @@ def _boost_binary(values, y01, params, second_order, rng):
         p = _sigmoid(score)
         grad = p - y01
         hess = p * (1.0 - p)
-        tree = _fit_round(values, grad, hess, params, second_order, rng)
+        tree = _fit_round(values, presort, grad, hess, params, second_order, rng)
         trees.append(tree)
         score = score + params.learning_rate * predict_tree(tree, values)
     return _Booster(base, trees, params.learning_rate)
@@ -223,15 +239,18 @@ def fit(values, targets, n_classes, params: BoostParams, seed, second_order=Fals
     of plain residual boosting; more than two classes fit one-vs-rest.
     """
     rng = np.random.default_rng(seed)
+    presort = np.argsort(values.T, axis=1, kind="mergesort")  # once per fit
     if n_classes == 0:
         return BoostRegressor(
-            _boost_regression(values, targets, params, second_order, rng)
+            _boost_regression(values, presort, targets, params, second_order, rng)
         )
     if n_classes == 2:
-        return BoostBinaryClassifier(
-            _boost_binary(values, targets.astype(float), params, second_order, rng)
-        )
+        return BoostBinaryClassifier(_boost_binary(
+            values, presort, targets.astype(float), params, second_order, rng
+        ))
     return BoostOvRClassifier([
-        _boost_binary(values, (targets == c).astype(float), params, second_order, rng)
+        _boost_binary(
+            values, presort, (targets == c).astype(float), params, second_order, rng
+        )
         for c in range(n_classes)
     ])

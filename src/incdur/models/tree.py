@@ -1,14 +1,21 @@
 """CART trees from one presorted grower, and a stacked flat-array predict.
 
-``_grow`` sorts every feature once per fit (stable mergesort) and hands each
-child the parent's sorted row ids filtered to the child's rows. At each node
-a criterion callback turns those orders into cumulative statistics for all
-candidate features at once: (sum y, sum y^2) for squared error, one-hot class
-counts for Gini, (sum g, sum h) for second-order boosting trees. The trees
-are bit-identical to a per-node re-sort and one-feature-at-a-time scan: a
-filtered stable sort of ascending rows is the node's own stable sort, and a
-cumsum along axis 1 adds in the same order as a 1-D cumsum. Split-gain ties
-break toward the lower feature index, then the lower threshold.
+``_grow`` grows pre-order from every feature's stable argsort, taken once per
+fit (boosting takes it once for all its rounds and filters it to each
+round's rows and columns) and filtered to each child's rows. Each node
+computes its statistics once, for the stop rule, the split score and the
+leaf: (y, sum y) for squared error, class counts for Gini, (G, H) for
+second-order boosting trees. A criterion callback turns the sorted orders of
+all candidate features into cumulative sums along axis 1 at once: (sum y,
+sum y^2), the left counts of every class but the last (the last is the left
+count minus the others, exact since counts are integers), or (sum g, sum h).
+A split's left child holds the split feature's sorted rows below
+``searchsorted(threshold)`` (values ascend, NaN last; a midpoint can round
+onto the lower value), re-sorted by row id. The trees are bit-identical to a
+per-node re-sort and one-feature-at-a-time scan: a filtered stable sort of
+ascending rows is the node's own stable sort, and a cumsum along axis 1 adds
+in the same order as a 1-D cumsum. Split-gain ties break toward the lower
+feature index, then the lower threshold.
 
 Every tree model and Isolation Forest predict through ``PackedTrees``: the
 trees, held as flat arrays with global node ids and self-looping leaves, are
@@ -86,28 +93,36 @@ def _candidate_features(m, feature_fraction, rng):
     return np.sort(rng.choice(m, size=k, replace=False))
 
 
-def _grow(X, max_depth, min_leaf, feature_fraction, rng, leaf, score, min_gain,
-          stop=None):
-    """Grow one tree over columns sorted once; ``leaf`` and ``score`` take rows.
+def _grow(X, max_depth, min_leaf, feature_fraction, rng, stats, leaf, score,
+          min_gain, stop=None, presort=None):
+    """Grow one tree, pre-order, over columns sorted once.
 
-    ``score(idx, rows)`` gets the node's row ids (ascending) and, for each
-    candidate feature, its row ids sorted by that feature, shape
-    (features, n). It returns (scores of shape (features, n - 1), parent
-    score): the split after sorted position i scores ``scores[:, i]``, and
-    its gain is that minus the parent score.
+    ``stats(idx)`` summarises a node's rows (ids ascending) once; ``stop``,
+    ``leaf`` and ``score`` take that summary. ``score(s, rows)`` also gets,
+    for each candidate feature, the node's row ids sorted by that feature,
+    shape (features, n). It returns (scores of shape (features, n - 1),
+    parent score): the split after sorted position i scores ``scores[:, i]``,
+    and its gain is that minus the parent score. ``presort`` is
+    ``np.argsort(X.T, axis=1, kind="mergesort")`` when the caller holds it.
     """
-    m = X.shape[1]
-    # row ids sorted by each feature; filtering keeps the stable per-node order
-    sorted_rows = np.argsort(X.T, axis=1, kind="mergesort")
+    n_rows, m = X.shape
+    if presort is None:
+        presort = np.argsort(X.T, axis=1, kind="mergesort")
+    XT = np.ascontiguousarray(X.T)
+    starts = np.arange(m)[:, None] * n_rows  # where each column of XT starts
 
     def build(idx, order, depth):
         n = idx.shape[0]
-        if depth >= max_depth or n < 2 * min_leaf or (stop is not None and stop(idx)):
-            return Node(value=leaf(idx))
+        s = stats(idx)
+        if depth >= max_depth or n < 2 * min_leaf or (stop is not None and stop(s)):
+            return Node(value=leaf(s))
         feats = _candidate_features(m, feature_fraction, rng)
-        rows = order[feats]
-        xs = X[rows, feats[:, None]]
-        scores, parent = score(idx, rows)
+        if feats.shape[0] == m:
+            rows, xs = order, XT.take(order + starts)
+        else:
+            rows = order[feats]
+            xs = X[rows, feats[:, None]]
+        scores, parent = score(s, rows)
         lo, hi = min_leaf - 1, n - min_leaf  # both children keep min_leaf rows
         distinct = xs[:, lo:hi] < xs[:, lo + 1:hi + 1]
         scores = np.where(distinct, scores[:, lo:hi], -np.inf)
@@ -116,30 +131,42 @@ def _grow(X, max_depth, min_leaf, feature_fraction, rng, leaf, score, min_gain,
             if gain > min_gain and (best is None or gain > best + 1e-12):
                 best, f = gain, c  # ties go to the lower feature
         if best is None:
-            return Node(value=leaf(idx))
-        j, i = int(feats[f]), lo + int(scores[f].argmax())
+            return Node(value=leaf(s))
+        i = lo + int(scores[f].argmax())
         thr = float((xs[f, i] + xs[f, i + 1]) / 2.0)
-        col = X[:, j]
-        mask = col[idx] < thr
-        if not mask.any() or mask.all():
-            return Node(value=leaf(idx))
-        go_left = col[order] < thr  # every row of order holds the same row ids
+        # rows with x < thr: values ascend, NaN last; the midpoint of two
+        # adjacent doubles can round onto the lower one, and a sum can overflow
+        k = int(xs[f].searchsorted(thr))
+        if k == 0 or k == n:
+            return Node(value=leaf(s))
+        j = int(feats[f])
+        left = right = None  # children at max_depth are leaves: no orders
+        if depth + 1 < max_depth:
+            go_left = XT[j].take(order) < thr  # each row of order: the same ids
+            left = order[go_left].reshape(m, -1)
+            right = order[~go_left].reshape(m, -1)
         return Node(
             feature=j,
             threshold=thr,
-            left=build(idx[mask], order[go_left].reshape(m, -1), depth + 1),
-            right=build(idx[~mask], order[~go_left].reshape(m, -1), depth + 1),
+            left=build(np.sort(rows[f, :k]), left, depth + 1),
+            right=build(np.sort(rows[f, k:]), right, depth + 1),
         )
 
-    return build(np.arange(X.shape[0]), sorted_rows, 0)
+    return build(np.arange(n_rows), presort, 0)
 
 
-def grow_mse_tree(X, y, max_depth, min_samples_leaf=1, feature_fraction=None, rng=None):
+def grow_mse_tree(X, y, max_depth, min_samples_leaf=1, feature_fraction=None,
+                  rng=None, presort=None):
     """Greedy regression tree; leaves hold target means."""
 
-    def score(idx, rows):
-        ys, n = y[idx], idx.shape[0]
-        sse_parent = float((ys * ys).sum() - ys.sum() ** 2 / n)
+    def stats(idx):
+        ys = y[idx]
+        return ys, ys.sum()
+
+    def score(s, rows):
+        ys, total = s
+        n = ys.shape[0]
+        sse_parent = float((ys * ys).sum() - total**2 / n)
         ys = y[rows]
         csum = ys.cumsum(axis=1)[:, :-1]
         csq = (ys * ys).cumsum(axis=1)[:, :-1]
@@ -157,7 +184,8 @@ def grow_mse_tree(X, y, max_depth, min_samples_leaf=1, feature_fraction=None, rn
 
     return _grow(
         X, max_depth, min_samples_leaf, feature_fraction, rng,
-        leaf=lambda idx: float(y[idx].mean()), score=score, min_gain=1e-12,
+        stats=stats, leaf=lambda s: float(s[1] / s[0].shape[0]), score=score,
+        min_gain=1e-12, presort=presort,
     )
 
 
@@ -165,26 +193,31 @@ def grow_gini_tree(
     X, y_idx, n_classes, max_depth, min_samples_leaf=1, feature_fraction=None, rng=None
 ):
     """Greedy classification tree; leaves hold class-count distributions."""
-    onehot = np.zeros((y_idx.shape[0], n_classes))
-    onehot[np.arange(y_idx.shape[0]), y_idx] = 1.0
+    # 0/1 columns of every class but the last, whose count is the rest
+    member = [(y_idx == c).astype(float) for c in range(n_classes - 1)]
 
-    def dist(idx):
-        return np.bincount(y_idx[idx], minlength=n_classes).astype(float)
-
-    def score(idx, rows):
-        n, counts = idx.shape[0], dist(idx)
-        cum = onehot[rows].cumsum(axis=1)[:, :-1]
-        n_left = np.arange(1, n)
-        gini = (
-            (cum**2).sum(axis=2) / n_left
-            + ((counts - cum) ** 2).sum(axis=2) / (n - n_left)
-        )
+    def score(counts, rows):
+        # class counts are integers, so every sum below is exact in any order
+        n = rows.shape[1]
+        n_left = np.arange(1.0, n)
+        rows = rows[:, :-1]
+        rest = n_left  # left count of the last class, once the others are off
+        left_sq = right_sq = 0.0
+        for c, column in enumerate(member):
+            cum = column[rows].cumsum(axis=1)
+            rest = rest - cum
+            left_sq = left_sq + cum * cum
+            right_sq = right_sq + (counts[c] - cum) ** 2
+        gini = (left_sq + rest * rest) / n_left + (
+            right_sq + (counts[-1] - rest) ** 2
+        ) / (n - n_left)
         return gini, float((counts**2).sum() / n)
 
     return _grow(
         X, max_depth, min_samples_leaf, feature_fraction, rng,
-        leaf=dist, score=score, min_gain=1e-12,
-        stop=lambda idx: np.count_nonzero(dist(idx)) <= 1,
+        stats=lambda idx: np.bincount(y_idx[idx], minlength=n_classes),
+        leaf=lambda counts: counts.astype(float), score=score, min_gain=1e-12,
+        stop=lambda counts: np.count_nonzero(counts) <= 1,
     )
 
 
@@ -199,18 +232,16 @@ def grow_second_order_tree(
     min_child_weight=0.0,
     feature_fraction=None,
     rng=None,
+    presort=None,
 ):
     """Second-order tree: leaf weight -G/(H+lambda), gamma-thresholded gains."""
 
-    def leaf(idx):
-        G, H = float(g[idx].sum()), float(h[idx].sum())
-        return -G / (H + reg_lambda)
-
-    def score(idx, rows):
-        G, H = float(g[idx].sum()), float(h[idx].sum())
+    def score(s, rows):
+        G, H = s
         parent = G * G / (H + reg_lambda)
-        gl = g[rows].cumsum(axis=1)[:, :-1]
-        hl = h[rows].cumsum(axis=1)[:, :-1]
+        rows = rows[:, :-1]
+        gl = g[rows].cumsum(axis=1)
+        hl = h[rows].cumsum(axis=1)
         gain = 0.5 * (
             gl**2 / (hl + reg_lambda)
             + (G - gl) ** 2 / (H - hl + reg_lambda)
@@ -221,7 +252,9 @@ def grow_second_order_tree(
 
     return _grow(
         X, max_depth, min_samples_leaf, feature_fraction, rng,
-        leaf=leaf, score=score, min_gain=0.0,
+        stats=lambda idx: (float(g[idx].sum()), float(h[idx].sum())),
+        leaf=lambda s: -s[0] / (s[1] + reg_lambda), score=score, min_gain=0.0,
+        presort=presort,
     )
 
 

@@ -185,6 +185,71 @@ def test_importance_config_errors_exit_2_and_name_the_field(
     assert not (tmp_path / "o" / "importance.csv").exists()
 
 
+def _exits_2_naming(tmp_path, capsys, subcommand, cfg, field):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main([subcommand, "--config", str(p), "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_timing_metric_must_be_an_error_metric(tmp_path, capsys):
+    # iteration_curve has no threshold tc, so f1 could never run
+    cfg = {**BASE_CONFIG, "timing": {**BASE_CONFIG["timing"], "metric": "f1"}}
+    _exits_2_naming(tmp_path, capsys, "timing", cfg, "timing.metric")
+
+
+def _synth(**change):
+    return {**BASE_CONFIG["dataset"]["synth"], **change}
+
+
+@pytest.mark.parametrize(
+    "dataset, field",
+    [
+        ({"synth": _synth(), "sytnh": {}}, "dataset.sytnh"),
+        ({"synth": _synth(sed=4)}, "dataset.synth.sed"),
+        ({"synth": _synth(effects=[{"name": "x1", "slpoe": 1.0}])},
+         "dataset.synth.effects[0].slpoe"),
+        ({"synth": _synth(effects=[{"name": "x1"}, "flag"])},
+         "dataset.synth.effects[1]"),
+        ({"csv": {"path": "x.csv", "columns": [{"name": "x1"}], "targt": "d"}},
+         "dataset.csv.targt"),
+        ({"csv": {"path": "x.csv", "columns": [{"name": "x1", "knd": "boolean"}]}},
+         "dataset.csv.columns[0].knd"),
+    ],
+)
+def test_dataset_keys_are_checked(tmp_path, capsys, dataset, field):
+    cfg = {**BASE_CONFIG, "dataset": dataset}
+    _exits_2_naming(tmp_path, capsys, "synth", cfg, field)
+
+
+@pytest.mark.parametrize(
+    "subcommand, block, change, field",
+    [
+        # an integer >= a minimum
+        ("sweep", "sweep", {"cv": "five"}, "sweep.cv"),
+        ("ieo", "ieo", {"folds": 1.5}, "ieo.folds"),
+        ("ieo", "ieo", {"iterations": 0}, "ieo.iterations"),
+        ("multiclass", "multiclass", {"cv": 1}, "multiclass.cv"),
+        ("fusion", "fusion", {"folds": True}, "fusion.folds"),
+        ("profile", "profile", {"n_bins": 0}, "profile.n_bins"),
+        # a finite number > 0
+        ("scenarios", "scenarios", {"tc": "x"}, "scenarios.tc"),
+        ("ldo-sweep", "ldo_sweep", {"tc": -45}, "ldo_sweep.tc"),
+        ("ieo", "ieo", {"tc": 1e400}, "ieo.tc"),
+        # lists of either
+        ("sweep", "sweep", {"tc_values": [30, 0]}, "sweep.tc_values"),
+        ("ldo-sweep", "ldo_sweep", {"thresholds": 5}, "ldo_sweep.thresholds"),
+        ("ldo-sweep", "ldo_sweep", {"thresholds": [0, "5"]}, "ldo_sweep.thresholds"),
+        ("timing", "timing", {"iteration_counts": [2, 2.5]}, "timing.iteration_counts"),
+    ],
+)
+def test_number_fields_are_typed(tmp_path, capsys, subcommand, block, change, field):
+    cfg = {**BASE_CONFIG, block: {**BASE_CONFIG.get(block, {}), **change}}
+    _exits_2_naming(tmp_path, capsys, subcommand, cfg, field)
+
+
 def test_missing_seed_rejected(tmp_path, capsys):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"dataset": {"synth": {"n": 10, "mu": 3, "sigma": 1}}}))

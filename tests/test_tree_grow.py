@@ -18,6 +18,7 @@ from incdur.models.tree import (
     grow_gini_tree,
     grow_mse_tree,
     grow_second_order_tree,
+    leaf_values,
 )
 
 
@@ -267,12 +268,77 @@ def test_edge_cases_match_reference():
     assert grow_mse_tree(X, y, 3).to_dict()["feature"] == 0
 
 
+def _adjacent_doubles(rng, n, m):
+    """Columns of a few adjacent doubles: the midpoint of 1.0 and the next
+    double rounds down onto 1.0, the next midpoint rounds up."""
+    grid = [1.0]
+    for _ in range(4):
+        grid.append(np.nextafter(grid[-1], 2.0))
+    return np.array(grid)[rng.integers(0, len(grid), size=(n, m))]
+
+
+def test_midpoint_rounding_onto_the_lower_value_matches_reference():
+    lo = 1.0
+    hi = np.nextafter(lo, 2.0)
+    assert (lo + hi) / 2.0 == lo
+    # the best cut lies between lo and hi, but its threshold is lo itself, so
+    # the lo rows go right: only the 0.0 rows go left, and in the Gini tree's
+    # right child the same cut sends no row left, so it stays a leaf
+    X = np.array([0.0, 0.0, 0.0, lo, lo, lo, hi, hi, hi, 2.0, 2.0])[:, None]
+    y = np.array([4.0, 4.0, 4.0, 5.0, 5.0, 5.0, 9.0, 9.0, 9.0, 9.0, 9.0])
+    labels = np.array([0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
+    tree = grow_mse_tree(X, y, 3)
+    assert tree.threshold == lo and tree.left.to_dict() == {"value": 4.0}
+    assert tree.to_dict() == ref_mse_tree(X, y, 3).to_dict()
+    tree = grow_gini_tree(X, labels, 2, 3)
+    assert tree.threshold == lo and tree.right.to_dict() == {"value": [3.0, 5.0]}
+    assert tree.to_dict() == ref_gini_tree(X, labels, 2, 3).to_dict()
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        n = int(rng.choice([4, 12, 40]))
+        X = _adjacent_doubles(rng, n, int(rng.integers(1, 4)))
+        y = rng.normal(size=n)
+        labels = rng.integers(0, 3, size=n)
+        leaf = int(rng.integers(1, 3))
+        assert grow_mse_tree(X, y, 4, leaf).to_dict() == (
+            ref_mse_tree(X, y, 4, leaf).to_dict()
+        ), seed
+        assert grow_gini_tree(X, labels, 3, 4, leaf).to_dict() == (
+            ref_gini_tree(X, labels, 3, 4, leaf).to_dict()
+        ), seed
+
+
+def test_gini_many_classes_and_pure_children_match_reference():
+    pure = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n = int(rng.choice([6, 30, 90]))
+        n_classes = int(rng.integers(3, 8))
+        # classes drawn from a subset, so some are absent from the whole fit
+        y_idx = rng.choice(rng.permutation(n_classes)[: max(3, n_classes - 2)], size=n)
+        X = _matrix(rng, n, 3)
+        # a column ordered by class: cuts on it leave pure children
+        X[:, 0] = y_idx * 10.0 + rng.integers(0, 3, size=n)
+        depth = int(rng.integers(1, 8))
+        tree = grow_gini_tree(X, y_idx, n_classes, depth)
+        assert tree.to_dict() == ref_gini_tree(X, y_idx, n_classes, depth).to_dict(), seed
+        pure += sum(np.count_nonzero(v) == 1 for v in leaf_values(tree))
+    assert pure > 100
+
+
+def _ignoring_presort(ref):
+    """The reference grower, taking and ignoring the boosting loop's presort."""
+    return lambda *args, presort=None, **kw: ref(*args, **kw)
+
+
 def _fit_both(monkeypatch, kind, X, y, params, task):
     got = model_to_json(fit_model(kind, X, y, params, task=task, seed=5))
     monkeypatch.setattr(forest, "grow_mse_tree", ref_mse_tree)
     monkeypatch.setattr(forest, "grow_gini_tree", ref_gini_tree)
-    monkeypatch.setattr(boosting, "grow_mse_tree", ref_mse_tree)
-    monkeypatch.setattr(boosting, "grow_second_order_tree", ref_second_order_tree)
+    monkeypatch.setattr(boosting, "grow_mse_tree", _ignoring_presort(ref_mse_tree))
+    monkeypatch.setattr(
+        boosting, "grow_second_order_tree", _ignoring_presort(ref_second_order_tree)
+    )
     want = model_to_json(fit_model(kind, X, y, params, task=task, seed=5))
     monkeypatch.undo()
     return got, want
@@ -299,5 +365,35 @@ def test_fitted_ensembles_match_reference_growers(monkeypatch, kind, params, tas
     if task == "classification":
         y = np.digitize(y, np.quantile(y, [0.33, 0.66])) if kind == "random-forest" else (y > 0)
         y = y.astype(int)
+    got, want = _fit_both(monkeypatch, kind, X, y, params, task)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "kind, params, task",
+    [
+        ("gbt", BoostParams(n_rounds=12, max_depth=3), "regression"),
+        ("gbt", BoostParams(n_rounds=12, max_depth=4, subsample=0.6), "regression"),
+        ("gbt", BoostParams(n_rounds=12, max_depth=3, colsample=0.5), "regression"),
+        ("gbt", BoostParams(n_rounds=12, max_depth=3, goss=(0.2, 0.3), colsample=0.7),
+         "classification"),
+        ("gbt-reg", BoostParams(n_rounds=12, max_depth=4, subsample=0.7, colsample=0.6,
+                                min_child_weight=0.5, min_samples_leaf=2), "regression"),
+        ("gbt-reg", BoostParams(n_rounds=12, max_depth=3, goss=(0.3, 0.2)),
+         "classification"),
+    ],
+)
+def test_boosting_presort_matches_reference_growers(monkeypatch, kind, params, task):
+    # one presort per fit, filtered to each round's rows and columns, grows
+    # the trees a per-round sort would; NaN cells and ties stay in
+    rng = np.random.default_rng(23)
+    X = rng.normal(size=(150, 6)) * 10.0
+    X[:, 1:3] = np.round(X[:, 1:3] / 5.0)
+    X[:, 3] = rng.integers(0, 2, size=150)
+    X[rng.random(size=X.shape) < 0.08] = np.nan
+    assert np.isnan(X).any(axis=0).all()
+    y = np.nan_to_num(X[:, 0]) + 4.0 * np.nan_to_num(X[:, 1]) + rng.normal(size=150)
+    if task == "classification":  # binary for gbt, three classes (one-vs-rest) for gbt-reg
+        y = np.digitize(y, [0.0] if kind == "gbt" else [-5.0, 5.0])
     got, want = _fit_both(monkeypatch, kind, X, y, params, task)
     assert got == want
