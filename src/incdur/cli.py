@@ -64,21 +64,23 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field path."""
 
 
-def _get(cfg: dict, path: str, kind=None, required=True, default=None):
+def _get(cfg: dict, path: str, kind=None, required=True, default=None, at=""):
+    """``cfg`` at the dotted ``path``; ``at`` prefixes ``path`` in error
+    messages (the path of a list entry ``cfg``, with a trailing dot)."""
     cur = cfg
     walked = []
     for part in path.split("."):
         walked.append(part)
         if not isinstance(cur, dict) or part not in cur:
             if required:
-                raise ConfigError(f"missing config field: {'.'.join(walked)}")
+                raise ConfigError(f"missing config field: {at}{'.'.join(walked)}")
             return default
         cur = cur[part]
     if kind is not None and not isinstance(cur, kind):
         names = kind.__name__ if isinstance(kind, type) else "/".join(
             k.__name__ for k in kind
         )
-        raise ConfigError(f"config field {path} must be {names}")
+        raise ConfigError(f"config field {at}{path} must be {names}")
     return cur
 
 
@@ -98,10 +100,30 @@ def _number_ok(value, kind, low) -> bool:
     return value >= low if kind is int else low < value < math.inf
 
 
-def _number_text(kind, low) -> str:
-    if kind is int:
-        return f"an integer >= {low}"
-    return "a finite number" + (f" > {low}" if low > -math.inf else "")
+def _numbers(obj: dict, path: str, spec) -> None:
+    """Check the number fields of the config object ``obj`` at ``path``.
+
+    ``spec`` maps a key to (int, low), an integer >= low, or (float, low), a
+    finite number > low; a spec in a one-item list asks for a list of them.
+    Absent keys are not checked.
+    """
+    for key, one in spec.items():
+        if key not in obj:
+            continue
+        value = obj[key]
+        many = isinstance(one, list)
+        kind, low = one[0] if many else one
+        items = value if many and isinstance(value, list) else [value]
+        if (many and not isinstance(value, list)) or not all(
+            _number_ok(v, kind, low) for v in items
+        ):
+            what = f"an integer >= {low}" if kind is int else "a finite number"
+            if kind is float and low > -math.inf:
+                what += f" > {low}"
+            raise ConfigError(
+                f"config field {path}.{key} must be "
+                + (f"a list, each {what}" if many else what)
+            )
 
 
 def _block(cfg: dict, name: str, keys, one_of=None, list_of=None,
@@ -110,27 +132,12 @@ def _block(cfg: dict, name: str, keys, one_of=None, list_of=None,
 
     Keys outside ``keys`` are rejected. ``one_of`` maps a key to the values it
     may take; ``list_of`` maps a key to the values its list items may take.
-    ``numbers`` maps a key to (int, low), an integer >= low, or (float, low),
-    a finite number > low; a spec in a one-item list asks for a list of them.
+    ``numbers`` is a ``_numbers`` spec.
     """
     block = _object(
         _get(cfg, name, kind=dict, required=False, default={}), name, keys
     )
-    for key, spec in (numbers or {}).items():
-        if key not in block:
-            continue
-        value = block[key]
-        many = isinstance(spec, list)
-        kind, low = spec[0] if many else spec
-        items = value if many and isinstance(value, list) else [value]
-        if (many and not isinstance(value, list)) or not all(
-            _number_ok(v, kind, low) for v in items
-        ):
-            what = _number_text(kind, low)
-            raise ConfigError(
-                f"config field {name}.{key} must be "
-                + (f"a list, each {what}" if many else what)
-            )
+    _numbers(block, name, numbers or {})
     for key, allowed in (one_of or {}).items():
         if key in block and block[key] not in allowed:
             raise ConfigError(
@@ -158,10 +165,13 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-SYNTH_KEYS = ("n", "seed", "mu", "sigma", "effects", "corrupt_fraction",
-              "corrupt_multiplier")
-EFFECT_KEYS = ("name", "kind", "low", "high", "slope", "true_rate", "multiplier",
-               "levels", "multipliers", "min_base_duration")
+ANY = (float, -math.inf)  # any finite number
+SYNTH_NUMBERS = {"n": (int, 1), "seed": (int, 0), "mu": ANY, "sigma": (float, 0),
+                 "corrupt_fraction": ANY, "corrupt_multiplier": ANY}
+EFFECT_NUMBERS = {"low": ANY, "high": ANY, "slope": ANY, "true_rate": ANY,
+                  "multiplier": ANY, "multipliers": [ANY], "min_base_duration": ANY}
+SYNTH_KEYS = (*SYNTH_NUMBERS, "effects")
+EFFECT_KEYS = (*EFFECT_NUMBERS, "name", "kind", "levels")
 CSV_KEYS = ("path", "columns", "target_column", "column_map")
 
 
@@ -174,11 +184,13 @@ def _build_dataset(cfg: dict, seed: int) -> Dataset:
 
     if has_synth:
         block = _object(_get(cfg, "dataset.synth"), "dataset.synth", SYNTH_KEYS)
+        _numbers(block, "dataset.synth", SYNTH_NUMBERS)
         effects = []
         for i, e in enumerate(block.get("effects", [])):
-            _object(e, f"dataset.synth.effects[{i}]", EFFECT_KEYS)
+            path = f"dataset.synth.effects[{i}]"
+            _numbers(_object(e, path, EFFECT_KEYS), path, EFFECT_NUMBERS)
             effects.append(PlantedEffect(
-                name=_get(e, "name", kind=str),
+                name=_get(e, "name", kind=str, at=f"{path}."),
                 kind=e.get("kind", "numeric"),
                 low=float(e.get("low", 0.0)),
                 high=float(e.get("high", 1.0)),
@@ -191,10 +203,10 @@ def _build_dataset(cfg: dict, seed: int) -> Dataset:
             ))
         return synthesize(
             SynthConfig(
-                n=_get(block, "n", kind=int),
+                n=_get(cfg, "dataset.synth.n"),
                 seed=int(block.get("seed", seed)),
-                mu=float(_get(block, "mu", kind=(int, float))),
-                sigma=float(_get(block, "sigma", kind=(int, float))),
+                mu=float(_get(cfg, "dataset.synth.mu")),
+                sigma=float(_get(cfg, "dataset.synth.sigma")),
                 effects=tuple(effects),
                 corrupt_fraction=float(block.get("corrupt_fraction", 0.0)),
                 corrupt_multiplier=float(block.get("corrupt_multiplier", 30.0)),
@@ -202,15 +214,18 @@ def _build_dataset(cfg: dict, seed: int) -> Dataset:
         )
 
     block = _object(_get(cfg, "dataset.csv"), "dataset.csv", CSV_KEYS)
-    columns = _get(block, "columns", kind=list)
+    columns = _get(cfg, "dataset.csv.columns", kind=list)
     if not columns:
         raise ConfigError("dataset.csv.columns must be non-empty")
     for i, c in enumerate(columns):
         _object(c, f"dataset.csv.columns[{i}]", ("name", "kind"))
     schema = FeatureSchema(
         columns=tuple(
-            FeatureColumn(_get(c, "name", kind=str), c.get("kind", "numeric"))
-            for c in columns
+            FeatureColumn(
+                _get(c, "name", kind=str, at=f"dataset.csv.columns[{i}]."),
+                c.get("kind", "numeric"),
+            )
+            for i, c in enumerate(columns)
         ),
         target_column=block.get("target_column", "duration"),
     )
@@ -218,7 +233,7 @@ def _build_dataset(cfg: dict, seed: int) -> Dataset:
     if isinstance(column_map, str):
         with open(column_map, encoding="utf-8") as fh:
             column_map = json.load(fh)
-    return load_csv(_get(block, "path", kind=str), schema, column_map)
+    return load_csv(_get(cfg, "dataset.csv.path", kind=str), schema, column_map)
 
 
 def _write_csv(path: str, rows: list[dict], fieldnames: list[str]):
@@ -319,7 +334,7 @@ def _cmd_ldo_sweep(cfg, dataset, out, seed, workers):
     block = _block(
         cfg, "ldo_sweep", ("model", "thresholds", "tc", "cv"),
         one_of={"model": MODEL_KINDS},
-        numbers={"thresholds": [(float, -math.inf)], "tc": (float, 0), "cv": (int, 2)},
+        numbers={"thresholds": [ANY], "tc": (float, 0), "cv": (int, 2)},
     )
     rows = ldo_hdo_sweep(
         dataset,

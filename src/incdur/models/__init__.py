@@ -29,7 +29,6 @@ from .base import (
     params_to_dict,
     prepare_targets,
 )
-from .serialize import model_from_json, model_to_json
 
 __all__ = [
     "MODEL_KINDS",
@@ -43,8 +42,6 @@ __all__ = [
     "make_params",
     "params_to_dict",
     "fit_model",
-    "model_to_json",
-    "model_from_json",
 ]
 
 FITTERS = {

@@ -127,21 +127,6 @@ class _Booster:
                 stages[t + 1, rows] = stages[t, rows] + self.learning_rate * tree_leaf
         return list(stages)
 
-    def to_dict(self):
-        return {
-            "base_score": self.base_score,
-            "learning_rate": self.learning_rate,
-            "trees": [t.to_dict() for t in self.trees],
-        }
-
-    @staticmethod
-    def from_dict(d):
-        return _Booster(
-            d["base_score"],
-            [Node.from_dict(t) for t in d["trees"]],
-            d["learning_rate"],
-        )
-
 
 class BoostRegressor:
     def __init__(self, booster: _Booster):
@@ -155,13 +140,6 @@ class BoostRegressor:
     def staged_predict_values(self, values):
         return self.booster.staged_scores(values)
 
-    def to_dict(self):
-        return {"type": "boost-regressor", "booster": self.booster.to_dict()}
-
-    @staticmethod
-    def from_dict(d):
-        return BoostRegressor(_Booster.from_dict(d["booster"]))
-
 
 class BoostBinaryClassifier:
     def __init__(self, booster: _Booster):
@@ -170,13 +148,6 @@ class BoostBinaryClassifier:
     def predict_proba_values(self, values):
         p = _sigmoid(self.booster.score_values(values))
         return np.column_stack([1.0 - p, p])
-
-    def to_dict(self):
-        return {"type": "boost-binary", "booster": self.booster.to_dict()}
-
-    @staticmethod
-    def from_dict(d):
-        return BoostBinaryClassifier(_Booster.from_dict(d["booster"]))
 
 
 class BoostOvRClassifier:
@@ -192,16 +163,6 @@ class BoostOvRClassifier:
         total = scores.sum(axis=1, keepdims=True)
         total[total == 0] = 1.0
         return scores / total
-
-    def to_dict(self):
-        return {
-            "type": "boost-ovr",
-            "boosters": [b.to_dict() for b in self.boosters],
-        }
-
-    @staticmethod
-    def from_dict(d):
-        return BoostOvRClassifier([_Booster.from_dict(b) for b in d["boosters"]])
 
 
 def _boost_regression(values, presort, y, params, second_order, rng):

@@ -18,13 +18,6 @@ class TreeRegressor:
     def predict_values(self, values):
         return self.packed.reduce(values, self.combine)
 
-    def to_dict(self):
-        return {"type": "tree-regressor", "root": self.root.to_dict()}
-
-    @staticmethod
-    def from_dict(d):
-        return TreeRegressor(Node.from_dict(d["root"]))
-
 
 class TreeClassifier:
     def __init__(self, root: Node):
@@ -34,13 +27,6 @@ class TreeClassifier:
     def predict_proba_values(self, values):
         dist = self.packed.stacked(values)[0]
         return dist / dist.sum(axis=1, keepdims=True)
-
-    def to_dict(self):
-        return {"type": "tree-classifier", "root": self.root.to_dict()}
-
-    @staticmethod
-    def from_dict(d):
-        return TreeClassifier(Node.from_dict(d["root"]))
 
 
 def fit(values, targets, n_classes, params: TreeParams, seed):

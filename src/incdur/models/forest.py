@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import ForestParams
-from .tree import Node, PackedTrees, grow_gini_tree, grow_mse_tree
+from .tree import PackedTrees, grow_gini_tree, grow_mse_tree
 
 
 class ForestRegressor:
@@ -19,13 +19,6 @@ class ForestRegressor:
 
     def predict_values(self, values):
         return self.packed.reduce(values, self.combine)
-
-    def to_dict(self):
-        return {"type": "forest-regressor", "trees": [t.to_dict() for t in self.trees]}
-
-    @staticmethod
-    def from_dict(d):
-        return ForestRegressor([Node.from_dict(t) for t in d["trees"]])
 
 
 class ForestClassifier:
@@ -43,19 +36,6 @@ class ForestClassifier:
             picked = np.argmax(leaf, axis=2)[..., None]
             votes[rows] = np.sum(picked == np.arange(self.n_classes), axis=0)
         return votes / len(self.trees)
-
-    def to_dict(self):
-        return {
-            "type": "forest-classifier",
-            "n_classes": self.n_classes,
-            "trees": [t.to_dict() for t in self.trees],
-        }
-
-    @staticmethod
-    def from_dict(d):
-        return ForestClassifier(
-            [Node.from_dict(t) for t in d["trees"]], d["n_classes"]
-        )
 
 
 def fit(values, targets, n_classes, params: ForestParams, seed):

@@ -60,13 +60,12 @@ class KnnModel:
     """Stores the standardised training set; exact distance ties resolve to
     the lower training-row index (stable sort)."""
 
-    def __init__(self, train, targets, k, mean, std, task, n_classes=0):
+    def __init__(self, train, targets, k, mean, std, n_classes=0):
         self.train = train
         self.targets = targets
         self.k = int(k)
         self.mean = mean
         self.std = std
-        self.task = task
         self.n_classes = int(n_classes)
 
     def _neighbours(self, values):
@@ -83,30 +82,6 @@ class KnnModel:
             votes[:, c] = (self.targets[nb] == c).sum(axis=1)
         return votes / self.k
 
-    def to_dict(self):
-        return {
-            "type": "knn",
-            "task": self.task,
-            "k": self.k,
-            "n_classes": self.n_classes,
-            "train": self.train.tolist(),
-            "targets": self.targets.tolist(),
-            "mean": self.mean.tolist(),
-            "std": self.std.tolist(),
-        }
-
-    @staticmethod
-    def from_dict(d):
-        return KnnModel(
-            np.asarray(d["train"], dtype=float),
-            np.asarray(d["targets"]),
-            d["k"],
-            np.asarray(d["mean"], dtype=float),
-            np.asarray(d["std"], dtype=float),
-            d["task"],
-            d["n_classes"],
-        )
-
 
 def fit(values, targets, n_classes, params: KnnParams, seed):
     """Store the z-scored training rows (``n_classes`` 0 means regression)."""
@@ -115,5 +90,4 @@ def fit(values, targets, n_classes, params: KnnParams, seed):
     mean = values.mean(axis=0)
     std = values.std(axis=0)
     std = np.where(std == 0, 1.0, std)
-    task = "regression" if n_classes == 0 else "classification"
-    return KnnModel((values - mean) / std, targets, params.k, mean, std, task, n_classes)
+    return KnnModel((values - mean) / std, targets, params.k, mean, std, n_classes)

@@ -19,17 +19,6 @@ class LinearRegressor:
     def predict_values(self, values):
         return self.intercept + values @ self.coefs
 
-    def to_dict(self):
-        return {
-            "type": "linear-regressor",
-            "intercept": self.intercept,
-            "coefs": self.coefs.tolist(),
-        }
-
-    @staticmethod
-    def from_dict(d):
-        return LinearRegressor(d["intercept"], d["coefs"])
-
 
 class LogisticClassifier:
     """Binary or one-vs-rest multinomial logistic model."""
@@ -46,17 +35,6 @@ class LogisticClassifier:
         total = scores.sum(axis=1, keepdims=True)
         total[total == 0] = 1.0
         return scores / total
-
-    def to_dict(self):
-        return {
-            "type": "logistic",
-            "intercepts": self.intercepts.tolist(),
-            "coefs": self.coefs.tolist(),
-        }
-
-    @staticmethod
-    def from_dict(d):
-        return LogisticClassifier(d["intercepts"], d["coefs"])
 
 
 def logistic_loss_grad(weights, values, y01, ridge):

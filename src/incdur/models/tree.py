@@ -58,33 +58,6 @@ class Node:
     def is_leaf(self) -> bool:
         return self.left is None
 
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            value = self.value
-            if isinstance(value, np.ndarray):
-                value = value.tolist()
-            return {"value": value}
-        return {
-            "feature": int(self.feature),
-            "threshold": float(self.threshold),
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "Node":
-        if "value" in d:
-            value = d["value"]
-            if isinstance(value, list):
-                value = np.asarray(value, dtype=float)
-            return Node(value=value)
-        return Node(
-            feature=d["feature"],
-            threshold=d["threshold"],
-            left=Node.from_dict(d["left"]),
-            right=Node.from_dict(d["right"]),
-        )
-
 
 def _candidate_features(m, feature_fraction, rng):
     if feature_fraction is None or feature_fraction >= 1.0 or rng is None:

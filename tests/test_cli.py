@@ -217,6 +217,18 @@ def _synth(**change):
          "dataset.csv.targt"),
         ({"csv": {"path": "x.csv", "columns": [{"name": "x1", "knd": "boolean"}]}},
          "dataset.csv.columns[0].knd"),
+        # dataset.synth numbers
+        ({"synth": _synth(corrupt_fraction="x")}, "dataset.synth.corrupt_fraction"),
+        ({"synth": _synth(seed="abc")}, "dataset.synth.seed"),
+        ({"synth": _synth(n=True)}, "dataset.synth.n"),
+        # each effect's numbers
+        ({"synth": _synth(effects=[{"name": "x1", "slope": "steep"}])},
+         "dataset.synth.effects[0].slope"),
+        # a missing name, with the entry's path
+        ({"synth": _synth(effects=[{"name": "x1"}, {"kind": "numeric", "slope": 1.0}])},
+         "dataset.synth.effects[1].name"),
+        ({"csv": {"path": "x.csv", "columns": [{"name": "x1"}, {"kind": "boolean"}]}},
+         "dataset.csv.columns[1].name"),
     ],
 )
 def test_dataset_keys_are_checked(tmp_path, capsys, dataset, field):

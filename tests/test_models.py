@@ -12,8 +12,6 @@ from incdur.models import (
     ModelError,
     TreeParams,
     fit_model,
-    model_from_json,
-    model_to_json,
 )
 from incdur.models.forest import ForestClassifier
 from incdur.models.linear import logistic_loss, logistic_loss_grad
@@ -357,24 +355,6 @@ def test_logistic_gradient_matches_finite_differences():
 # ---------------------------------------------------------------------------
 
 ALL_KINDS = ("tree", "gbt", "gbt-reg", "random-forest", "knn", "linear")
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_serialisation_round_trip(kind):
-    X, y = _random_regression(6, n=50)
-    model = fit_model(kind, X, y, seed=1)
-    restored = model_from_json(model_to_json(model))
-    assert np.array_equal(model.predict(X), restored.predict(X))
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_classification_round_trip(kind):
-    rng = np.random.default_rng(7)
-    X = rng.normal(size=(60, 2))
-    y = (X[:, 0] + X[:, 1] > 0).astype(int)
-    model = fit_model(kind, X, y, task="classification", seed=1)
-    restored = model_from_json(model_to_json(model))
-    assert np.array_equal(model.predict(X), restored.predict(X))
 
 
 def test_log1p_round_trip_on_constant_target():

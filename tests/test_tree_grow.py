@@ -3,17 +3,20 @@
 ``_ref_*`` below keep the earlier split scans and recursion: each node
 re-sorts every candidate feature of its own rows and scans one feature at a
 time. The grower in ``models.tree`` sorts each feature once per fit and
-filters those orders down the tree; every test here asks for trees with
-equal ``to_dict()`` (bit-identical thresholds and leaf values).
+filters those orders down the tree; every test here asks for trees that
+pack (``PackedTrees.from_nodes``) to equal ``roots``, ``feature``,
+``threshold``, ``child`` and ``value`` arrays: the same shape, split
+features, bit-identical thresholds and leaf values.
 """
 
 import numpy as np
 import pytest
 
-from incdur.models import BoostParams, ForestParams, fit_model, model_to_json
+from incdur.models import BoostParams, ForestParams, fit_model
 from incdur.models import boosting, forest
 from incdur.models.tree import (
     Node,
+    PackedTrees,
     _candidate_features,
     grow_gini_tree,
     grow_mse_tree,
@@ -190,15 +193,26 @@ def _case(seed):
     return rng, X, kw
 
 
+def same_trees(a, b):
+    """Exact tree check: ``a`` and ``b`` (a ``Node`` or a list of them) pack to
+    equal ``roots``, ``feature``, ``threshold``, ``child`` and ``value``."""
+    pa, pb = (PackedTrees.from_nodes(t if isinstance(t, list) else [t]) for t in (a, b))
+    return all(
+        np.array_equal(getattr(pa, k), getattr(pb, k))
+        for k in ("roots", "feature", "threshold", "child", "value")
+    )
+
+
 def _both(grow, ref, args, kw):
-    """Trees from both growers, and the feature-draw rngs' states after."""
+    """Both growers grow the same tree and leave the feature-draw rngs in the
+    same state."""
     seed = kw.pop("rng_seed", None)
-    out = []
+    trees, states = [], []
     for fn in (grow, ref):
         rng = None if seed is None else np.random.default_rng(seed)
-        tree = fn(*args, **kw, rng=rng)
-        out.append((tree.to_dict(), None if rng is None else rng.bit_generator.state))
-    return out
+        trees.append(fn(*args, **kw, rng=rng))
+        states.append(None if rng is None else rng.bit_generator.state)
+    return same_trees(*trees) and states[0] == states[1]
 
 
 SEEDS = range(300)
@@ -210,8 +224,7 @@ def test_mse_trees_match_reference():
         y = rng.normal(size=X.shape[0]) * 10.0 ** rng.integers(-2, 4)
         if rng.random() < 0.3:
             y = np.round(y)
-        got, want = _both(grow_mse_tree, ref_mse_tree, (X, y), kw)
-        assert got == want, seed
+        assert _both(grow_mse_tree, ref_mse_tree, (X, y), kw), seed
 
 
 def test_gini_trees_match_reference():
@@ -219,8 +232,7 @@ def test_gini_trees_match_reference():
         rng, X, kw = _case(seed)
         n_classes = int(rng.integers(1, 10))
         y_idx = rng.integers(0, n_classes, size=X.shape[0])
-        got, want = _both(grow_gini_tree, ref_gini_tree, (X, y_idx, n_classes), kw)
-        assert got == want, seed
+        assert _both(grow_gini_tree, ref_gini_tree, (X, y_idx, n_classes), kw), seed
 
 
 def test_second_order_trees_match_reference():
@@ -234,8 +246,7 @@ def test_second_order_trees_match_reference():
             gamma=float(rng.choice([0.0, 0.0, 0.1, 2.0])),
             min_child_weight=float(rng.choice([0.0, 0.5, 3.0])),
         )
-        got, want = _both(grow_second_order_tree, ref_second_order_tree, (X, g, h), kw)
-        assert got == want, seed
+        assert _both(grow_second_order_tree, ref_second_order_tree, (X, g, h), kw), seed
 
 
 def test_mse_parent_total_rounds_like_the_scalar_square():
@@ -249,7 +260,7 @@ def test_mse_parent_total_rounds_like_the_scalar_square():
         upper = a > np.median(a)
         X = np.column_stack([a, upper + rng.uniform(0, 0.5, 40), rng.normal(size=40)])
         y = rng.choice(pool, 40)
-        assert grow_mse_tree(X, y, 3).to_dict() == ref_mse_tree(X, y, 3).to_dict(), seed
+        assert same_trees(grow_mse_tree(X, y, 3), ref_mse_tree(X, y, 3)), seed
 
 
 def test_edge_cases_match_reference():
@@ -257,15 +268,18 @@ def test_edge_cases_match_reference():
     y = np.array([3.0, -1.0])
     y_idx = np.array([1, 1])
     for depth in (0, 3):
-        assert grow_mse_tree(X, y, depth).to_dict() == ref_mse_tree(X, y, depth).to_dict()
-        assert grow_second_order_tree(X, y, np.ones(2), depth, 1.0, 0.0).to_dict() == (
-            ref_second_order_tree(X, y, np.ones(2), depth, 1.0, 0.0).to_dict()
+        assert same_trees(grow_mse_tree(X, y, depth), ref_mse_tree(X, y, depth))
+        assert same_trees(
+            grow_second_order_tree(X, y, np.ones(2), depth, 1.0, 0.0),
+            ref_second_order_tree(X, y, np.ones(2), depth, 1.0, 0.0),
         )
         for labels in (y_idx, np.array([0, 1])):
-            got = grow_gini_tree(X, labels, 2, depth).to_dict()
-            assert got == ref_gini_tree(X, labels, 2, depth).to_dict()
-    assert grow_gini_tree(X, y_idx, 2, 3).to_dict() == {"value": [0.0, 2.0]}
-    assert grow_mse_tree(X, y, 3).to_dict()["feature"] == 0
+            got = grow_gini_tree(X, labels, 2, depth)
+            assert same_trees(got, ref_gini_tree(X, labels, 2, depth))
+    tree = grow_gini_tree(X, y_idx, 2, 3)
+    assert tree.is_leaf and np.array_equal(tree.value, [0.0, 2.0])
+    tree = grow_mse_tree(X, y, 3)
+    assert not tree.is_leaf and tree.feature == 0
 
 
 def _adjacent_doubles(rng, n, m):
@@ -288,11 +302,12 @@ def test_midpoint_rounding_onto_the_lower_value_matches_reference():
     y = np.array([4.0, 4.0, 4.0, 5.0, 5.0, 5.0, 9.0, 9.0, 9.0, 9.0, 9.0])
     labels = np.array([0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
     tree = grow_mse_tree(X, y, 3)
-    assert tree.threshold == lo and tree.left.to_dict() == {"value": 4.0}
-    assert tree.to_dict() == ref_mse_tree(X, y, 3).to_dict()
+    assert tree.threshold == lo and tree.left.is_leaf and tree.left.value == 4.0
+    assert same_trees(tree, ref_mse_tree(X, y, 3))
     tree = grow_gini_tree(X, labels, 2, 3)
-    assert tree.threshold == lo and tree.right.to_dict() == {"value": [3.0, 5.0]}
-    assert tree.to_dict() == ref_gini_tree(X, labels, 2, 3).to_dict()
+    assert tree.threshold == lo and tree.right.is_leaf
+    assert np.array_equal(tree.right.value, [3.0, 5.0])
+    assert same_trees(tree, ref_gini_tree(X, labels, 2, 3))
     for seed in range(100):
         rng = np.random.default_rng(seed)
         n = int(rng.choice([4, 12, 40]))
@@ -300,11 +315,11 @@ def test_midpoint_rounding_onto_the_lower_value_matches_reference():
         y = rng.normal(size=n)
         labels = rng.integers(0, 3, size=n)
         leaf = int(rng.integers(1, 3))
-        assert grow_mse_tree(X, y, 4, leaf).to_dict() == (
-            ref_mse_tree(X, y, 4, leaf).to_dict()
+        assert same_trees(
+            grow_mse_tree(X, y, 4, leaf), ref_mse_tree(X, y, 4, leaf)
         ), seed
-        assert grow_gini_tree(X, labels, 3, 4, leaf).to_dict() == (
-            ref_gini_tree(X, labels, 3, 4, leaf).to_dict()
+        assert same_trees(
+            grow_gini_tree(X, labels, 3, 4, leaf), ref_gini_tree(X, labels, 3, 4, leaf)
         ), seed
 
 
@@ -321,7 +336,7 @@ def test_gini_many_classes_and_pure_children_match_reference():
         X[:, 0] = y_idx * 10.0 + rng.integers(0, 3, size=n)
         depth = int(rng.integers(1, 8))
         tree = grow_gini_tree(X, y_idx, n_classes, depth)
-        assert tree.to_dict() == ref_gini_tree(X, y_idx, n_classes, depth).to_dict(), seed
+        assert same_trees(tree, ref_gini_tree(X, y_idx, n_classes, depth)), seed
         pure += sum(np.count_nonzero(v) == 1 for v in leaf_values(tree))
     assert pure > 100
 
@@ -331,17 +346,29 @@ def _ignoring_presort(ref):
     return lambda *args, presort=None, **kw: ref(*args, **kw)
 
 
+def _stages(inner):
+    """(trees, base score, learning rate) per booster; a forest's trees alone."""
+    if hasattr(inner, "trees"):
+        return [(inner.trees, None, None)]
+    boosters = inner.boosters if hasattr(inner, "boosters") else [inner.booster]
+    return [(b.trees, b.base_score, b.learning_rate) for b in boosters]
+
+
 def _fit_both(monkeypatch, kind, X, y, params, task):
-    got = model_to_json(fit_model(kind, X, y, params, task=task, seed=5))
+    """The fit grows the same trees (and boosters their base score and rate)
+    with the reference growers patched in."""
+    got = _stages(fit_model(kind, X, y, params, task=task, seed=5).inner)
     monkeypatch.setattr(forest, "grow_mse_tree", ref_mse_tree)
     monkeypatch.setattr(forest, "grow_gini_tree", ref_gini_tree)
     monkeypatch.setattr(boosting, "grow_mse_tree", _ignoring_presort(ref_mse_tree))
     monkeypatch.setattr(
         boosting, "grow_second_order_tree", _ignoring_presort(ref_second_order_tree)
     )
-    want = model_to_json(fit_model(kind, X, y, params, task=task, seed=5))
+    want = _stages(fit_model(kind, X, y, params, task=task, seed=5).inner)
     monkeypatch.undo()
-    return got, want
+    return len(got) == len(want) and all(
+        same_trees(g[0], w[0]) and g[1:] == w[1:] for g, w in zip(got, want)
+    )
 
 
 @pytest.mark.parametrize(
@@ -365,8 +392,7 @@ def test_fitted_ensembles_match_reference_growers(monkeypatch, kind, params, tas
     if task == "classification":
         y = np.digitize(y, np.quantile(y, [0.33, 0.66])) if kind == "random-forest" else (y > 0)
         y = y.astype(int)
-    got, want = _fit_both(monkeypatch, kind, X, y, params, task)
-    assert got == want
+    assert _fit_both(monkeypatch, kind, X, y, params, task)
 
 
 @pytest.mark.parametrize(
@@ -395,5 +421,4 @@ def test_boosting_presort_matches_reference_growers(monkeypatch, kind, params, t
     y = np.nan_to_num(X[:, 0]) + 4.0 * np.nan_to_num(X[:, 1]) + rng.normal(size=150)
     if task == "classification":  # binary for gbt, three classes (one-vs-rest) for gbt-reg
         y = np.digitize(y, [0.0] if kind == "gbt" else [-5.0, 5.0])
-    got, want = _fit_both(monkeypatch, kind, X, y, params, task)
-    assert got == want
+    assert _fit_both(monkeypatch, kind, X, y, params, task)

@@ -18,8 +18,6 @@ from incdur.models import (
     ForestParams,
     TreeParams,
     fit_model,
-    model_from_json,
-    model_to_json,
 )
 from incdur.models.boosting import _sigmoid
 from incdur.models.tree import Node, PackedTrees, predict_tree
@@ -189,20 +187,6 @@ def test_nan_goes_right():
     model = fit_model("tree", X, y, TreeParams(max_depth=1))
     assert model.inner.root.right.value == 5.0
     assert np.array_equal(model.predict(np.array([[np.nan]])), [5.0])
-
-
-@pytest.mark.parametrize("kind", ["gbt", "gbt-reg", "random-forest", "tree"])
-def test_json_round_trip_repacks_identically(kind):
-    X, y = _data(7)
-    if kind == "tree":
-        model = fit_model("tree", X, y, TreeParams(max_depth=5))
-    elif kind == "random-forest":
-        model = fit_model("random-forest", X, y, ForestParams(n_trees=10), seed=1)
-    else:
-        model = fit_model(kind, X, y, BoostParams(n_rounds=10, colsample=0.6), seed=1)
-    restored = model_from_json(model_to_json(model))
-    for Q in _queries(7):
-        assert np.array_equal(restored.predict(Q), model.predict(Q))
 
 
 def test_chunk_boundary(monkeypatch):
