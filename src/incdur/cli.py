@@ -1,7 +1,11 @@
 """Config-driven experiment runner.
 
 One JSON config per run: a single dataset source (csv or synth), a
-mandatory seed, and per-subcommand blocks. Every experiment writes CSV
+mandatory seed, and per-subcommand blocks. Each block holds the keyword
+arguments of the library call its subcommand makes (``FIELDS`` renames the
+few keys that differ from their parameters); the block is type- and
+range-checked up front, and a key it leaves out takes the default of that
+function's signature or config dataclass. Every experiment writes CSV
 tables plus a run manifest listing all emitted files; reruns with the same
 config and seed produce identical numeric outputs regardless of --workers.
 """
@@ -17,11 +21,13 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import MISSING, fields, replace
 
 from . import __version__
 from .cv import derive_seed, holdout_split
 from .dataset import (
     Dataset,
+    DatasetError,
     FeatureColumn,
     FeatureSchema,
     PlantedEffect,
@@ -31,12 +37,13 @@ from .dataset import (
     synthesize,
 )
 from .importance import ERROR_METRICS, subset_importance
-from .labeling import DEFAULT_TC_VALUES, ldo_hdo_sweep, quantile_grid, threshold_sweep
+from .labeling import ldo_hdo_sweep, quantile_grid, threshold_sweep
 from .metrics import mape_excluding_zero, rmse
 from .models import MODEL_KINDS, fit_model
 from .models.base import TARGET_TRANSFORMS
 from .scenarios import (
     SCENARIO_NAMES,
+    SCENARIO_PLAN,
     FusionConfig,
     fit_fusion,
     fit_pipeline,
@@ -45,19 +52,6 @@ from .scenarios import (
     scenario_table,
 )
 from .tuning import METRICS, MODES, CvPlan, iteration_curve, run_ieo
-
-SUBCOMMANDS = (
-    "profile",
-    "synth",
-    "sweep",
-    "multiclass",
-    "ldo-sweep",
-    "scenarios",
-    "ieo",
-    "fusion",
-    "importance",
-    "timing",
-)
 
 
 class ConfigError(ValueError):
@@ -77,10 +71,7 @@ def _get(cfg: dict, path: str, kind=None, required=True, default=None, at=""):
             return default
         cur = cur[part]
     if kind is not None and not isinstance(cur, kind):
-        names = kind.__name__ if isinstance(kind, type) else "/".join(
-            k.__name__ for k in kind
-        )
-        raise ConfigError(f"config field {at}{path} must be {names}")
+        raise ConfigError(f"config field {at}{path} must be {kind.__name__}")
     return cur
 
 
@@ -97,16 +88,21 @@ def _object(value, path: str, keys) -> dict:
 def _number_ok(value, kind, low) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, kind)):
         return False
-    return value >= low if kind is int else low < value < math.inf
+    if kind is int:
+        return value >= low
+    # finite, and an int past the float range would overflow float()
+    return low < value and abs(value) <= sys.float_info.max
 
 
-def _numbers(obj: dict, path: str, spec) -> None:
-    """Check the number fields of the config object ``obj`` at ``path``.
+def _numbers(obj: dict, path: str, spec) -> dict:
+    """A copy of the config object ``obj`` at ``path`` with its number
+    fields checked, float fields as float and list fields as tuples.
 
     ``spec`` maps a key to (int, low), an integer >= low, or (float, low), a
     finite number > low; a spec in a one-item list asks for a list of them.
     Absent keys are not checked.
     """
+    out = dict(obj)
     for key, one in spec.items():
         if key not in obj:
             continue
@@ -121,35 +117,71 @@ def _numbers(obj: dict, path: str, spec) -> None:
             if kind is float and low > -math.inf:
                 what += f" > {low}"
             raise ConfigError(
-                f"config field {path}.{key} must be "
+                f"config field {path + '.' if path else ''}{key} must be "
                 + (f"a list, each {what}" if many else what)
             )
+        out[key] = tuple(map(kind, items)) if many else kind(value)
+    return out
 
 
-def _block(cfg: dict, name: str, keys, one_of=None, list_of=None,
-           numbers=None) -> dict:
-    """The config block ``name`` ({} when absent), checked before any work.
+#: Config key -> parameter or config-dataclass field, where the names differ.
+FIELDS = {
+    "ldo_sweep": {"thresholds": "ldo_thresholds"},
+    "scenarios": {"names": "scenarios", "folds": "n_folds"},
+    "ieo": {"model": "model_kind", "folds": "n_folds"},
+    "importance": {"model": "model_kind"},
+    "fusion": {"classifier": "classifier_kind", "regressor_a": "regressor_a_kind",
+               "regressor_b": "regressor_b_kind",
+               "regressor_all": "regressor_all_kind", "meta": "meta_kind"},
+}
 
-    Keys outside ``keys`` are rejected. ``one_of`` maps a key to the values it
-    may take; ``list_of`` maps a key to the values its list items may take.
-    ``numbers`` is a ``_numbers`` spec.
+
+def _block(cfg: dict, name: str, one_of=None, list_of=None, numbers=None) -> dict:
+    """The config block ``name`` ({} when absent), checked before any work,
+    as keyword arguments: each key renamed as ``FIELDS[name]`` says.
+
+    ``one_of`` maps a key to the values it may take; ``list_of`` maps a key
+    to the values its list items may take. ``numbers`` is a ``_numbers``
+    spec. Keys in none of them are rejected.
     """
+    one_of, list_of, numbers = one_of or {}, list_of or {}, numbers or {}
     block = _object(
-        _get(cfg, name, kind=dict, required=False, default={}), name, keys
+        _get(cfg, name, kind=dict, required=False, default={}), name,
+        (*one_of, *list_of, *numbers),
     )
-    _numbers(block, name, numbers or {})
-    for key, allowed in (one_of or {}).items():
+    block = _numbers(block, name, numbers)
+    for key, allowed in one_of.items():
         if key in block and block[key] not in allowed:
             raise ConfigError(
                 f"config field {name}.{key} must be one of: {', '.join(allowed)}"
             )
-    for key, allowed in (list_of or {}).items():
+    for key, allowed in list_of.items():
         value = block.get(key, [])
         if not isinstance(value, list) or any(v not in allowed for v in value):
             raise ConfigError(
                 f"config field {name}.{key} must be a list of: {', '.join(allowed)}"
             )
-    return block
+    rename = FIELDS.get(name, {})
+    return {rename.get(key, key): value for key, value in block.items()}
+
+
+def _take(block: dict, names) -> dict:
+    """Remove and return the items of ``block`` whose keys are in ``names``."""
+    return {key: block.pop(key) for key in names if key in block}
+
+
+def _make(cls, path: str, **kwargs):
+    """The config object ``cls(**kwargs)`` at ``path``; a missing required
+    field or a ``DatasetError`` becomes a ``ConfigError`` naming the field."""
+    for f in fields(cls):
+        required = f.default is MISSING and f.default_factory is MISSING
+        if required and f.name not in kwargs:
+            raise ConfigError(f"missing config field: {path}.{f.name}")
+    try:
+        return cls(**kwargs)
+    except DatasetError as exc:
+        where = f"{path}.{exc.field}" if exc.field else path
+        raise ConfigError(f"config field {where}: {exc}") from None
 
 
 def _load_config(path: str) -> dict:
@@ -166,6 +198,10 @@ def _load_config(path: str) -> dict:
 
 
 ANY = (float, -math.inf)  # any finite number
+TC = {"tc": (float, 0)}
+TRANSFORM = {"target_transform": TARGET_TRANSFORMS}
+PLAN_FIELDS = [f.name for f in fields(CvPlan)]
+FUSION_FIELDS = [f.name for f in fields(FusionConfig)]
 SYNTH_NUMBERS = {"n": (int, 1), "seed": (int, 0), "mu": ANY, "sigma": (float, 0),
                  "corrupt_fraction": ANY, "corrupt_multiplier": ANY}
 EFFECT_NUMBERS = {"low": ANY, "high": ANY, "slope": ANY, "true_rate": ANY,
@@ -183,52 +219,31 @@ def _build_dataset(cfg: dict, seed: int) -> Dataset:
         raise ConfigError("dataset must declare exactly one of: csv, synth")
 
     if has_synth:
-        block = _object(_get(cfg, "dataset.synth"), "dataset.synth", SYNTH_KEYS)
-        _numbers(block, "dataset.synth", SYNTH_NUMBERS)
+        path = "dataset.synth"
+        block = _numbers(_object(_get(cfg, path), path, SYNTH_KEYS), path,
+                         SYNTH_NUMBERS)
         effects = []
         for i, e in enumerate(block.get("effects", [])):
-            path = f"dataset.synth.effects[{i}]"
-            _numbers(_object(e, path, EFFECT_KEYS), path, EFFECT_NUMBERS)
-            effects.append(PlantedEffect(
-                name=_get(e, "name", kind=str, at=f"{path}."),
-                kind=e.get("kind", "numeric"),
-                low=float(e.get("low", 0.0)),
-                high=float(e.get("high", 1.0)),
-                slope=float(e.get("slope", 0.0)),
-                true_rate=float(e.get("true_rate", 0.5)),
-                multiplier=float(e.get("multiplier", 1.0)),
-                levels=tuple(e.get("levels", ())),
-                multipliers=tuple(e.get("multipliers", ())),
-                min_base_duration=float(e.get("min_base_duration", 0.0)),
-            ))
+            at = f"{path}.effects[{i}]"
+            e = _numbers(_object(e, at, EFFECT_KEYS), at, EFFECT_NUMBERS)
+            _get(e, "name", kind=str, at=f"{at}.")
+            effects.append(_make(PlantedEffect, at, **e))
         return synthesize(
-            SynthConfig(
-                n=_get(cfg, "dataset.synth.n"),
-                seed=int(block.get("seed", seed)),
-                mu=float(_get(cfg, "dataset.synth.mu")),
-                sigma=float(_get(cfg, "dataset.synth.sigma")),
-                effects=tuple(effects),
-                corrupt_fraction=float(block.get("corrupt_fraction", 0.0)),
-                corrupt_multiplier=float(block.get("corrupt_multiplier", 30.0)),
-            )
+            _make(SynthConfig, path,
+                  **{"seed": seed, **block, "effects": tuple(effects)})
         )
 
-    block = _object(_get(cfg, "dataset.csv"), "dataset.csv", CSV_KEYS)
+    block = dict(_object(_get(cfg, "dataset.csv"), "dataset.csv", CSV_KEYS))
     columns = _get(cfg, "dataset.csv.columns", kind=list)
     if not columns:
         raise ConfigError("dataset.csv.columns must be non-empty")
+    schema_columns = []
     for i, c in enumerate(columns):
-        _object(c, f"dataset.csv.columns[{i}]", ("name", "kind"))
-    schema = FeatureSchema(
-        columns=tuple(
-            FeatureColumn(
-                _get(c, "name", kind=str, at=f"dataset.csv.columns[{i}]."),
-                c.get("kind", "numeric"),
-            )
-            for i, c in enumerate(columns)
-        ),
-        target_column=block.get("target_column", "duration"),
-    )
+        at = f"dataset.csv.columns[{i}]"
+        _get(_object(c, at, ("name", "kind")), "name", kind=str, at=f"{at}.")
+        schema_columns.append(_make(FeatureColumn, at, **c))
+    schema = _make(FeatureSchema, "dataset.csv", columns=tuple(schema_columns),
+                   **_take(block, ("target_column",)))
     column_map = block.get("column_map")
     if isinstance(column_map, str):
         with open(column_map, encoding="utf-8") as fh:
@@ -264,8 +279,8 @@ def _write_json_atomic(path: str, payload: dict):
 
 
 def _cmd_profile(cfg, dataset, out, seed, workers):
-    block = _block(cfg, "profile", ("n_bins",), numbers={"n_bins": (int, 1)})
-    report = profile(dataset, n_bins=block.get("n_bins", 30))
+    block = _block(cfg, "profile", numbers={"n_bins": (int, 1)})
+    report = profile(dataset, **block)
     path = os.path.join(out, "profile.json")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
@@ -285,17 +300,10 @@ def _cmd_synth(cfg, dataset, out, seed, workers):
 
 def _cmd_sweep(cfg, dataset, out, seed, workers):
     block = _block(
-        cfg, "sweep", ("models", "tc_values", "cv"), list_of={"models": MODEL_KINDS},
+        cfg, "sweep", list_of={"models": MODEL_KINDS},
         numbers={"tc_values": [(float, 0)], "cv": (int, 2)},
     )
-    rows = threshold_sweep(
-        dataset,
-        models=block.get("models", ["tree"]),
-        tc_values=block.get("tc_values", list(DEFAULT_TC_VALUES)),
-        cv=block.get("cv", 5),
-        seed=seed,
-        workers=workers,
-    )
+    rows = threshold_sweep(dataset, seed=seed, workers=workers, **block)
     path = os.path.join(out, "sweep.csv")
     _write_csv(
         path, rows,
@@ -311,16 +319,9 @@ def _cmd_sweep(cfg, dataset, out, seed, workers):
 
 def _cmd_multiclass(cfg, dataset, out, seed, workers):
     block = _block(
-        cfg, "multiclass", ("model", "cv"), one_of={"model": MODEL_KINDS},
-        numbers={"cv": (int, 2)},
+        cfg, "multiclass", one_of={"model": MODEL_KINDS}, numbers={"cv": (int, 2)},
     )
-    rows = quantile_grid(
-        dataset,
-        model=block.get("model", "tree"),
-        cv=block.get("cv", 5),
-        seed=seed,
-        workers=workers,
-    )
+    rows = quantile_grid(dataset, seed=seed, workers=workers, **block)
     path = os.path.join(out, "multiclass_grid.csv")
     _write_csv(path, rows, ["q1", "q2", "t1", "t2", "model", "evaluable", "f1_macro"])
     warnings = [
@@ -332,18 +333,10 @@ def _cmd_multiclass(cfg, dataset, out, seed, workers):
 
 def _cmd_ldo_sweep(cfg, dataset, out, seed, workers):
     block = _block(
-        cfg, "ldo_sweep", ("model", "thresholds", "tc", "cv"),
-        one_of={"model": MODEL_KINDS},
-        numbers={"thresholds": [ANY], "tc": (float, 0), "cv": (int, 2)},
+        cfg, "ldo_sweep", one_of={"model": MODEL_KINDS},
+        numbers={"thresholds": [ANY], **TC, "cv": (int, 2)},
     )
-    rows = ldo_hdo_sweep(
-        dataset,
-        model=block.get("model", "tree"),
-        ldo_thresholds=block.get("thresholds", [0, 5, 10, 15, 20]),
-        tc=float(block.get("tc", 45.0)),
-        cv=block.get("cv", 5),
-        seed=seed,
-    )
+    rows = ldo_hdo_sweep(dataset, seed=seed, **block)
     path = os.path.join(out, "ldo_sweep.csv")
     _write_csv(
         path, rows,
@@ -358,23 +351,12 @@ def _cmd_ldo_sweep(cfg, dataset, out, seed, workers):
 
 def _cmd_scenarios(cfg, dataset, out, seed, workers):
     block = _block(
-        cfg, "scenarios", ("models", "tc", "folds", "names", "target_transform"),
+        cfg, "scenarios", one_of=TRANSFORM,
         list_of={"models": MODEL_KINDS, "names": SCENARIO_NAMES},
-        numbers={"tc": (float, 0), "folds": (int, 2)},
+        numbers={**TC, "folds": (int, 2)},
     )
-    plan = CvPlan(
-        n_folds=block.get("folds", 10),
-        seed=seed,
-        target_transform=block.get("target_transform", "none"),
-    )
-    rows = scenario_table(
-        dataset,
-        models=block.get("models", ["tree"]),
-        tc=float(block.get("tc", 45.0)),
-        plan=plan,
-        scenarios=block.get("names", list(SCENARIO_NAMES)),
-        workers=workers,
-    )
+    plan = replace(SCENARIO_PLAN, seed=seed, **_take(block, PLAN_FIELDS))
+    rows = scenario_table(dataset, plan=plan, workers=workers, **block)
     path = os.path.join(out, "scenarios.csv")
     _write_csv(
         path, rows,
@@ -386,26 +368,11 @@ def _cmd_scenarios(cfg, dataset, out, seed, workers):
 def _cmd_ieo(cfg, dataset, out, seed, workers):
     block = _block(
         cfg, "ieo",
-        ("model", "mode", "iterations", "folds", "metric", "tc", "target_transform"),
-        one_of={"model": MODEL_KINDS, "mode": MODES, "metric": METRICS},
-        numbers={"iterations": (int, 1), "folds": (int, 2), "tc": (float, 0)},
+        one_of={"model": MODEL_KINDS, "mode": MODES, "metric": METRICS, **TRANSFORM},
+        numbers={"iterations": (int, 1), "folds": (int, 2), **TC},
     )
-    plan = CvPlan(
-        n_folds=block.get("folds", 5),
-        mode=block.get("mode", "none"),
-        iterations=block.get("iterations", 250),
-        seed=seed,
-        target_transform=block.get("target_transform", "none"),
-    )
-    tc = block.get("tc")
-    result = run_ieo(
-        dataset,
-        block.get("model", "tree"),
-        plan,
-        metric=block.get("metric", "mape"),
-        tc=float(tc) if tc is not None else None,
-        workers=workers,
-    )
+    plan = CvPlan(seed=seed, **_take(block, PLAN_FIELDS))
+    result = run_ieo(dataset, plan=plan, workers=workers, **block)
     trace_path = os.path.join(out, "ieo_trace.csv")
     trace_rows = [
         {
@@ -437,29 +404,19 @@ def _cmd_ieo(cfg, dataset, out, seed, workers):
 
 
 def _cmd_fusion(cfg, dataset, out, seed, workers):
-    models = ("classifier", "regressor_a", "regressor_b", "regressor_all", "meta")
     block = _block(
-        cfg, "fusion", models + ("tc", "folds", "target_transform"),
-        one_of=dict.fromkeys(models, MODEL_KINDS),
-        numbers={"tc": (float, 0), "folds": (int, 2)},
+        cfg, "fusion", one_of={**dict.fromkeys(FIELDS["fusion"], MODEL_KINDS),
+                               **TRANSFORM},
+        numbers={**TC, "folds": (int, 2)},
     )
-    tc = float(block.get("tc", 45.0))
-    folds = block.get("folds", 5)
-    config = FusionConfig(
-        classifier_kind=block.get("classifier", "gbt"),
-        regressor_a_kind=block.get("regressor_a", "gbt"),
-        regressor_b_kind=block.get("regressor_b", "gbt"),
-        regressor_all_kind=block.get("regressor_all", "gbt"),
-        meta_kind=block.get("meta", "linear"),
-        target_transform=block.get("target_transform", "none"),
-    )
+    config = FusionConfig(**_take(block, FUSION_FIELDS))
     train_idx, test_idx = holdout_split(len(dataset))
     train = dataset.subset(train_idx)
     test = dataset.subset(test_idx)
     actual = test.durations
 
-    fusion = fit_fusion(train, config, tc, folds=folds, seed=derive_seed(seed, 1))
-    pipeline = fit_pipeline(train, config, tc, seed=derive_seed(seed, 2))
+    fusion = fit_fusion(train, config, seed=derive_seed(seed, 1), **block)
+    pipeline = fit_pipeline(train, config, fusion.tc, seed=derive_seed(seed, 2))
     single_values = fusion.encoder.transform(train).values
     single = fit_model(
         config.regressor_all_kind, single_values, train.durations,
@@ -484,20 +441,11 @@ def _cmd_fusion(cfg, dataset, out, seed, workers):
 
 def _cmd_importance(cfg, dataset, out, seed, workers):
     block = _block(
-        cfg, "importance", ("model", "tc", "metric", "n_repeats", "target_transform"),
-        one_of={"model": MODEL_KINDS, "metric": ERROR_METRICS,
-                "target_transform": TARGET_TRANSFORMS},
-        numbers={"n_repeats": (int, 1), "tc": (float, 0)},
+        cfg, "importance",
+        one_of={"model": MODEL_KINDS, "metric": ERROR_METRICS, **TRANSFORM},
+        numbers={"n_repeats": (int, 1), **TC},
     )
-    reports = subset_importance(
-        dataset,
-        tc=float(block.get("tc", 45.0)),
-        model_kind=block.get("model", "tree"),
-        metric=block.get("metric", "rmse"),
-        n_repeats=block.get("n_repeats", 5),
-        seed=seed,
-        target_transform=block.get("target_transform", "none"),
-    )
+    reports = subset_importance(dataset, seed=seed, **block)
     rows = [
         {**r, "subset": tag}
         for tag in ("all", "A", "B")
@@ -515,21 +463,11 @@ def _cmd_importance(cfg, dataset, out, seed, workers):
 
 def _cmd_timing(cfg, dataset, out, seed, workers):
     block = _block(
-        cfg, "timing",
-        ("models", "iteration_counts", "folds", "metric", "target_transform"),
-        one_of={"metric": ERROR_METRICS}, list_of={"models": MODEL_KINDS},
+        cfg, "timing", one_of={"metric": ERROR_METRICS, **TRANSFORM},
+        list_of={"models": MODEL_KINDS},
         numbers={"iteration_counts": [(int, 1)], "folds": (int, 2)},
     )
-    rows = iteration_curve(
-        dataset,
-        models=block.get("models", ["tree"]),
-        iteration_counts=block.get("iteration_counts", list(range(25, 251, 25))),
-        folds=block.get("folds", 5),
-        seed=seed,
-        metric=block.get("metric", "mape"),
-        target_transform=block.get("target_transform", "none"),
-        workers=workers,
-    )
+    rows = iteration_curve(dataset, seed=seed, workers=workers, **block)
     path = os.path.join(out, "timing.csv")
     _write_csv(path, rows, ["model", "iterations", "best_metric", "wall_clock_s"])
     return [path], []
@@ -583,7 +521,7 @@ def main(argv=None) -> int:
         prog="incdur",
         description="Traffic-incident duration experiments (config-driven).",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=_HANDLERS)
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None,
@@ -593,7 +531,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config)
-        seed = args.seed if args.seed is not None else _get(cfg, "seed", kind=int)
+        seed = args.seed if args.seed is not None else _get(cfg, "seed")
+        seed = _numbers({"seed": seed}, "", {"seed": (int, 0)})["seed"]
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
         run(args.subcommand, cfg, args.out, seed, args.workers)

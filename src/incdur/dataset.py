@@ -38,17 +38,24 @@ def fit_distributions() -> dict:
 
 
 class DatasetError(ValueError):
-    """Raised for schema violations and unusable inputs."""
+    """Raised for schema violations and unusable inputs; ``field`` names the
+    config object field at fault, when there is one."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
 class FeatureColumn:
     name: str
-    kind: str  # numeric | categorical | boolean
+    kind: str = "numeric"  # numeric | categorical | boolean
 
     def __post_init__(self):
         if self.kind not in ("numeric", "categorical", "boolean"):
-            raise DatasetError(f"unknown column kind {self.kind!r} for {self.name!r}")
+            raise DatasetError(
+                f"unknown column kind {self.kind!r} for {self.name!r}", "kind"
+            )
 
 
 @dataclass(frozen=True)
@@ -59,11 +66,13 @@ class FeatureSchema:
     def __post_init__(self):
         names = [c.name for c in self.columns]
         if len(names) != len(set(names)):
-            raise DatasetError("column names must be unique")
+            raise DatasetError("column names must be unique", "columns")
         if self.target_column in names:
-            raise DatasetError("target column must not be listed among features")
+            raise DatasetError(
+                "target column must not be listed among features", "target_column"
+            )
         if not names:
-            raise DatasetError("need at least one feature column")
+            raise DatasetError("need at least one feature column", "columns")
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -326,6 +335,17 @@ class PlantedEffect:
     multipliers: tuple[float, ...] = ()
     min_base_duration: float = 0.0
 
+    def __post_init__(self):
+        if self.kind not in ("numeric", "boolean", "categorical"):
+            raise DatasetError(f"unknown effect kind {self.kind!r}", "kind")
+        if self.kind == "categorical":
+            if not self.levels:
+                raise DatasetError(f"effect {self.name!r} needs levels", "levels")
+            if self.multipliers and len(self.multipliers) != len(self.levels):
+                raise DatasetError(
+                    f"effect {self.name!r}: one multiplier per level", "multipliers"
+                )
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -339,11 +359,11 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.n < 1:
-            raise DatasetError("n must be >= 1")
+            raise DatasetError("n must be >= 1", "n")
         if self.sigma <= 0:
-            raise DatasetError("sigma must be > 0")
+            raise DatasetError("sigma must be > 0", "sigma")
         if not 0.0 <= self.corrupt_fraction < 1.0:
-            raise DatasetError("corrupt_fraction must be in [0, 1)")
+            raise DatasetError("corrupt_fraction must be in [0, 1)", "corrupt_fraction")
 
 
 def synthesize(config: SynthConfig) -> Dataset:
@@ -372,26 +392,18 @@ def synthesize(config: SynthConfig) -> Dataset:
             x = (rng.random(n) < eff.true_rate).astype(float)
             m = np.where(x > 0, eff.multiplier, 1.0)
             feature_cols.append([float(v) for v in x])
-        elif eff.kind == "categorical":
-            if not eff.levels:
-                raise DatasetError(f"effect {eff.name!r} needs levels")
+        else:  # categorical
             idx = rng.integers(0, len(eff.levels), size=n)
             mults = (
                 np.asarray(eff.multipliers, dtype=float)
                 if eff.multipliers
                 else np.ones(len(eff.levels))
             )
-            if mults.shape[0] != len(eff.levels):
-                raise DatasetError(f"effect {eff.name!r}: one multiplier per level")
             m = mults[idx]
             feature_cols.append([eff.levels[i] for i in idx])
-        else:
-            raise DatasetError(f"unknown effect kind {eff.kind!r}")
         active = base > eff.min_base_duration
         multiplier = multiplier * np.where(active, m, 1.0)
-        columns.append(
-            FeatureColumn(eff.name, eff.kind if eff.kind != "boolean" else "boolean")
-        )
+        columns.append(FeatureColumn(eff.name, eff.kind))
 
     durations = base * multiplier
     corrupted_idx = np.array([], dtype=int)

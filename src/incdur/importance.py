@@ -21,6 +21,7 @@ import numpy as np
 
 from .cv import derive_seed
 from .dataset import Dataset, encode
+from .labeling import DEFAULT_TC
 from .metrics import metric_value
 from .models import TrainedModel, fit_model
 from .models.base import as_values
@@ -227,8 +228,8 @@ def shapley_sampling(
 
 def subset_importance(
     dataset: Dataset,
-    tc: float,
-    model_kind: str,
+    tc: float = DEFAULT_TC,
+    model_kind: str = "tree",
     model_params=None,
     metric: str = "rmse",
     n_repeats: int = 5,

@@ -19,8 +19,12 @@ __all__ = [
     "threshold_sweep",
     "quantile_grid",
     "ldo_hdo_sweep",
+    "DEFAULT_TC",
     "DEFAULT_TC_VALUES",
 ]
+
+#: Default short/long-term threshold, minutes: the paper's 40-45 min split.
+DEFAULT_TC = 45.0
 
 #: Default varying-threshold set: every 5 minutes from 20 to 70.
 DEFAULT_TC_VALUES = tuple(range(20, 75, 5))
@@ -96,7 +100,7 @@ def _sweep_cell(args):
 
 def threshold_sweep(
     dataset: Dataset,
-    models,
+    models=("tree",),
     tc_values=DEFAULT_TC_VALUES,
     cv: int = 5,
     seed: int = 0,
@@ -140,7 +144,7 @@ def _grid_cell(args):
 
 def quantile_grid(
     dataset: Dataset,
-    model: str,
+    model: str = "tree",
     q1_range=tuple(np.arange(1, 9) / 10),
     q2_range=tuple(np.arange(2, 10) / 10),
     cv: int = 5,
@@ -164,9 +168,9 @@ def quantile_grid(
 
 def ldo_hdo_sweep(
     dataset: Dataset,
-    model: str,
-    ldo_thresholds,
-    tc: float = 45.0,
+    model: str = "tree",
+    ldo_thresholds=(0, 5, 10, 15, 20),
+    tc: float = DEFAULT_TC,
     cv: int = 5,
     seed: int = 0,
 ) -> list[dict]:

@@ -9,20 +9,22 @@ cross-validation instead, since train and test must stay disjoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._parallel import parallel_map
 from .cv import cross_val_predict, derive_seed, fold_indexes
 from .dataset import Dataset, Encoder
-from .labeling import binary_labels
+from .labeling import DEFAULT_TC, binary_labels
 from .metrics import mape_excluding_zero, rmse
 from .models import TrainedModel, fit_model
 from .tuning import CvPlan
 
 __all__ = [
+    "SCENARIOS",
     "SCENARIO_NAMES",
+    "SCENARIO_PLAN",
     "AbSplit",
     "ScenarioSpec",
     "FusionConfig",
@@ -38,15 +40,20 @@ __all__ = [
     "predict_fusion",
 ]
 
-SCENARIO_NAMES = (
-    "AlltoAll",
-    "AtoA",
-    "AtoB",
-    "BtoA",
-    "BtoB",
-    "AlltoA",
-    "AlltoB",
-)
+#: Scenario name -> (training rows, test rows), each "All", "A" or "B".
+SCENARIOS = {
+    "AlltoAll": ("All", "All"),
+    "AtoA": ("A", "A"),
+    "AtoB": ("A", "B"),
+    "BtoA": ("B", "A"),
+    "BtoB": ("B", "B"),
+    "AlltoA": ("All", "A"),
+    "AlltoB": ("All", "B"),
+}
+SCENARIO_NAMES = tuple(SCENARIOS)
+
+#: Scenarios cross-validate over 10 folds, where ``CvPlan`` defaults to 5.
+SCENARIO_PLAN = CvPlan(n_folds=10)
 
 
 class ScenarioError(ValueError):
@@ -75,7 +82,7 @@ class ScenarioSpec:
     name: str
     tc: float
     model_kind: str
-    plan: CvPlan = field(default_factory=lambda: CvPlan(n_folds=10))
+    plan: CvPlan = SCENARIO_PLAN
     model_params: object = None
 
     def __post_init__(self):
@@ -96,11 +103,6 @@ class FusionConfig:
     regressor_b_kind: str = "gbt"
     regressor_all_kind: str = "gbt"
     meta_kind: str = "linear"
-    classifier_params: object = None
-    regressor_a_params: object = None
-    regressor_b_params: object = None
-    regressor_all_params: object = None
-    meta_params: object = None
     target_transform: str = "none"
 
 
@@ -114,13 +116,6 @@ def split_ab(dataset: Dataset, tc: float) -> AbSplit:
     return AbSplit(tc=float(tc), a_indices=a, b_indices=b)
 
 
-def _require(split: AbSplit, subset: str, scenario: str):
-    if subset == "A" and split.a_empty:
-        raise ScenarioError(f"scenario {scenario} requires a non-empty subset A")
-    if subset == "B" and split.b_empty:
-        raise ScenarioError(f"scenario {scenario} requires a non-empty subset B")
-
-
 def _encode_on(dataset: Dataset, fit_indices: np.ndarray) -> np.ndarray:
     """Encode all rows with an encoder fitted on the training population,
     so categorical levels unseen in training map to the missing indicator."""
@@ -131,22 +126,39 @@ def _encode_on(dataset: Dataset, fit_indices: np.ndarray) -> np.ndarray:
 def run_scenario(dataset: Dataset, spec: ScenarioSpec) -> dict:
     """MAPE/RMSE and per-record predictions for one train/test scenario.
 
-    Cross-subset scenarios (AtoB, BtoA) fit once on the full source subset;
-    same-population scenarios cross-validate; AlltoA/AlltoB cross-validate
-    over everything and score only test records in the target subset.
+    A scenario whose source is its target or all records cross-validates
+    over the source and scores the test records in the target; a
+    cross-subset scenario (AtoB, BtoA) fits once on the full source subset
+    and predicts the target.
     """
     split = split_ab(dataset, spec.tc)
     plan = spec.plan
-    name = spec.name
     durations = dataset.durations
-
-    if name in ("AtoB", "BtoA"):
-        source, target = ("A", "B") if name == "AtoB" else ("B", "A")
-        _require(split, source, name)
-        _require(split, target, name)
-        train = split.a_indices if source == "A" else split.b_indices
-        test = split.b_indices if target == "B" else split.a_indices
-        values = _encode_on(dataset, train)
+    rows = {"All": np.arange(len(dataset)), "A": split.a_indices,
+            "B": split.b_indices}
+    source, target = SCENARIOS[spec.name]
+    for subset in (source, target):
+        if rows[subset].shape[0] == 0:
+            raise ScenarioError(
+                f"scenario {spec.name} requires a non-empty subset {subset}"
+            )
+    train = rows[source]
+    values = _encode_on(dataset, train)
+    if source in (target, "All"):
+        oof = cross_val_predict(
+            spec.model_kind,
+            values[train],
+            durations[train],
+            plan.n_folds,
+            params=spec.model_params,
+            task="regression",
+            target_transform=plan.target_transform,
+            seed=plan.seed,
+        )
+        keep = np.isin(train, rows[target])
+        test_indices = train[keep]
+        predictions = oof[keep]
+    else:
         model = fit_model(
             spec.model_kind,
             values[train],
@@ -156,44 +168,13 @@ def run_scenario(dataset: Dataset, spec: ScenarioSpec) -> dict:
             target_transform=plan.target_transform,
             seed=derive_seed(plan.seed, 0),
         )
-        predictions = model.predict(values[test])
-        test_indices = test
-    else:
-        if name in ("AtoA", "AlltoA"):
-            _require(split, "A", name)
-        if name in ("BtoB", "AlltoB"):
-            _require(split, "B", name)
-        population = {
-            "AlltoAll": np.arange(len(dataset)),
-            "AlltoA": np.arange(len(dataset)),
-            "AlltoB": np.arange(len(dataset)),
-            "AtoA": split.a_indices,
-            "BtoB": split.b_indices,
-        }[name]
-        values = _encode_on(dataset, population)
-        oof = cross_val_predict(
-            spec.model_kind,
-            values[population],
-            durations[population],
-            plan.n_folds,
-            params=spec.model_params,
-            task="regression",
-            target_transform=plan.target_transform,
-            seed=plan.seed,
-        )
-        if name == "AlltoA":
-            keep = np.isin(population, split.a_indices)
-        elif name == "AlltoB":
-            keep = np.isin(population, split.b_indices)
-        else:
-            keep = np.ones(population.shape[0], dtype=bool)
-        test_indices = population[keep]
-        predictions = oof[keep]
+        test_indices = rows[target]
+        predictions = model.predict(values[test_indices])
 
     actual = durations[test_indices]
     mape, excluded = mape_excluding_zero(actual, predictions)
     return {
-        "scenario": name,
+        "scenario": spec.name,
         "model": spec.model_kind,
         "tc": spec.tc,
         "mape": mape,
@@ -207,14 +188,13 @@ def run_scenario(dataset: Dataset, spec: ScenarioSpec) -> dict:
 
 def scenario_table(
     dataset: Dataset,
-    models,
-    tc: float,
-    plan: CvPlan | None = None,
+    models=("tree",),
+    tc: float = DEFAULT_TC,
+    plan: CvPlan = SCENARIO_PLAN,
     scenarios=SCENARIO_NAMES,
     workers: int = 1,
 ) -> list[dict]:
     """One row per (scenario, model), in fixed order, without index arrays."""
-    plan = plan or CvPlan(n_folds=10)
     specs = [
         ScenarioSpec(name=name, tc=tc, model_kind=kind, plan=plan)
         for name in scenarios
@@ -311,29 +291,28 @@ def _fit_bases(config, values, durations, labels, rows, tc, seed):
         )
     classifier = fit_model(
         config.classifier_kind, values[rows], labels[rows],
-        params=config.classifier_params, task="classification",
-        seed=derive_seed(seed, 1),
+        task="classification", seed=derive_seed(seed, 1),
     )
     reg_a = fit_model(
         config.regressor_a_kind, values[a_rows], durations[a_rows],
-        params=config.regressor_a_params, task="regression",
-        target_transform=config.target_transform, seed=derive_seed(seed, 2),
+        task="regression", target_transform=config.target_transform,
+        seed=derive_seed(seed, 2),
     )
     reg_b = fit_model(
         config.regressor_b_kind, values[b_rows], durations[b_rows],
-        params=config.regressor_b_params, task="regression",
-        target_transform=config.target_transform, seed=derive_seed(seed, 3),
+        task="regression", target_transform=config.target_transform,
+        seed=derive_seed(seed, 3),
     )
     reg_all = fit_model(
         config.regressor_all_kind, values[rows], durations[rows],
-        params=config.regressor_all_params, task="regression",
-        target_transform=config.target_transform, seed=derive_seed(seed, 4),
+        task="regression", target_transform=config.target_transform,
+        seed=derive_seed(seed, 4),
     )
     return classifier, reg_a, reg_b, reg_all
 
 
 def fit_pipeline(
-    dataset: Dataset, config: FusionConfig, tc: float, seed: int = 0
+    dataset: Dataset, config: FusionConfig, tc: float = DEFAULT_TC, seed: int = 0
 ) -> PipelineModel:
     split = split_ab(dataset, tc)
     if split.a_empty or split.b_empty:
@@ -376,7 +355,7 @@ def _meta_features(classifier, reg_a, reg_b, reg_all, values) -> np.ndarray:
 def fit_fusion(
     dataset: Dataset,
     config: FusionConfig,
-    tc: float,
+    tc: float = DEFAULT_TC,
     folds: int = 5,
     seed: int = 0,
 ) -> FusionModel:
@@ -402,8 +381,8 @@ def fit_fusion(
 
     meta = fit_model(
         config.meta_kind, meta_x, durations,
-        params=config.meta_params, task="regression",
-        target_transform=config.target_transform, seed=derive_seed(seed, 20),
+        task="regression", target_transform=config.target_transform,
+        seed=derive_seed(seed, 20),
     )
     classifier, reg_a, reg_b, reg_all = _fit_bases(
         config, values, durations, labels, np.arange(n), tc, seed

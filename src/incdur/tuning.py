@@ -260,8 +260,8 @@ def _evaluate_draw(
 
 def run_ieo(
     dataset: Dataset,
-    model_kind: str,
-    plan: CvPlan,
+    model_kind: str = "tree",
+    plan: CvPlan = CvPlan(),
     space: HyperSpace | None = None,
     metric: str = "mape",
     tc: float | None = None,
@@ -383,7 +383,7 @@ def run_ieo(
 
 def iteration_curve(
     dataset: Dataset,
-    models,
+    models=("tree",),
     iteration_counts=tuple(range(25, 251, 25)),
     folds: int = 5,
     seed: int = 0,

@@ -149,6 +149,8 @@ def test_ieo_config_errors_exit_2_and_name_the_field(tmp_path, capsys, change, f
          "fusion.csv"),
         ("scenarios", {"scenarios": {"names": ["AtoC"]}}, "scenarios.names",
          "scenarios.csv"),
+        ("scenarios", {"scenarios": {"target_transform": "log"}},
+         "scenarios.target_transform", "scenarios.csv"),
     ],
 )
 def test_block_config_errors_exit_2_and_name_the_field(
@@ -185,11 +187,11 @@ def test_importance_config_errors_exit_2_and_name_the_field(
     assert not (tmp_path / "o" / "importance.csv").exists()
 
 
-def _exits_2_naming(tmp_path, capsys, subcommand, cfg, field):
+def _exits_2_naming(tmp_path, capsys, subcommand, cfg, field, extra=()):
     p = tmp_path / "c.json"
     p.write_text(json.dumps(cfg))
     out = tmp_path / "o"
-    assert main([subcommand, "--config", str(p), "--out", str(out)]) == 2
+    assert main([subcommand, "--config", str(p), "--out", str(out), *extra]) == 2
     assert field in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
@@ -229,6 +231,20 @@ def _synth(**change):
          "dataset.synth.effects[1].name"),
         ({"csv": {"path": "x.csv", "columns": [{"name": "x1"}, {"kind": "boolean"}]}},
          "dataset.csv.columns[1].name"),
+        # range errors of the config objects, with the field's path
+        ({"synth": _synth(corrupt_fraction=2.0)}, "dataset.synth.corrupt_fraction"),
+        ({"synth": _synth(effects=[{"name": "x1", "kind": "numerc"}])},
+         "dataset.synth.effects[0].kind"),
+        ({"synth": _synth(effects=[{"name": "x1"}, {"name": "c", "kind": "categorical",
+                                                    "levels": ["a", "b"],
+                                                    "multipliers": [2.0]}])},
+         "dataset.synth.effects[1].multipliers"),
+        ({"synth": _synth(effects=[{"name": "c", "kind": "categorical"}])},
+         "dataset.synth.effects[0].levels"),
+        ({"csv": {"path": "x.csv", "columns": [{"name": "x1", "kind": "text"}]}},
+         "dataset.csv.columns[0].kind"),
+        ({"csv": {"path": "x.csv", "columns": [{"name": "x1"}, {"name": "x1"}]}},
+         "dataset.csv.columns"),
     ],
 )
 def test_dataset_keys_are_checked(tmp_path, capsys, dataset, field):
@@ -255,6 +271,10 @@ def test_dataset_keys_are_checked(tmp_path, capsys, dataset, field):
         ("ldo-sweep", "ldo_sweep", {"thresholds": 5}, "ldo_sweep.thresholds"),
         ("ldo-sweep", "ldo_sweep", {"thresholds": [0, "5"]}, "ldo_sweep.thresholds"),
         ("timing", "timing", {"iteration_counts": [2, 2.5]}, "timing.iteration_counts"),
+        # an int past the float range
+        ("importance", "importance", {"tc": 10**400}, "importance.tc"),
+        ("ldo-sweep", "ldo_sweep", {"thresholds": [-(10**400)]},
+         "ldo_sweep.thresholds"),
     ],
 )
 def test_number_fields_are_typed(tmp_path, capsys, subcommand, block, change, field):
@@ -267,6 +287,15 @@ def test_missing_seed_rejected(tmp_path, capsys):
     p.write_text(json.dumps({"dataset": {"synth": {"n": 10, "mu": 3, "sigma": 1}}}))
     assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "seed, extra",
+    [(True, ()), (-1, ()), (1.5, ()), (11, ("--seed", "-1"))],
+)
+def test_seed_must_be_a_non_negative_integer(tmp_path, capsys, seed, extra):
+    cfg = {**BASE_CONFIG, "seed": seed}
+    _exits_2_naming(tmp_path, capsys, "synth", cfg, "config field seed", extra)
 
 
 def test_two_dataset_sources_rejected(tmp_path, capsys):
