@@ -1,11 +1,17 @@
 """k-nearest neighbours on z-scored features with deterministic tie-breaks.
 
 ``nearest_rows`` is the neighbour search that kNN and LOF share: Euclidean
-distances built in query-row blocks of at most ``BLOCK_CELLS`` (query, train,
-feature) differences, and from each block only the k nearest ids and their
-distances kept, so memory grows with the query and train sizes, not their
-product times the feature count. ``k_nearest`` picks the k nearest from a
-block by partition instead of a full sort, with ties to the lower column.
+distances built in query-row blocks of at most ``BLOCK_CELLS`` (query, train)
+cells, and from each block only the k nearest ids and their distances kept,
+so memory grows with the query and train sizes, not their product, and not
+with the feature count. A block's squared distances are summed one feature
+at a time into (query, train) arrays (``_sum_squares``), in the order numpy's
+pairwise summation adds a contiguous last axis, so every distance equals the
+one ``((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)`` gives, bit for
+bit, and so do the neighbours and their ties. A dot-product form
+(|a|^2 - 2ab + |b|^2) is faster still but rounds differently and moves
+ties. ``k_nearest`` picks the k nearest from a block by partition instead of
+a full sort, with ties to the lower column.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import numpy as np
 
 from .base import KnnParams, ModelError
 
-BLOCK_CELLS = 1 << 20  # (query, train, feature) differences held at once
+BLOCK_CELLS = 1 << 16  # (query, train) cells in one distance block
 
 
 def k_nearest(dist, k):
@@ -35,6 +41,53 @@ def k_nearest(dist, k):
     return cols[order[first[:, None] + np.arange(k)]]
 
 
+def _squares(block, train_t, f, out=None):
+    """(query, train) array of squared differences in feature f."""
+    out = np.subtract(block[:, f, None], train_t[f], out=out)
+    return np.multiply(out, out, out=out)
+
+
+def _sum_squares(block, train_t, start, stop, scratch):
+    """Squared differences summed over features start..stop-1, per cell.
+
+    The terms are added in numpy's pairwise order for a contiguous last axis
+    of n terms: fewer than 8 left to right; 8 to 128 as 8 strided partial
+    sums r_j = x_j + x_{j+8} + ..., combined as ((r0+r1)+(r2+r3)) +
+    ((r4+r5)+(r6+r7)), then the last n % 8 terms left to right; more than
+    128 as two halves split at n//2 - (n//2) % 8, each by these rules.
+    ``scratch`` is a (query, train) buffer for the term being added.
+    """
+    n = stop - start
+    if n > 128:
+        half = start + n // 2 - (n // 2) % 8
+        total = _sum_squares(block, train_t, start, half, scratch)
+        total += _sum_squares(block, train_t, half, stop, scratch)
+        return total
+    if n == 0:
+        return np.zeros(scratch.shape)
+    if n < 8:
+        tail = start + 1
+        total = _squares(block, train_t, start)
+    else:
+        tail = stop - n % 8
+        partial = []  # pending sums of the balanced tree over r0..r7
+        for j in range(start, start + 8):
+            r = _squares(block, train_t, j)
+            for f in range(j + 8, tail, 8):
+                r += _squares(block, train_t, f, scratch)
+            partial.append(r)
+            # r1 closes (r0+r1); r3 closes (r2+r3), then (r0+r1)+(r2+r3); ...
+            done = j - start + 1
+            while done % 2 == 0:
+                right = partial.pop()
+                partial[-1] += right
+                done //= 2
+        total = partial[0]
+    for f in range(tail, stop):
+        total += _squares(block, train_t, f, scratch)
+    return total
+
+
 def nearest_rows(queries, train, k, skip_self=False):
     """(ids, distances) of each query row's k nearest train rows, nearest first.
 
@@ -44,10 +97,13 @@ def nearest_rows(queries, train, k, skip_self=False):
     q = queries.shape[0]
     ids = np.empty((q, k), dtype=int)
     dist = np.empty((q, k))
-    step = max(1, BLOCK_CELLS // (train.shape[0] * max(1, train.shape[1])))
+    train_t = np.ascontiguousarray(train.T)
+    step = max(1, BLOCK_CELLS // max(1, train.shape[0]))
     for start in range(0, q, step):
         block = queries[start : start + step]
-        d = np.sqrt(((block[:, None, :] - train[None, :, :]) ** 2).sum(axis=2))
+        scratch = np.empty((block.shape[0], train.shape[0]))
+        d = _sum_squares(block, train_t, 0, train.shape[1], scratch)
+        np.sqrt(d, out=d)
         if skip_self:
             d[np.arange(d.shape[0]), np.arange(start, start + d.shape[0])] = np.inf
         nb = k_nearest(d, k)
@@ -76,10 +132,10 @@ class KnnModel:
         return self.targets[nb].mean(axis=1)
 
     def predict_proba_values(self, values):
-        nb = self._neighbours(values)
+        labels = self.targets[self._neighbours(values)]
         votes = np.zeros((values.shape[0], self.n_classes))
         for c in range(self.n_classes):
-            votes[:, c] = (self.targets[nb] == c).sum(axis=1)
+            votes[:, c] = (labels == c).sum(axis=1)
         return votes / self.k
 
 

@@ -3,10 +3,11 @@ percentage-based record removal. Scores are higher-is-more-anomalous.
 
 Isolation Forest grows each tree iteratively, pre-order, straight into the
 flat arrays that ``models.tree.PackedTrees`` walks, so scoring is one stacked
-predict; each node carries its own rows and the rng draws stay in the order
-of a recursive build. LOF finds neighbours with ``models.knn.nearest_rows``,
-the blocked k-nearest search kNN uses: distances come in row blocks, and only
-each row's k nearest ids and distances are kept.
+predict; the rng draws stay in the order of a recursive build, and only a
+node that may still split carries a copy of its rows. LOF finds neighbours
+with ``models.knn.nearest_rows``, the blocked k-nearest search kNN uses:
+distances come in row blocks, summed one feature at a time, and only each
+row's k nearest ids and distances are kept.
 """
 
 from __future__ import annotations
@@ -89,7 +90,13 @@ def _grow_isolation_trees(values, n_trees, psi, rng):
     Each tree takes a subsample of psi rows, then splits pre-order, left
     subtree first: a uniform feature among those not constant in the node,
     then a uniform threshold in [min, max). A leaf holds its path length
-    depth + c(size).
+    depth + c(size). The rng draws are those of a recursive build with
+    ``rng.choice(usable)`` and ``rng.uniform(min, max)``.
+
+    Only a node that may split carries its rows; a child that is a leaf
+    (one row, or at the depth limit) carries just its size. A usable column
+    holds no NaN (NaN fails ``max > min``), so the split leaves rows on both
+    sides exactly when ``min < split <= max``.
     """
     n = values.shape[0]
     depth_limit = int(math.ceil(math.log2(max(2, psi))))
@@ -99,31 +106,40 @@ def _grow_isolation_trees(values, n_trees, psi, rng):
     for _ in range(n_trees):
         roots.append(len(feature))
         sample = values[rng.choice(n, size=psi, replace=False)]
-        stack = [(sample, 0, -1)]  # (node rows, depth, parent's child slot)
+        # (rows, or None for a leaf; size; depth; parent's child slot)
+        stack = [(sample, psi, 0, -1)]
         while stack:
-            rows, depth, slot = stack.pop()
+            rows, size, depth, slot = stack.pop()
             i = len(feature)
             if slot >= 0:
                 child[slot] = i
             child += (i, i)
-            size = rows.shape[0]
-            if depth < depth_limit and size > 1:
+            if rows is not None:
                 lo = np.minimum.reduce(rows)
                 hi = np.maximum.reduce(rows)
                 usable = (hi > lo).nonzero()[0]
                 if usable.size:
-                    # the same draws as rng.choice(usable) and
-                    # rng.uniform(lo[feat], hi[feat]), without their overhead
-                    feat = int(usable[rng.integers(usable.size)])
+                    # rng.integers(1) draws nothing: one usable column needs no call
+                    pick = rng.integers(usable.size) if usable.size > 1 else 0
+                    feat = int(usable[pick])
                     low = float(lo[feat])
-                    split = low + (float(hi[feat]) - low) * rng.random()
-                    mask = rows[:, feat] < split
-                    if 0 < np.count_nonzero(mask) < size:
+                    high = float(hi[feat])
+                    split = low + (high - low) * rng.random()
+                    if low < split <= high:
                         feature.append(feat)
                         threshold.append(split)
                         value.append(0.0)
-                        stack.append((rows[~mask], depth + 1, 2 * i))
-                        stack.append((rows[mask], depth + 1, 2 * i + 1))
+                        go_left = rows[:, feat] < split
+                        below = depth + 1
+                        if below == depth_limit:
+                            n_left = int(np.count_nonzero(go_left))
+                            stack.append((None, size - n_left, below, 2 * i))
+                            stack.append((None, n_left, below, 2 * i + 1))
+                            continue
+                        for ids, at in (((~go_left).nonzero()[0], 2 * i),
+                                        (go_left.nonzero()[0], 2 * i + 1)):
+                            part = rows.take(ids, axis=0) if ids.size > 1 else None
+                            stack.append((part, ids.size, below, at))
                         continue
             feature.append(0)
             threshold.append(0.0)

@@ -280,8 +280,7 @@ def _as_matrix(model, X) -> np.ndarray:
 
 
 def _fit_bases(config, values, durations, labels, rows, tc, seed):
-    """Fit classifier + subset regressors (+ all-data regressor) on the
-    given row subset."""
+    """Fit the classifier and the two subset regressors on a row subset."""
     d = durations[rows]
     a_rows = rows[d <= tc]
     b_rows = rows[d > tc]
@@ -303,12 +302,18 @@ def _fit_bases(config, values, durations, labels, rows, tc, seed):
         task="regression", target_transform=config.target_transform,
         seed=derive_seed(seed, 3),
     )
+    return classifier, reg_a, reg_b
+
+
+def _fit_fusion_bases(config, values, durations, labels, rows, tc, seed):
+    """The pipeline's three bases plus the all-data regressor."""
+    bases = _fit_bases(config, values, durations, labels, rows, tc, seed)
     reg_all = fit_model(
         config.regressor_all_kind, values[rows], durations[rows],
         task="regression", target_transform=config.target_transform,
         seed=derive_seed(seed, 4),
     )
-    return classifier, reg_a, reg_b, reg_all
+    return (*bases, reg_all)
 
 
 def fit_pipeline(
@@ -320,7 +325,7 @@ def fit_pipeline(
     encoder = Encoder().fit(dataset)
     values = encoder.transform(dataset).values
     labels = binary_labels(dataset.durations, tc)
-    classifier, reg_a, reg_b, _ = _fit_bases(
+    classifier, reg_a, reg_b = _fit_bases(
         config, values, dataset.durations, labels,
         np.arange(len(dataset)), tc, seed,
     )
@@ -374,7 +379,7 @@ def fit_fusion(
     meta_x = np.empty((n, 4))
     for k in range(folds):
         train, test = fold_indexes(n, folds, k)
-        bases = _fit_bases(
+        bases = _fit_fusion_bases(
             config, values, durations, labels, train, tc, derive_seed(seed, 10, k)
         )
         meta_x[test] = _meta_features(*bases, values[test])
@@ -384,7 +389,7 @@ def fit_fusion(
         task="regression", target_transform=config.target_transform,
         seed=derive_seed(seed, 20),
     )
-    classifier, reg_a, reg_b, reg_all = _fit_bases(
+    classifier, reg_a, reg_b, reg_all = _fit_fusion_bases(
         config, values, durations, labels, np.arange(n), tc, seed
     )
     return FusionModel(

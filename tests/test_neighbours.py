@@ -19,12 +19,17 @@ def _stable(dist, k):
     return np.argsort(dist, axis=1, kind="stable")[:, :k]
 
 
+def _full_distances(queries, train):
+    """Frozen reference: sum the whole (query, train, feature) tensor."""
+    return np.sqrt(((queries[:, None, :] - train[None, :, :]) ** 2).sum(axis=2))
+
+
 def _grid_distances(seed, rows, cols):
     """Distances between integer-grid points: many exact ties."""
     rng = np.random.default_rng(seed)
     a = rng.integers(0, 3, size=(rows, 2)).astype(float)
     b = rng.integers(0, 3, size=(cols, 2)).astype(float)
-    return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+    return _full_distances(a, b)
 
 
 @pytest.mark.parametrize("rows, cols", [(30, 30), (7, 40), (40, 7), (1, 5), (5, 1)])
@@ -51,24 +56,58 @@ def test_nearest_rows_across_blocks(monkeypatch):
     rng = np.random.default_rng(3)
     train = np.round(rng.normal(size=(60, 3)), 1)
     queries = np.round(rng.normal(size=(45, 3)), 1)
-    full = np.sqrt(((queries[:, None, :] - train[None, :, :]) ** 2).sum(axis=2))
-    monkeypatch.setattr(knn, "BLOCK_CELLS", 60 * 3 * 4)  # 4 query rows a block
+    full = _full_distances(queries, train)
+    monkeypatch.setattr(knn, "BLOCK_CELLS", 60 * 4)  # 4 query rows a block
     ids, dist = nearest_rows(queries, train, 9)
     assert np.array_equal(ids, _stable(full, 9))
     assert np.array_equal(dist, np.take_along_axis(full, ids, axis=1))
-    square = np.sqrt(((train[:, None, :] - train[None, :, :]) ** 2).sum(axis=2))
+    square = _full_distances(train, train)
     np.fill_diagonal(square, np.inf)
     ids, dist = nearest_rows(train, train, 9, skip_self=True)
     assert np.array_equal(ids, _stable(square, 9))
     assert np.array_equal(dist, np.take_along_axis(square, ids, axis=1))
 
 
+def _awkward_rows(rng, rows, m):
+    """Rows over six orders of magnitude, with NaN and +-inf cells."""
+    X = np.round(rng.normal(size=(rows, m)), 1) * 10.0 ** rng.integers(-3, 4, size=m)
+    if m:
+        X[rng.random((rows, m)) < 0.03] = np.nan
+        X[rng.random((rows, m)) < 0.03] = np.inf
+        X[rng.random((rows, m)) < 0.03] = -np.inf
+    return X
+
+
+@pytest.mark.parametrize("widths", [range(0, 36), range(36, 72), range(72, 108),
+                                    range(108, 141), (200, 257)], ids=str)
+def test_nearest_rows_sums_features_in_numpys_order(monkeypatch, widths):
+    # k = every train row, so every distance is compared, in every block
+    monkeypatch.setattr(knn, "BLOCK_CELLS", 11 * 3)  # 3 query rows a block
+    rng = np.random.default_rng(len(widths))
+    for m in widths:
+        train = _awkward_rows(rng, 11, m)
+        train[5] = train[2]  # duplicate rows
+        queries = _awkward_rows(rng, 13, m)
+        queries[4] = train[7]
+        with np.errstate(invalid="ignore"):  # inf - inf
+            full = _full_distances(queries, train)
+            ids, dist = nearest_rows(queries, train, 11)
+            square = _full_distances(train, train)
+            self_ids, self_dist = nearest_rows(train, train, 10, skip_self=True)
+        assert np.array_equal(ids, _stable(full, 11))
+        assert np.array_equal(dist, np.take_along_axis(full, ids, axis=1), equal_nan=True)
+        np.fill_diagonal(square, np.inf)
+        assert np.array_equal(self_ids, _stable(square, 10))
+        assert np.array_equal(
+            self_dist, np.take_along_axis(square, self_ids, axis=1), equal_nan=True
+        )
+
+
 def _knn_reference(model, Q):
     """Neighbours from one full distance matrix and a full stable argsort."""
     inner = model.inner
     q = (Q - inner.mean) / inner.std
-    d = np.sqrt(((q[:, None, :] - inner.train[None, :, :]) ** 2).sum(axis=2))
-    return np.argsort(d, axis=1, kind="stable")[:, : inner.k]
+    return _stable(_full_distances(q, inner.train), inner.k)
 
 
 def _knn_data(seed, n=90, m=4):
@@ -111,6 +150,25 @@ def test_knn_memory_grows_with_rows_not_rows_times_train_times_features():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one block's differences and their squares are 2^20 cells each; a query
+    # a block holds a few (query, train) arrays of BLOCK_CELLS cells; a query
     # chunk of 2M (query, train) pairs times 13 features is 200+ MB
     assert peak < 2 * 8 * knn.BLOCK_CELLS + 8 * 2**20
+
+
+def test_knn_memory_does_not_grow_with_features():
+    peaks = []
+    for m in (13, 52):
+        rng = np.random.default_rng(0)
+        model = fit_model(
+            "knn", rng.normal(size=(768, m)), rng.normal(size=768), KnnParams(k=10)
+        )
+        Q = rng.normal(size=(3000, m))
+        tracemalloc.start()
+        try:
+            model.predict(Q)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # blocks are sized in (query, train) cells; only the standardised queries
+    # and the transposed train rows grow with the width
+    assert peaks[1] <= 1.5 * peaks[0]

@@ -5,7 +5,7 @@ import pytest
 
 from incdur.dataset import Dataset, FeatureColumn, FeatureSchema, SynthConfig, synthesize
 from incdur.metrics import rmse
-from incdur.models import TreeParams
+from incdur.models import TreeParams, fit_model
 from incdur.scenarios import (
     SCENARIO_NAMES,
     FusionConfig,
@@ -192,6 +192,26 @@ def test_pipeline_with_oracle_classifier_mixes_subset_errors():
     model = fit_pipeline(ds, TREE_CONFIG, tc=45.0)
     pred = predict_pipeline(model, ds)
     assert rmse(ds.durations, pred) < 0.1 * ds.durations.std()
+
+
+def test_pipeline_fits_only_the_three_models_it_keeps(monkeypatch):
+    kinds = []
+
+    def spy(kind, *args, **kwargs):
+        kinds.append(kind)
+        return fit_model(kind, *args, **kwargs)
+
+    monkeypatch.setattr("incdur.scenarios.fit_model", spy)
+    config = FusionConfig(
+        classifier_kind="tree", regressor_a_kind="linear", regressor_b_kind="tree",
+        regressor_all_kind="random-forest", meta_kind="linear",
+    )
+    fit_pipeline(leaked_dataset(n=120, seed=14), config, tc=45.0)
+    assert kinds == ["tree", "linear", "tree"]
+    kinds.clear()
+    fit_fusion(leaked_dataset(n=120, seed=14), config, tc=45.0, folds=2)
+    # three folds' worth of four bases (two out-of-fold, one full) and the meta
+    assert kinds.count("random-forest") == 3 and len(kinds) == 13
 
 
 # ---------------------------------------------------------------------------

@@ -221,7 +221,12 @@ def _build_isolation_tree(values, idx, depth, depth_limit, rng):
         usable = np.flatnonzero(hi > lo)
         if usable.size:
             feat = int(rng.choice(usable))
-            split = float(rng.uniform(lo[feat], hi[feat]))
+            try:
+                split = float(rng.uniform(lo[feat], hi[feat]))
+            except OverflowError:
+                # uniform refuses an infinite range; apply its formula by hand
+                low, high = float(lo[feat]), float(hi[feat])
+                split = low + (high - low) * rng.random()
             mask = sub[:, feat] < split
             if mask.any() and not mask.all():
                 below = (depth + 1, depth_limit, rng)
@@ -257,6 +262,13 @@ def test_isolation_forest_matches_node_walk(n):
     assert np.array_equal(scores.scores, _if_reference(values, params, 4))
 
 
+# 40 distinct rows three times each; 32-row subsamples, so depth limit 5
+_DUPLICATES_AT_LIMIT = (
+    np.repeat(_data(15, n=40, m=2)[0], 3, axis=0),
+    OrmParams(if_n_trees=20, if_subsample=32),
+)
+
+
 def _if_cases():
     grid = np.random.default_rng(10).integers(0, 4, size=(80, 3)).astype(float)
     mixed = _data(11, n=50, m=3)[0]
@@ -269,6 +281,23 @@ def _if_cases():
     yield "n=2", np.array([[0.0, 1.0], [1.0, 1.0]]), OrmParams(if_n_trees=10)
     yield "psi > n", _data(13, n=20, m=3)[0], OrmParams(if_n_trees=25, if_subsample=256)
     yield "nan cells", _data(14, n=60, m=3, nan_share=0.2)[0], OrmParams(if_n_trees=25)
+    yield "duplicates at the depth limit", *_DUPLICATES_AT_LIMIT
+    yield "psi = n", _data(16, n=64, m=3)[0], OrmParams(if_n_trees=25, if_subsample=64)
+    zeros = _data(17, n=60, m=3)[0]
+    zeros[:, 0] = np.where(zeros[:, 0] > 0, 0.0, -0.0)  # signed zeros only: constant
+    zeros[::3, 1] = -0.0
+    zeros[1::3, 1] = 0.0
+    yield "signed zeros", zeros, OrmParams(if_n_trees=25)
+    infs = _data(18, n=60, m=3)[0]
+    infs[::5, 0] = np.inf  # -inf and +inf in a node: the split is NaN, a leaf
+    infs[2::5, 0] = -np.inf
+    infs[1::7, 2] = np.inf  # +inf among numbers: the split can be +inf
+    yield "infinite cells", infs, OrmParams(if_n_trees=25, if_subsample=32)
+    all_nan = _data(19, n=50, m=3)[0]
+    all_nan[:, 1] = np.nan
+    yield "all-NaN column", all_nan, OrmParams(if_n_trees=25)
+    one = np.column_stack([np.ones(40), _data(20, n=40, m=2)[0][:, 0], np.full(40, 3.0)])
+    yield "one usable column", one, OrmParams(if_n_trees=25)
 
 
 @pytest.mark.parametrize("case", list(_if_cases()), ids=lambda case: case[0])
@@ -277,3 +306,27 @@ def test_isolation_forest_edge_cases_match_recursive_builder(case):
     for seed in range(3):
         scores = isolation_forest_scores(values, params, seed=seed)
         assert np.array_equal(scores.scores, _if_reference(values, params, seed))
+
+
+def _rows_left_at_limit(node, depth, depth_limit):
+    """Leaves at the depth limit holding more than one row (value > depth)."""
+    if node.is_leaf:
+        return int(depth == depth_limit and node.value > depth)
+    return sum(_rows_left_at_limit(side, depth + 1, depth_limit)
+               for side in (node.left, node.right))
+
+
+def test_duplicate_case_reaches_the_depth_limit_with_several_rows():
+    values, params = _DUPLICATES_AT_LIMIT
+    rng = np.random.default_rng(0)
+    sample = rng.choice(values.shape[0], size=params.if_subsample, replace=False)
+    tree = _build_isolation_tree(values, sample, 0, 5, rng)
+    assert _rows_left_at_limit(tree, 0, 5) > 0
+
+
+def test_integers_with_one_choice_draws_nothing():
+    # the grower skips rng.integers when one column is usable
+    rng = np.random.default_rng(21)
+    state = rng.bit_generator.state
+    assert rng.integers(1) == 0
+    assert rng.bit_generator.state == state
