@@ -21,7 +21,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields
 
 from . import __version__
 from .cv import derive_seed, holdout_split
@@ -43,7 +43,6 @@ from .models import MODEL_KINDS, fit_model
 from .models.base import TARGET_TRANSFORMS
 from .scenarios import (
     SCENARIO_NAMES,
-    SCENARIO_PLAN,
     FusionConfig,
     fit_fusion,
     fit_pipeline,
@@ -127,7 +126,7 @@ def _numbers(obj: dict, path: str, spec) -> dict:
 #: Config key -> parameter or config-dataclass field, where the names differ.
 FIELDS = {
     "ldo_sweep": {"thresholds": "ldo_thresholds"},
-    "scenarios": {"names": "scenarios", "folds": "n_folds"},
+    "scenarios": {"names": "scenarios"},
     "ieo": {"model": "model_kind", "folds": "n_folds"},
     "importance": {"model": "model_kind"},
     "fusion": {"classifier": "classifier_kind", "regressor_a": "regressor_a_kind",
@@ -355,8 +354,7 @@ def _cmd_scenarios(cfg, dataset, out, seed, workers):
         list_of={"models": MODEL_KINDS, "names": SCENARIO_NAMES},
         numbers={**TC, "folds": (int, 2)},
     )
-    plan = replace(SCENARIO_PLAN, seed=seed, **_take(block, PLAN_FIELDS))
-    rows = scenario_table(dataset, plan=plan, workers=workers, **block)
+    rows = scenario_table(dataset, seed=seed, workers=workers, **block)
     path = os.path.join(out, "scenarios.csv")
     _write_csv(
         path, rows,

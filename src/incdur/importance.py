@@ -21,7 +21,7 @@ import numpy as np
 
 from .cv import derive_seed
 from .dataset import Dataset, encode
-from .labeling import DEFAULT_TC
+from .labeling import DEFAULT_TC, binary_labels
 from .metrics import metric_value
 from .models import TrainedModel, fit_model
 from .models.base import as_values
@@ -239,8 +239,7 @@ def subset_importance(
     """Independent importance reports on all data, the short-term subset A
     (duration <= tc) and the long-term subset B. Subsets smaller than 20
     records are flagged in the report notes."""
-    if tc <= 0:
-        raise ValueError("tc must be > 0")
+    labels = binary_labels(dataset.durations, tc)
     if metric not in ERROR_METRICS:
         raise ValueError(
             f"metric must be one of {', '.join(ERROR_METRICS)} for the "
@@ -251,8 +250,8 @@ def subset_importance(
     durations = dataset.durations
     index_sets = {
         "all": np.arange(len(dataset)),
-        "A": np.flatnonzero(durations <= tc),
-        "B": np.flatnonzero(durations > tc),
+        "A": np.flatnonzero(labels == 0),
+        "B": np.flatnonzero(labels == 1),
     }
     reports = {}
     for tag in SUBSET_TAGS:

@@ -75,8 +75,7 @@ def mutcd_labels(durations) -> np.ndarray:
     return out.astype(object)
 
 
-def _sweep_cell(args):
-    values, labels, kind, cv, seed, tc = args
+def _sweep_cell(values, labels, kind, cv, seed, tc):
     counts = np.bincount(labels, minlength=2)
     if counts.min() < 2:
         return {"tc": tc, "model": kind, "evaluable": False}
@@ -112,20 +111,21 @@ def threshold_sweep(
     rather than failing the sweep. Row order is fixed: ascending tc, then
     model order as given.
     """
-    enc = encode(dataset)
-    tasks = []
-    for tc in tc_values:
+    values = encode(dataset).values
+
+    def cell(tc_kind):
+        tc, kind = tc_kind
         labels = binary_labels(dataset.durations, tc)
-        for kind in models:
-            tasks.append((enc.values, labels, kind, cv, seed, float(tc)))
-    rows = parallel_map(_sweep_cell, tasks, workers)
+        return _sweep_cell(values, labels, kind, cv, seed, tc)
+
+    cells = [(float(tc), kind) for tc in tc_values for kind in models]
+    rows = parallel_map(cell, cells, workers)
     for row in rows:
         row["class_balance"] = ecdf_at(dataset.durations, row["tc"])
     return rows
 
 
-def _grid_cell(args):
-    values, durations, q1, q2, kind, cv, seed = args
+def _grid_cell(values, durations, q1, q2, kind, cv, seed):
     t1 = float(np.quantile(durations, q1))
     t2 = float(np.quantile(durations, q2))
     cell = {"q1": q1, "q2": q2, "t1": t1, "t2": t2, "model": kind}
@@ -156,14 +156,12 @@ def quantile_grid(
     Cells with q1 >= q2 are skipped; degenerate thresholds (t1 == t2 on
     heavily tied data) are flagged unevaluable.
     """
-    enc = encode(dataset)
-    tasks = [
-        (enc.values, dataset.durations, float(q1), float(q2), model, cv, seed)
-        for q1 in q1_range
-        for q2 in q2_range
-        if q1 < q2
-    ]
-    return parallel_map(_grid_cell, tasks, workers)
+    values = encode(dataset).values
+    cells = [(float(q1), float(q2)) for q1 in q1_range for q2 in q2_range if q1 < q2]
+    return parallel_map(
+        lambda q: _grid_cell(values, dataset.durations, *q, model, cv, seed),
+        cells, workers,
+    )
 
 
 def ldo_hdo_sweep(
@@ -195,10 +193,8 @@ def ldo_hdo_sweep(
         }
         if keep.shape[0] >= 4:
             sub = dataset.subset(keep)
-            cell = _sweep_cell(
-                (encode(sub).values, binary_labels(sub.durations, tc),
-                 model, cv, seed, tc)
-            )
+            cell = _sweep_cell(encode(sub).values, binary_labels(sub.durations, tc),
+                               model, cv, seed, tc)
             row["f1"] = cell.get("f1")
             row["evaluable"] = cell["evaluable"]
         else:

@@ -289,10 +289,13 @@ class PackedTrees:
         for rows in self._chunks(n, roots.shape[0]):
             node = np.repeat(roots[:, None], rows.stop - rows.start, axis=1)
             base = np.arange(rows.start, rows.stop) * m
-            for _ in range(self.depth):
-                x = np.take(flat, base + np.take(self.feature, node))
-                go_left = x < np.take(self.threshold, node)
-                node = np.take(self.child, 2 * node + go_left)
+            for _ in range(self.depth):  # in-place steps: no extra temporaries
+                at = np.take(self.feature, node)
+                at += base
+                go_left = np.take(flat, at) < np.take(self.threshold, node)
+                node *= 2
+                node += go_left
+                node = np.take(self.child, node)
             yield rows, np.take(self.value, node, axis=0)
 
     def stacked(self, X):

@@ -44,7 +44,7 @@ from incdur.models import (
 from incdur.models.linear import logistic_loss, logistic_loss_grad
 from incdur.models.tree import leaf_values
 from incdur.outliers import OrmParams, isolation_forest_scores, lof_scores
-from incdur.scenarios import ScenarioSpec, run_scenario
+from incdur.scenarios import run_scenario
 from incdur.sf import load_sf_extract
 from incdur.importance import shapley_sampling
 from incdur.tuning import CvPlan, HyperSpace, run_ieo, sample_draw
@@ -308,10 +308,9 @@ def test_criterion_6_scenario_mape_orderings():
         ds = synthesize(SynthConfig(n=5000, seed=7000 + seed, mu=np.log(25),
                                     sigma=0.4, effects=effects))
         for name in results:
-            spec = ScenarioSpec(name=name, tc=45.0, model_kind="tree",
-                                plan=CvPlan(n_folds=10, seed=seed),
-                                model_params=TreeParams(max_depth=6))
-            results[name].append(run_scenario(ds, spec)["mape"])
+            result = run_scenario(ds, name, "tree", tc=45.0, folds=10, seed=seed,
+                                  model_params=TreeParams(max_depth=6))
+            results[name].append(result["mape"])
     assert np.median(results["AtoA"]) < np.median(results["AlltoA"])
     assert np.median(results["BtoB"]) < np.median(results["AtoB"])
 
@@ -356,11 +355,9 @@ def test_criterion_7_san_francisco_reproduction():
     assert f1_macro(labels3, pred3, classes=(0, 1, 2)) >= 0.60
 
     # all-to-all regression with a log1p target transform
-    spec = ScenarioSpec(name="AlltoAll", tc=45.0, model_kind="gbt",
-                        plan=CvPlan(n_folds=10, seed=2,
-                                    target_transform="log1p"),
-                        model_params=params)
-    assert run_scenario(ds, spec)["mape"] <= 45.0
+    result = run_scenario(ds, "AlltoAll", "gbt", tc=45.0, folds=10, seed=2,
+                          target_transform="log1p", model_params=params)
+    assert result["mape"] <= 45.0
 
 
 # ---------------------------------------------------------------------------

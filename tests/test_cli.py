@@ -1,10 +1,12 @@
 """CLI: config validation, artifacts, manifest, and worker determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import incdur
@@ -347,3 +349,56 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     code = "import sys, incdur.cli; assert 'scipy.stats' not in sys.modules"
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+GOLDEN_CONFIG = {
+    "seed": 5,
+    "dataset": {"synth": {"n": 120, "mu": 3.7, "sigma": 0.8, "effects": [
+        {"name": "x1", "kind": "numeric", "slope": 1.0},
+        {"name": "flag", "kind": "boolean", "multiplier": 2.0},
+        {"name": "zone", "kind": "categorical", "levels": ["n", "s", "e"],
+         "multipliers": [1.0, 1.5, 0.7]},
+    ]}},
+    "sweep": {"models": ["tree"], "tc_values": [30, 45], "cv": 3},
+    "multiclass": {"model": "tree", "cv": 3},
+    "ldo_sweep": {"model": "tree", "thresholds": [0, 10, 20], "tc": 45},
+    "scenarios": {"models": ["tree", "random-forest"], "tc": 45, "folds": 3},
+    "fusion": {"classifier": "random-forest", "regressor_a": "tree",
+               "regressor_b": "gbt-reg", "regressor_all": "tree",
+               "meta": "linear", "tc": 45, "folds": 2},
+    "importance": {"model": "random-forest", "tc": 45, "n_repeats": 2},
+}
+
+#: sha256 of each metric file GOLDEN_CONFIG writes (numpy 2.4.6).
+GOLDEN_DIGESTS = {
+    "sweep": {"sweep.csv":
+        "4db0e0c1e19e9e3b9cd2b9f154b3e41b351846a73cf170b44a34c84c07121ddb"},
+    "multiclass": {"multiclass_grid.csv":
+        "c9d12644584f78713f2f9682940d3c1d621b0dc51b95131a1605d5a33f62acad"},
+    "ldo-sweep": {"ldo_sweep.csv":
+        "d046ee827ac376db9632ced399116bb828a69e619a233effc4c81ecc7324cffe"},
+    "scenarios": {"scenarios.csv":
+        "61b8c2657afadc44bcad98c98e297136b77ef7db81c763ccd46cfe63f907bfd8"},
+    "fusion": {"fusion.csv":
+        "275c8c8787ae3e039a73fe430774d23504b1b5183703dac718ea7adac2b9bffe"},
+    "importance": {"importance.csv":
+        "0f2406478ef4dd5b8795704204f6d0d079b3271849ffc0a33f9a5a9bc771a220"},
+}
+
+
+@pytest.mark.skipif(
+    np.__version__ != "2.4.6",
+    reason="golden digests are pinned for numpy 2.4.6, the version CI installs; "
+           "other numpy versions may round differently",
+)
+def test_metric_files_match_golden_digests(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(GOLDEN_CONFIG))
+    for subcommand, digests in GOLDEN_DIGESTS.items():
+        out = tmp_path / subcommand
+        assert run_cli(subcommand, str(p), out) == 0
+        written = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in json.loads((out / "manifest.json").read_text())["files"]
+        }
+        assert written == digests, subcommand

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from incdur.dataset import Dataset, FeatureColumn, FeatureSchema, SynthConfig, synthesize
+from incdur.importance import subset_importance
+from incdur.labeling import binary_labels
 from incdur.metrics import rmse
 from incdur.models import TreeParams, fit_model
 from incdur.scenarios import (
     SCENARIO_NAMES,
     FusionConfig,
     ScenarioError,
-    ScenarioSpec,
     fit_fusion,
     fit_pipeline,
     predict_fusion,
@@ -18,9 +19,7 @@ from incdur.scenarios import (
     quantiled_time_folding,
     run_scenario,
     scenario_table,
-    split_ab,
 )
-from incdur.tuning import CvPlan
 
 
 def leaked_dataset(n=200, seed=0, low=1.0, high=200.0):
@@ -31,39 +30,49 @@ def leaked_dataset(n=200, seed=0, low=1.0, high=200.0):
                    durations=durations)
 
 
-def tree_spec(name, tc=45.0, folds=5, seed=0):
-    return ScenarioSpec(name=name, tc=tc, model_kind="tree",
-                        plan=CvPlan(n_folds=folds, seed=seed),
+def run_tree(ds, name, tc=45.0, folds=5, seed=0):
+    return run_scenario(ds, name, "tree", tc=tc, folds=folds, seed=seed,
                         model_params=TreeParams(max_depth=8))
 
 
+def subset_rows(ds, tc=45.0):
+    """Indices of subset A (duration <= tc) and subset B."""
+    labels = binary_labels(ds.durations, tc)
+    return np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
+
+
 # ---------------------------------------------------------------------------
-# split_ab
+# The short/long split
 # ---------------------------------------------------------------------------
 
 
-def test_split_ab_boundary():
-    ds = leaked_dataset(n=3, seed=1)
-    object.__setattr__(ds, "durations", np.array([10.0, 45.0, 50.0]))
-    split = split_ab(ds, 45.0)
-    assert split.a_indices.tolist() == [0, 1]
-    assert split.b_indices.tolist() == [2]
-    assert not split.a_empty and not split.b_empty
+def test_duration_equal_to_tc_is_short_term_everywhere(monkeypatch):
+    base = leaked_dataset(n=60, seed=1)
+    at_tc = 7
+    durations = base.durations.copy()
+    durations[at_tc] = 45.0
+    ds = Dataset(schema=base.schema, rows=base.rows, durations=durations)
 
+    # scenarios: A holds the record, so AtoB does not test it and BtoA does
+    assert at_tc not in run_tree(ds, "AtoB")["test_indices"]
+    assert at_tc in run_tree(ds, "BtoA")["test_indices"]
 
-def test_split_ab_empty_flag():
-    ds = leaked_dataset(n=10, seed=2, low=1.0, high=20.0)
-    split = split_ab(ds, 10_000.0)
-    assert split.b_empty
-    assert split.a_indices.shape[0] == 10
+    # pipeline: the subset-A regressor trains on it
+    trained = []
 
+    def spy(kind, X, y, *args, **kwargs):
+        trained.append(np.asarray(y).tolist())
+        return fit_model(kind, X, y, *args, **kwargs)
 
-def test_split_ab_partition():
-    ds = leaked_dataset(n=100, seed=3)
-    split = split_ab(ds, 60.0)
-    union = np.union1d(split.a_indices, split.b_indices)
-    assert union.tolist() == list(range(100))
-    assert np.intersect1d(split.a_indices, split.b_indices).size == 0
+    monkeypatch.setattr("incdur.scenarios.fit_model", spy)
+    fit_pipeline(ds, TREE_CONFIG, tc=45.0)
+    _, regressor_a_y, regressor_b_y = trained
+    assert 45.0 in regressor_a_y and 45.0 not in regressor_b_y
+
+    # importance: subset A counts it
+    reports = subset_importance(ds, tc=45.0, n_repeats=1)
+    assert reports["A"].notes["n_records"] == np.sum(durations <= 45.0)
+    assert reports["B"].notes["n_records"] == np.sum(durations > 45.0)
 
 
 # ---------------------------------------------------------------------------
@@ -73,25 +82,25 @@ def test_split_ab_partition():
 
 def test_unknown_scenario_rejected():
     with pytest.raises(ScenarioError):
-        ScenarioSpec(name="AtoC", tc=45.0, model_kind="tree")
+        run_scenario(leaked_dataset(n=20), "AtoC", "tree")
 
 
 def test_cross_subset_train_test_construction():
     ds = leaked_dataset(n=150, seed=4)
-    split = split_ab(ds, 45.0)
-    result = run_scenario(ds, tree_spec("AtoB"))
-    assert result["test_indices"].tolist() == split.b_indices.tolist()
-    result = run_scenario(ds, tree_spec("BtoA"))
-    assert result["test_indices"].tolist() == split.a_indices.tolist()
+    a_rows, b_rows = subset_rows(ds)
+    result = run_tree(ds, "AtoB")
+    assert result["test_indices"].tolist() == b_rows.tolist()
+    result = run_tree(ds, "BtoA")
+    assert result["test_indices"].tolist() == a_rows.tolist()
 
 
 def test_allto_subset_test_records_in_target():
     ds = leaked_dataset(n=150, seed=5)
-    split = split_ab(ds, 45.0)
-    res_a = run_scenario(ds, tree_spec("AlltoA"))
-    assert np.isin(res_a["test_indices"], split.a_indices).all()
-    res_b = run_scenario(ds, tree_spec("AlltoB"))
-    assert np.isin(res_b["test_indices"], split.b_indices).all()
+    a_rows, b_rows = subset_rows(ds)
+    res_a = run_tree(ds, "AlltoA")
+    assert np.isin(res_a["test_indices"], a_rows).all()
+    res_b = run_tree(ds, "AlltoB")
+    assert np.isin(res_b["test_indices"], b_rows).all()
     assert res_a["n_test"] + res_b["n_test"] == 150
 
 
@@ -101,24 +110,22 @@ def test_leaked_duration_mape_near_zero_all_scenarios():
     # cross-subset ones collapses to near-zero error
     ds = leaked_dataset(n=300, seed=6)
     for name in SCENARIO_NAMES:
-        spec = ScenarioSpec(name=name, tc=45.0, model_kind="linear",
-                            plan=CvPlan(n_folds=5, seed=0))
-        assert run_scenario(ds, spec)["mape"] < 5.0, name
+        result = run_scenario(ds, name, "linear", tc=45.0, folds=5, seed=0)
+        assert result["mape"] < 5.0, name
 
 
 def test_scenario_requires_nonempty_subsets():
     ds = leaked_dataset(n=50, seed=7, low=1.0, high=20.0)  # everything <= 45
     with pytest.raises(ScenarioError):
-        run_scenario(ds, tree_spec("AtoB"))
+        run_tree(ds, "AtoB")
     with pytest.raises(ScenarioError):
-        run_scenario(ds, tree_spec("BtoB"))
+        run_tree(ds, "BtoB")
 
 
 def test_scenario_table_shape_and_worker_invariance():
     ds = leaked_dataset(n=120, seed=8)
-    plan = CvPlan(n_folds=4, seed=0)
-    a = scenario_table(ds, ["tree"], tc=45.0, plan=plan, workers=1)
-    b = scenario_table(ds, ["tree"], tc=45.0, plan=plan, workers=8)
+    a = scenario_table(ds, ["tree"], tc=45.0, folds=4, seed=0, workers=1)
+    b = scenario_table(ds, ["tree"], tc=45.0, folds=4, seed=0, workers=8)
     assert a == b
     assert [r["scenario"] for r in a] == list(SCENARIO_NAMES)
     assert all("predictions" not in r for r in a)
