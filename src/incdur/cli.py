@@ -50,7 +50,7 @@ from .scenarios import (
     predict_pipeline,
     scenario_table,
 )
-from .tuning import METRICS, MODES, CvPlan, iteration_curve, run_ieo
+from .tuning import METRICS, MODES, iteration_curve, run_ieo
 
 
 class ConfigError(ValueError):
@@ -127,7 +127,7 @@ def _numbers(obj: dict, path: str, spec) -> dict:
 FIELDS = {
     "ldo_sweep": {"thresholds": "ldo_thresholds"},
     "scenarios": {"names": "scenarios"},
-    "ieo": {"model": "model_kind", "folds": "n_folds"},
+    "ieo": {"model": "model_kind"},
     "importance": {"model": "model_kind"},
     "fusion": {"classifier": "classifier_kind", "regressor_a": "regressor_a_kind",
                "regressor_b": "regressor_b_kind",
@@ -199,7 +199,6 @@ def _load_config(path: str) -> dict:
 ANY = (float, -math.inf)  # any finite number
 TC = {"tc": (float, 0)}
 TRANSFORM = {"target_transform": TARGET_TRANSFORMS}
-PLAN_FIELDS = [f.name for f in fields(CvPlan)]
 FUSION_FIELDS = [f.name for f in fields(FusionConfig)]
 SYNTH_NUMBERS = {"n": (int, 1), "seed": (int, 0), "mu": ANY, "sigma": (float, 0),
                  "corrupt_fraction": ANY, "corrupt_multiplier": ANY}
@@ -369,8 +368,7 @@ def _cmd_ieo(cfg, dataset, out, seed, workers):
         one_of={"model": MODEL_KINDS, "mode": MODES, "metric": METRICS, **TRANSFORM},
         numbers={"iterations": (int, 1), "folds": (int, 2), **TC},
     )
-    plan = CvPlan(seed=seed, **_take(block, PLAN_FIELDS))
-    result = run_ieo(dataset, plan=plan, workers=workers, **block)
+    result = run_ieo(dataset, seed=seed, workers=workers, **block)
     trace_path = os.path.join(out, "ieo_trace.csv")
     trace_rows = [
         {

@@ -44,13 +44,17 @@ def cross_val_predict(
     task: str = "regression",
     target_transform: str = "none",
     seed: int = 0,
+    train_rows=None,
 ) -> np.ndarray:
-    """Out-of-fold predictions over all n records (sequential folds)."""
+    """Out-of-fold predictions over all n records (sequential folds). Fold
+    k trains on ``train_rows(train, k)`` of its training rows, if given."""
     n = values.shape[0]
     y = np.asarray(y)
     out = None
     for k in range(folds):
         train, test = fold_indexes(n, folds, k)
+        if train_rows is not None:
+            train = train_rows(train, k)
         model = fit_model(
             kind,
             values[train],

@@ -4,7 +4,8 @@ optimisation of model and outlier-removal hyper-parameters.
 Extra mode removes outliers once from the train/test part before fold
 rotation; intra mode removes them from the training folds of every split,
 never touching the test fold. Outliers are scored on features and duration
-jointly. Draw scoring uses the concatenated out-of-fold predictions.
+jointly. Every draw folds through ``cv.cross_val_predict`` and is scored on
+its concatenated out-of-fold predictions.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._parallel import parallel_map
-from .cv import derive_seed, fold_indexes, holdout_split
+from .cv import cross_val_predict, derive_seed, holdout_split
 from .dataset import Dataset, encode
 from .labeling import binary_labels
 from .metrics import metric_value
@@ -26,10 +27,8 @@ from .outliers import (MAX_ORM_PERCENT, OrmError, OrmParams, remove_top_percent,
 __all__ = [
     "HyperSpace",
     "HyperDraw",
-    "CvPlan",
     "IeoResult",
     "DEFAULT_MODEL_SPACE",
-    "fold_indexes",
     "sample_draw",
     "run_ieo",
     "iteration_curve",
@@ -103,7 +102,9 @@ class HyperSpace:
         if mode == "extra":
             return [i * 0.01 for i in range(int(self.max_percent * 100) + 1)]
         if mode == "intra":
-            return [i * self.max_percent / folds for i in range(folds + 1)]
+            # min: for some folds, such as 3, F * 5% / F rounds above 5%
+            return [min(i * self.max_percent / folds, self.max_percent)
+                    for i in range(folds + 1)]
         return [0.0]
 
 
@@ -112,23 +113,6 @@ class HyperDraw:
     model_params: object
     orm_params: OrmParams
     draw_index: int
-
-
-@dataclass(frozen=True)
-class CvPlan:
-    n_folds: int = 5
-    mode: str = "none"
-    iterations: int = 250
-    seed: int = 0
-    target_transform: str = "none"
-
-    def __post_init__(self):
-        if self.n_folds < 2:
-            raise TuningError("n_folds must be >= 2")
-        if self.iterations < 1:
-            raise TuningError("iterations must be >= 1")
-        if self.mode not in MODES:
-            raise TuningError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -153,8 +137,6 @@ def _sample_value(rng, spec):
         return float(rng.uniform(spec[1], spec[2]))
     if kind == "log":
         return float(np.exp(rng.uniform(np.log(spec[1]), np.log(spec[2]))))
-    if kind == "choice":
-        return spec[1][int(rng.integers(0, len(spec[1])))]
     raise TuningError(f"unknown range kind {kind!r}")
 
 
@@ -188,10 +170,6 @@ def sample_draw(
     return HyperDraw(model_params, orm_params, draw_index)
 
 
-def _selection_key(metric, value):
-    return -value if metric == "f1" else value
-
-
 def _apply_orm(orm_matrix, indices, orm_params, seed):
     """Indices kept after removing the configured percent of outliers."""
     if orm_params.percent_removed <= 0 or indices.shape[0] < 3:
@@ -201,58 +179,43 @@ def _apply_orm(orm_matrix, indices, orm_params, seed):
     return indices[kept_local], indices.shape[0] - kept_local.shape[0]
 
 
-def _evaluate_draw(
-    values, y, orm_matrix, train_part, draw, plan, model_kind, task, metric
-):
-    kept = train_part
-    removed_extra = 0
-    if plan.mode == "extra":
+def _evaluate_draw(draw, values, y, orm_matrix, train_part, model_kind, task,
+                   metric, folds, mode, seed, target_transform):
+    """(kept rows, their out-of-fold predictions, the draw's scored trace
+    fields). The folds rotate over the kept rows; each fits with
+    ``derive_seed(derive_seed(seed, draw_index), k)``, so a draw that
+    removes nothing reproduces plain cross-validation bit-identically."""
+    kept, removed_extra = train_part, 0
+    if mode == "extra":
         kept, removed_extra = _apply_orm(
-            orm_matrix,
-            train_part,
-            draw.orm_params,
-            derive_seed(plan.seed, draw.draw_index, 9001),
+            orm_matrix, train_part, draw.orm_params,
+            derive_seed(seed, draw.draw_index, 9001),
         )
-    m = kept.shape[0]
-    if m < plan.n_folds:
+    if kept.shape[0] < folds:
         raise DrawFailed("outlier removal left fewer records than folds")
 
-    oof = np.empty(m, dtype=float if task == "regression" else int)
     removed_per_fold = []
-    # Per-draw base seed; fold k fits with derive_seed(base, k), the same
-    # keying cross_val_predict uses, so a draw with no removal reproduces
-    # plain cross-validation bit-identically.
-    base_seed = derive_seed(plan.seed, draw.draw_index)
-    for k in range(plan.n_folds):
-        train_local, test_local = fold_indexes(m, plan.n_folds, k)
-        train_idx = kept[train_local]
+
+    def train_rows(train, k):
         removed = 0
-        if plan.mode == "intra":
-            train_idx, removed = _apply_orm(
-                orm_matrix,
-                train_idx,
-                draw.orm_params,
-                derive_seed(plan.seed, draw.draw_index, k),
+        if mode == "intra":
+            # intra mode keeps rows 0..cut-1, so fold rows are dataset rows
+            train, removed = _apply_orm(
+                orm_matrix, train, draw.orm_params,
+                derive_seed(seed, draw.draw_index, k),
             )
         removed_per_fold.append(removed)
-        if train_idx.shape[0] < 2:
+        if train.shape[0] < 2:
             raise DrawFailed("fold left with < 2 training records")
-        model = fit_model(
-            model_kind,
-            values[train_idx],
-            y[train_idx],
-            params=draw.model_params,
-            task=task,
-            target_transform=plan.target_transform,
-            seed=derive_seed(base_seed, k),
-        )
-        oof[test_local] = model.predict(values[kept[test_local]])
+        return train
 
-    score = metric_value(metric, y[kept], oof)
-    return {
-        "oof_indices": kept,
-        "oof_predictions": oof,
-        "metric_value": score,
+    oof = cross_val_predict(
+        model_kind, values[kept], y[kept], folds, params=draw.model_params,
+        task=task, target_transform=target_transform,
+        seed=derive_seed(seed, draw.draw_index), train_rows=train_rows,
+    )
+    return kept, oof, {
+        "metric_value": metric_value(metric, y[kept], oof),
         "removed_extra": removed_extra,
         "removed_per_fold": removed_per_fold,
     }
@@ -261,7 +224,11 @@ def _evaluate_draw(
 def run_ieo(
     dataset: Dataset,
     model_kind: str = "tree",
-    plan: CvPlan = CvPlan(),
+    folds: int = 5,
+    mode: str = "none",
+    iterations: int = 250,
+    seed: int = 0,
+    target_transform: str = "none",
     space: HyperSpace | None = None,
     metric: str = "mape",
     tc: float | None = None,
@@ -272,16 +239,22 @@ def run_ieo(
     Each draw is scored on concatenated out-of-fold predictions over the
     sequential 80% train/test part; the best draw is refit on the
     ORM-filtered train/test part and evaluated on the held-out 20%
-    validation part. Failed draws score as infinitely bad.
+    validation part. Failed draws score as infinitely bad and keep their
+    reason as the trace entry's ``error``.
 
     ``metric``="f1" switches to binary classification of durations at
     threshold ``tc``; "mape"/"rmse" run regression on raw durations.
     """
+    if folds < 2:
+        raise TuningError("folds must be >= 2")
+    if iterations < 1:
+        raise TuningError("iterations must be >= 1")
+    if mode not in MODES:
+        raise TuningError(f"unknown mode {mode!r}")
     if metric not in METRICS:
         raise TuningError(f"unknown metric {metric!r}")
     space = space or HyperSpace()
-    enc = encode(dataset)
-    values = enc.values
+    values = encode(dataset).values
     durations = dataset.durations
     n = len(dataset)
     if n < 10:
@@ -299,85 +272,59 @@ def run_ieo(
     orm_matrix = np.hstack([values, durations[:, None]])
 
     def eval_one(it):
-        draw = sample_draw(
-            space, model_kind, plan.mode, plan.n_folds, plan.seed, it
-        )
-        try:
-            outcome = _evaluate_draw(
-                values, y, orm_matrix, train_part, draw, plan,
-                model_kind, task, metric,
-            )
-            failed = False
-        except (DrawFailed, ModelError, OrmError) as exc:
-            outcome = {
-                "oof_indices": None,
-                "oof_predictions": None,
-                "metric_value": float("inf") if metric != "f1" else float("-inf"),
-                "removed_extra": 0,
-                "removed_per_fold": [0] * plan.n_folds,
-                "error": str(exc),
-            }
-            failed = True
-        return draw, outcome, failed
-
-    evaluated = parallel_map(eval_one, range(plan.iterations), workers)
-
-    trace = []
-    best_entry = None
-    best_key = None
-    for draw, outcome, failed in evaluated:
+        draw = sample_draw(space, model_kind, mode, folds, seed, it)
         entry = {
-            "draw_index": draw.draw_index,
-            "metric_value": outcome["metric_value"],
-            "failed": failed,
+            "draw_index": it,
             "model_params": params_to_dict(draw.model_params),
             "orm_method": draw.orm_params.method,
             "orm_percent": draw.orm_params.percent_removed,
-            "removed_extra": outcome["removed_extra"],
-            "removed_per_fold": list(outcome["removed_per_fold"]),
         }
-        trace.append(entry)
-        if failed:
-            continue
-        key = _selection_key(metric, outcome["metric_value"])
-        if best_key is None or key < best_key:  # ties keep the lower draw_index
-            best_key = key
-            best_entry = (draw, outcome, entry)
+        try:
+            kept, oof, scored = _evaluate_draw(
+                draw, values, y, orm_matrix, train_part, model_kind, task,
+                metric, folds, mode, seed, target_transform,
+            )
+            scored["failed"] = False
+        except (DrawFailed, ModelError, OrmError) as exc:
+            kept = oof = None
+            scored = {"metric_value": float("-inf" if metric == "f1" else "inf"),
+                      "failed": True, "removed_extra": 0,
+                      "removed_per_fold": [0] * folds, "error": str(exc)}
+        return draw, kept, oof, {**entry, **scored}
 
-    if best_entry is None:
+    evaluated = parallel_map(eval_one, range(iterations), workers)
+    ok = [e for e in evaluated if not e[3]["failed"]]
+    if not ok:
         raise TuningError("all draws failed")
-    best_draw, best_outcome, best_row = best_entry
+    # min keeps the first of equal keys: ties go to the lower draw_index
+    sign = -1 if metric == "f1" else 1
+    best_draw, oof_indices, oof_predictions, best_row = min(
+        ok, key=lambda e: sign * e[3]["metric_value"]
+    )
 
     final_train, _ = _apply_orm(
-        orm_matrix,
-        train_part,
-        best_draw.orm_params if plan.mode != "none" else
-        OrmParams(percent_removed=0.0),
-        derive_seed(plan.seed, best_draw.draw_index, 9002),
+        orm_matrix, train_part, best_draw.orm_params,
+        derive_seed(seed, best_draw.draw_index, 9002),
     )
     final_model = fit_model(
-        model_kind,
-        values[final_train],
-        y[final_train],
-        params=best_draw.model_params,
-        task=task,
-        target_transform=plan.target_transform,
-        seed=derive_seed(plan.seed, best_draw.draw_index, 9003),
+        model_kind, values[final_train], y[final_train],
+        params=best_draw.model_params, task=task,
+        target_transform=target_transform,
+        seed=derive_seed(seed, best_draw.draw_index, 9003),
     )
     valid_pred = final_model.predict(values[valid_part])
-    valid_metric = metric_value(metric, y[valid_part], valid_pred)
 
     return IeoResult(
         model_kind=model_kind,
-        mode=plan.mode,
+        mode=mode,
         metric=metric,
-        trace=tuple(trace),
+        trace=tuple(e[3] for e in evaluated),
         best=best_row,
-        oof_indices=best_outcome["oof_indices"],
-        oof_predictions=best_outcome["oof_predictions"],
+        oof_indices=oof_indices,
+        oof_predictions=oof_predictions,
         validation_indices=valid_part,
         validation_predictions=valid_pred,
-        validation_metric=valid_metric,
+        validation_metric=metric_value(metric, y[valid_part], valid_pred),
     )
 
 
@@ -397,16 +344,11 @@ def iteration_curve(
     rows = []
     for kind in models:
         for count in iteration_counts:
-            plan = CvPlan(
-                n_folds=folds,
-                mode="none",
-                iterations=int(count),
-                seed=seed,
-                target_transform=target_transform,
-            )
             start = time.perf_counter()
             result = run_ieo(
-                dataset, kind, plan, space=space, metric=metric, workers=workers
+                dataset, kind, folds=folds, iterations=int(count), seed=seed,
+                target_transform=target_transform, space=space, metric=metric,
+                workers=workers,
             )
             elapsed = time.perf_counter() - start
             rows.append(

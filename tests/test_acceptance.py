@@ -47,7 +47,7 @@ from incdur.outliers import OrmParams, isolation_forest_scores, lof_scores
 from incdur.scenarios import run_scenario
 from incdur.sf import load_sf_extract
 from incdur.importance import shapley_sampling
-from incdur.tuning import CvPlan, HyperSpace, run_ieo, sample_draw
+from incdur.tuning import HyperSpace, run_ieo, sample_draw
 
 TOL = 1e-9
 
@@ -253,25 +253,25 @@ def _synth(n, seed, corrupt=0.0):
 
 def test_criterion_5_extra_zero_percent_reproduces_plain_cv():
     ds = _synth(250, seed=1)
-    plan = CvPlan(n_folds=5, mode="extra", iterations=1, seed=17)
-    result = run_ieo(ds, "tree", plan, space=_fixed_space(max_percent=0.0))
+    result = run_ieo(ds, "tree", folds=5, mode="extra", iterations=1, seed=17,
+                     space=_fixed_space(max_percent=0.0))
     assert result.best["orm_percent"] == 0.0
     values = encode(ds).values
     n_tr = int(0.8 * len(ds))
     draw = sample_draw(_fixed_space(), "tree", "extra", 5, 17, 0)
     plain = cross_val_predict("tree", values[:n_tr], ds.durations[:n_tr], 5,
                               params=draw.model_params,
-                              seed=derive_seed(plan.seed, 0))
+                              seed=derive_seed(17, 0))
     assert np.array_equal(result.oof_predictions, plain)
 
 
 def test_criterion_5_intra_extra_removed_counts_comparable():
     ds = _synth(500, seed=2)
     folds = 5
-    intra = run_ieo(ds, "tree", CvPlan(n_folds=folds, mode="intra",
-                                       iterations=6, seed=3), space=_fixed_space())
-    extra = run_ieo(ds, "tree", CvPlan(n_folds=folds, mode="extra",
-                                       iterations=6, seed=3), space=_fixed_space())
+    intra = run_ieo(ds, "tree", folds=folds, mode="intra", iterations=6, seed=3,
+                    space=_fixed_space())
+    extra = run_ieo(ds, "tree", folds=folds, mode="extra", iterations=6, seed=3,
+                    space=_fixed_space())
     for row_i, row_e in zip(intra.trace, extra.trace):
         assert row_i["orm_percent"] == pytest.approx(row_e["orm_percent"])
         for per_fold in row_i["removed_per_fold"]:
@@ -282,12 +282,10 @@ def test_criterion_5_corruption_intra_not_worse_than_none():
     none_scores, intra_scores = [], []
     for seed in range(20):
         ds = _synth(300, seed=500 + seed, corrupt=0.03)
-        base = run_ieo(ds, "tree", CvPlan(n_folds=5, mode="none",
-                                          iterations=2, seed=seed),
-                       space=_fixed_space())
-        intra = run_ieo(ds, "tree", CvPlan(n_folds=5, mode="intra",
-                                           iterations=6, seed=seed),
-                        space=_fixed_space())
+        base = run_ieo(ds, "tree", folds=5, mode="none", iterations=2,
+                       seed=seed, space=_fixed_space())
+        intra = run_ieo(ds, "tree", folds=5, mode="intra", iterations=6,
+                        seed=seed, space=_fixed_space())
         none_scores.append(base.best["metric_value"])
         intra_scores.append(intra.best["metric_value"])
     assert np.median(intra_scores) <= np.median(none_scores)

@@ -367,6 +367,8 @@ GOLDEN_CONFIG = {
                "regressor_b": "gbt-reg", "regressor_all": "tree",
                "meta": "linear", "tc": 45, "folds": 2},
     "importance": {"model": "random-forest", "tc": 45, "n_repeats": 2},
+    # three draws: one IF and two LOF, each removing rows in every fold
+    "ieo": {"model": "tree", "mode": "intra", "iterations": 3, "folds": 4},
 }
 
 #: sha256 of each metric file GOLDEN_CONFIG writes (numpy 2.4.6).
@@ -383,6 +385,12 @@ GOLDEN_DIGESTS = {
         "275c8c8787ae3e039a73fe430774d23504b1b5183703dac718ea7adac2b9bffe"},
     "importance": {"importance.csv":
         "0f2406478ef4dd5b8795704204f6d0d079b3271849ffc0a33f9a5a9bc771a220"},
+    "ieo": {
+        "ieo_trace.csv":
+            "da810cfe53f210f98b24a642cbb2e62ebd68fedda1bb5b7a449fda815b15a8c1",
+        "ieo_summary.json":
+            "a643f02f3520f8797151b077296f4b95df9dc7b6b5b2d0828877c979741b7cd1",
+    },
 }
 
 

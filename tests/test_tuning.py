@@ -7,10 +7,10 @@ from incdur.cv import cross_val_predict, derive_seed, fold_indexes
 from incdur.dataset import SynthConfig, encode, synthesize
 from incdur.metrics import mape_excluding_zero
 from incdur.models import ModelError
-from incdur.outliers import OrmError
+from incdur.outliers import MAX_ORM_PERCENT, OrmError
 from incdur.tuning import (
-    CvPlan,
     HyperSpace,
+    TuningError,
     iteration_curve,
     run_ieo,
     sample_draw,
@@ -118,6 +118,9 @@ def test_percent_grids():
     assert intra == pytest.approx([0.0, 0.01, 0.02, 0.03, 0.04, 0.05])
     assert space.percent_grid("none", 5) == [0.0]
     assert len(space.percent_grid("intra", 10)) == 11
+    # F * 5% / F rounds above 5% for these F, which OrmParams would reject
+    for folds in (3, 6, 12):
+        assert space.percent_grid("intra", folds)[-1] == MAX_ORM_PERCENT
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +130,13 @@ def test_percent_grids():
 
 def test_ieo_extra_percent_zero_equals_plain_cv():
     ds = make_data(n=250, seed=4)
-    plan = CvPlan(n_folds=5, mode="extra", iterations=1, seed=11)
-    result = run_ieo(ds, "tree", plan, space=fixed_space(max_percent=0.0))
+    result = run_ieo(ds, "tree", folds=5, mode="extra", iterations=1, seed=11,
+                     space=fixed_space(max_percent=0.0))
     assert result.best["orm_percent"] == 0.0
 
     values = encode(ds).values
     n_tr = int(0.8 * len(ds))
-    draw_seed = derive_seed(plan.seed, 0)
+    draw_seed = derive_seed(11, 0)
     plain = cross_val_predict(
         "tree", values[:n_tr], ds.durations[:n_tr], 5,
         params=sample_draw(fixed_space(), "tree", "extra", 5, 11, 0).model_params,
@@ -147,11 +150,9 @@ def test_ieo_intra_extra_removed_counts_comparable():
     ds = make_data(n=500, seed=5)
     folds = 5
     space = fixed_space()
-    intra = run_ieo(ds, "tree",
-                    CvPlan(n_folds=folds, mode="intra", iterations=6, seed=2),
+    intra = run_ieo(ds, "tree", folds=folds, mode="intra", iterations=6, seed=2,
                     space=space)
-    extra = run_ieo(ds, "tree",
-                    CvPlan(n_folds=folds, mode="extra", iterations=6, seed=2),
+    extra = run_ieo(ds, "tree", folds=folds, mode="extra", iterations=6, seed=2,
                     space=space)
     for row_i, row_e in zip(intra.trace, extra.trace):
         # same (seed, draw_index) => same sampled percent in both modes
@@ -162,8 +163,8 @@ def test_ieo_intra_extra_removed_counts_comparable():
 
 def test_ieo_intra_never_removes_test_fold_records():
     ds = make_data(n=300, seed=6)
-    plan = CvPlan(n_folds=5, mode="intra", iterations=3, seed=3)
-    result = run_ieo(ds, "tree", plan, space=fixed_space())
+    result = run_ieo(ds, "tree", folds=5, mode="intra", iterations=3, seed=3,
+                     space=fixed_space())
     n_tr = int(0.8 * len(ds))
     # intra mode keeps the whole train/test part in the out-of-fold vector
     assert result.oof_indices.tolist() == list(range(n_tr))
@@ -172,8 +173,8 @@ def test_ieo_intra_never_removes_test_fold_records():
 
 def test_ieo_best_is_trace_minimum():
     ds = make_data(n=250, seed=7)
-    plan = CvPlan(n_folds=4, mode="extra", iterations=8, seed=9)
-    result = run_ieo(ds, "tree", plan, space=fixed_space())
+    result = run_ieo(ds, "tree", folds=4, mode="extra", iterations=8, seed=9,
+                     space=fixed_space())
     ok = [r for r in result.trace if not r["failed"]]
     best_value = min(r["metric_value"] for r in ok)
     assert result.best["metric_value"] == best_value
@@ -183,9 +184,9 @@ def test_ieo_best_is_trace_minimum():
 
 def test_ieo_deterministic_and_worker_invariant():
     ds = make_data(n=250, seed=8)
-    plan = CvPlan(n_folds=4, mode="intra", iterations=5, seed=1)
-    a = run_ieo(ds, "tree", plan, space=fixed_space(), workers=1)
-    b = run_ieo(ds, "tree", plan, space=fixed_space(), workers=8)
+    plan = dict(folds=4, mode="intra", iterations=5, seed=1, space=fixed_space())
+    a = run_ieo(ds, "tree", workers=1, **plan)
+    b = run_ieo(ds, "tree", workers=8, **plan)
     assert a.trace == b.trace
     assert np.array_equal(a.oof_predictions, b.oof_predictions)
     assert np.array_equal(a.validation_predictions, b.validation_predictions)
@@ -193,8 +194,8 @@ def test_ieo_deterministic_and_worker_invariant():
 
 def test_ieo_validation_part_held_out():
     ds = make_data(n=200, seed=9)
-    plan = CvPlan(n_folds=4, mode="extra", iterations=2, seed=4)
-    result = run_ieo(ds, "tree", plan, space=fixed_space())
+    result = run_ieo(ds, "tree", folds=4, mode="extra", iterations=2, seed=4,
+                     space=fixed_space())
     n_tr = int(0.8 * len(ds))
     assert result.validation_indices.tolist() == list(range(n_tr, len(ds)))
     assert np.intersect1d(result.oof_indices, result.validation_indices).size == 0
@@ -206,10 +207,10 @@ def test_ieo_validation_part_held_out():
 
 def test_ieo_f1_metric_requires_tc():
     ds = make_data(n=200, seed=10)
-    plan = CvPlan(n_folds=4, iterations=2, seed=5)
+    plan = dict(folds=4, iterations=2, seed=5, space=fixed_space())
     with pytest.raises(ValueError):
-        run_ieo(ds, "tree", plan, space=fixed_space(), metric="f1")
-    result = run_ieo(ds, "tree", plan, space=fixed_space(), metric="f1", tc=40.0)
+        run_ieo(ds, "tree", metric="f1", **plan)
+    result = run_ieo(ds, "tree", metric="f1", tc=40.0, **plan)
     assert 0.0 <= result.best["metric_value"] <= 1.0
 
 
@@ -217,8 +218,8 @@ def test_ieo_log1p_constant_duration_round_trip():
     ds = make_data(n=100, seed=11)
     const = ds.subset(np.arange(len(ds)))
     object.__setattr__(const, "durations", np.full(len(ds), 25.0))
-    plan = CvPlan(n_folds=4, iterations=1, seed=6, target_transform="log1p")
-    result = run_ieo(const, "tree", plan, space=fixed_space())
+    result = run_ieo(const, "tree", folds=4, iterations=1, seed=6,
+                     target_transform="log1p", space=fixed_space())
     assert np.allclose(result.oof_predictions, 25.0, atol=1e-9)
 
 
@@ -227,12 +228,10 @@ def test_ieo_corruption_intra_if_not_worse_than_none():
     for seed in range(20):
         ds = make_data(n=300, seed=100 + seed, corrupt=0.03)
         space = fixed_space()
-        base = run_ieo(ds, "tree",
-                       CvPlan(n_folds=5, mode="none", iterations=2, seed=seed),
+        base = run_ieo(ds, "tree", folds=5, mode="none", iterations=2, seed=seed,
                        space=space)
-        intra = run_ieo(ds, "tree",
-                        CvPlan(n_folds=5, mode="intra", iterations=6, seed=seed),
-                        space=space)
+        intra = run_ieo(ds, "tree", folds=5, mode="intra", iterations=6,
+                        seed=seed, space=space)
         none_scores.append(base.best["metric_value"])
         intra_scores.append(intra.best["metric_value"])
     assert np.median(intra_scores) <= np.median(none_scores)
@@ -260,9 +259,9 @@ def test_iteration_curve_default_schedule():
 
 def _fail_first_fit(monkeypatch, exc):
     """Make the first model fit of a search raise ``exc``."""
-    import incdur.tuning as tuning
+    import incdur.cv as cv
 
-    real, calls = tuning.fit_model, []
+    real, calls = cv.fit_model, []
 
     def fit_model(*args, **kwargs):
         calls.append(1)
@@ -270,19 +269,29 @@ def _fail_first_fit(monkeypatch, exc):
             raise exc
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(tuning, "fit_model", fit_model)
+    monkeypatch.setattr(cv, "fit_model", fit_model)
 
 
 @pytest.mark.parametrize("exc", [ModelError("bad fit"), OrmError("bad scores")])
 def test_ieo_documented_errors_fail_the_draw(monkeypatch, exc):
     _fail_first_fit(monkeypatch, exc)
-    plan = CvPlan(n_folds=4, mode="intra", iterations=3, seed=2)
-    result = run_ieo(make_data(n=200, seed=12), "tree", plan, space=fixed_space())
+    result = run_ieo(make_data(n=200, seed=12), "tree", folds=4, mode="intra",
+                     iterations=3, seed=2, space=fixed_space())
     assert [r["failed"] for r in result.trace] == [True, False, False]
+    assert result.trace[0]["error"] == str(exc)
+    assert all("error" not in r for r in result.trace[1:])
 
 
 def test_ieo_plain_value_error_propagates(monkeypatch):
     _fail_first_fit(monkeypatch, ValueError("programming error"))
-    plan = CvPlan(n_folds=4, mode="intra", iterations=3, seed=2)
     with pytest.raises(ValueError, match="programming error"):
-        run_ieo(make_data(n=200, seed=12), "tree", plan, space=fixed_space())
+        run_ieo(make_data(n=200, seed=12), "tree", folds=4, mode="intra",
+                iterations=3, seed=2, space=fixed_space())
+
+
+@pytest.mark.parametrize("arg, value", [
+    ("folds", 1), ("iterations", 0), ("mode", "sideways"), ("metric", "mae"),
+])
+def test_ieo_rejects_bad_arguments(arg, value):
+    with pytest.raises(TuningError, match=arg):
+        run_ieo(make_data(n=50, seed=13), "tree", **{arg: value})
