@@ -36,7 +36,8 @@ from .dataset import (
     profile,
     synthesize,
 )
-from .importance import ERROR_METRICS, subset_importance
+from .importance import (ERROR_METRICS, MIN_SUBSET_SIZE, SUBSET_TAGS,
+                         subset_importance)
 from .labeling import ldo_hdo_sweep, quantile_grid, threshold_sweep
 from .metrics import mape_excluding_zero, rmse
 from .models import MODEL_KINDS, fit_model
@@ -368,6 +369,8 @@ def _cmd_ieo(cfg, dataset, out, seed, workers):
         one_of={"model": MODEL_KINDS, "mode": MODES, "metric": METRICS, **TRANSFORM},
         numbers={"iterations": (int, 1), "folds": (int, 2), **TC},
     )
+    if ("tc" in block) != (block.get("metric") == "f1"):
+        raise ConfigError("config field ieo.tc goes with metric f1 and only with it")
     result = run_ieo(dataset, seed=seed, workers=workers, **block)
     trace_path = os.path.join(out, "ieo_trace.csv")
     trace_rows = [
@@ -413,9 +416,8 @@ def _cmd_fusion(cfg, dataset, out, seed, workers):
 
     fusion = fit_fusion(train, config, seed=derive_seed(seed, 1), **block)
     pipeline = fit_pipeline(train, config, fusion.tc, seed=derive_seed(seed, 2))
-    single_values = fusion.encoder.transform(train).values
     single = fit_model(
-        config.regressor_all_kind, single_values, train.durations,
+        config.regressor_all_kind, fusion.encoder.transform(train), train.durations,
         task="regression", target_transform=config.target_transform,
         seed=derive_seed(seed, 3),
     )
@@ -423,7 +425,7 @@ def _cmd_fusion(cfg, dataset, out, seed, workers):
     for name, pred in (
         ("fusion", predict_fusion(fusion, test)),
         ("pipeline", predict_pipeline(pipeline, test)),
-        ("single", single.predict(fusion.encoder.transform(test).values)),
+        ("single", single.predict(fusion.encoder.transform(test))),
     ):
         mape, excluded = mape_excluding_zero(actual, pred)
         rows.append(
@@ -442,17 +444,12 @@ def _cmd_importance(cfg, dataset, out, seed, workers):
         numbers={"n_repeats": (int, 1), **TC},
     )
     reports = subset_importance(dataset, seed=seed, **block)
-    rows = [
-        {**r, "subset": tag}
-        for tag in ("all", "A", "B")
-        for r in reports[tag].rows
-    ]
+    rows = [{**r, "subset": tag} for tag in SUBSET_TAGS for r in reports[tag].rows]
     path = os.path.join(out, "importance.csv")
     _write_csv(path, rows, ["subset", "name", "score", "rank"])
     warnings = [
-        f"importance subset {tag} has fewer than 20 records"
-        for tag in ("all", "A", "B")
-        if reports[tag].notes.get("flagged_small")
+        f"importance subset {tag} has fewer than {MIN_SUBSET_SIZE} records"
+        for tag in SUBSET_TAGS if reports[tag].notes["flagged_small"]
     ]
     return [path], warnings
 

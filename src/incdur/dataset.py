@@ -13,7 +13,6 @@ __all__ = [
     "FeatureColumn",
     "FeatureSchema",
     "Dataset",
-    "EncodedMatrix",
     "Encoder",
     "ProfileReport",
     "PlantedEffect",
@@ -130,35 +129,19 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class EncodedMatrix:
-    """Fully numeric design matrix with one-hot expanded categoricals."""
-
-    values: np.ndarray
-    feature_names: tuple[str, ...]
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 2 or values.shape[1] != len(self.feature_names):
-            raise DatasetError("values shape must match feature_names")
-        if values.size and not np.all(np.isfinite(values)):
-            raise DatasetError("encoded matrix must not contain non-finite entries")
-
-
 class Encoder:
-    """Deterministic dataset -> matrix encoder with a frozen vocabulary.
+    """Deterministic dataset -> float matrix encoder with a frozen vocabulary.
 
     Column order follows the schema; categorical levels are sorted
-    lexicographically and fixed at fit time. Missing numerics take the
+    lexicographically and fixed by ``fit``. Missing numerics take the
     training median, missing or unseen categoricals map to the dedicated
     "missing" level (or to no active indicator when none was observed).
     """
 
-    def __init__(self):
-        self._fitted = False
-        self._plan = []  # (column, kind, payload)
+    plan: tuple  # (column, kind, payload) per schema column
 
-    def fit(self, dataset: Dataset) -> "Encoder":
+    @classmethod
+    def fit(cls, dataset: Dataset) -> "Encoder":
         if len(dataset) == 0:
             raise DatasetError("cannot encode an empty dataset")
         plan = []
@@ -177,26 +160,23 @@ class Encoder:
                         f"column {col.name!r} is entirely missing; cannot impute"
                     )
                 plan.append((col.name, "numeric", float(np.median(present))))
-        self._plan = plan
-        self._fitted = True
-        return self
+        return cls(tuple(plan))
 
     @property
     def feature_names(self) -> tuple[str, ...]:
-        self._require_fitted()
         names = []
-        for name, kind, payload in self._plan:
+        for name, kind, payload in self.plan:
             if kind == "categorical":
                 names.extend(f"{name}={lvl}" for lvl in payload)
             else:
                 names.append(name)
         return tuple(names)
 
-    def transform(self, dataset: Dataset) -> EncodedMatrix:
-        self._require_fitted()
+    def transform(self, dataset: Dataset) -> np.ndarray:
+        """One row per record, one column per ``feature_names`` entry."""
         n = len(dataset)
         cols = []
-        for name, kind, payload in self._plan:
+        for name, kind, payload in self.plan:
             j = dataset.schema.names.index(name)
             raw = [r[j] for r in dataset.rows]
             if kind == "categorical":
@@ -213,18 +193,15 @@ class Encoder:
                 col = np.array(
                     [payload if v is None else float(v) for v in raw]
                 ).reshape(n, 1)
+                if not np.all(np.isfinite(col)):
+                    raise DatasetError(f"column {name!r} has non-finite values")
                 cols.append(col)
-        values = np.hstack(cols) if cols else np.zeros((n, 0))
-        return EncodedMatrix(values, self.feature_names)
-
-    def _require_fitted(self):
-        if not self._fitted:
-            raise DatasetError("encoder is not fitted")
+        return np.hstack(cols)
 
 
-def encode(dataset: Dataset) -> EncodedMatrix:
+def encode(dataset: Dataset) -> np.ndarray:
     """Fit an encoder on ``dataset`` and return its encoded matrix."""
-    return Encoder().fit(dataset).transform(dataset)
+    return Encoder.fit(dataset).transform(dataset)
 
 
 def load_csv(path, schema: FeatureSchema, column_map: dict | None = None) -> Dataset:

@@ -15,19 +15,20 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cv import derive_seed
-from .dataset import Dataset, encode
+from .dataset import Dataset, Encoder
 from .labeling import DEFAULT_TC, binary_labels
 from .metrics import metric_value
 from .models import TrainedModel, fit_model
-from .models.base import as_values
 
 __all__ = [
     "ERROR_METRICS",
+    "MIN_SUBSET_SIZE",
+    "SUBSET_TAGS",
     "ImportanceReport",
     "permutation_importance",
     "shapley_sampling",
@@ -58,19 +59,6 @@ class ImportanceReport:
             raise ValueError("ranks must be a permutation of 1..M")
         if not all(math.isfinite(r["score"]) for r in self.rows):
             raise ValueError("scores must be finite")
-
-
-def _build_report(names, scores, method, subset, importance_key, notes=None):
-    order = np.argsort(-np.asarray(importance_key), kind="stable")
-    ranks = np.empty(len(names), dtype=int)
-    ranks[order] = np.arange(1, len(names) + 1)
-    rows = tuple(
-        {"name": names[j], "score": float(scores[j]), "rank": int(ranks[j])}
-        for j in range(len(names))
-    )
-    return ImportanceReport(
-        rows=rows, method=method, subset=subset, notes=notes or {}
-    )
 
 
 def _predictors(model: TrainedModel, values):
@@ -111,17 +99,19 @@ def permutation_importance(
     n_repeats: int = 5,
     seed: int = 0,
     subset: str = "all",
+    names=None,
 ) -> ImportanceReport:
     """score_j = mean over repeats of metric(column j shuffled) - baseline.
 
     For error metrics a positive score means the feature matters; for
     higher-is-better metrics the sign flips, and ranking accounts for it.
     Tree regressors re-walk only the trees that split on the shuffled
-    column; every other model predicts each shuffled copy in full.
+    column; every other model predicts each shuffled copy in full. Feature
+    j is named ``names[j]``, ``x{j}`` by default.
     """
     if n_repeats < 1:
         raise ValueError(f"n_repeats must be >= 1, got {n_repeats}")
-    values = as_values(X, model.feature_names)
+    values = model.check_width(X)
     y = np.asarray(y)
     baseline_pred, predict = _predictors(model, values)
     baseline = metric_value(metric, y, baseline_pred)
@@ -136,11 +126,16 @@ def permutation_importance(
             total += metric_value(metric, y, predict(shuffled, j))
         scores[j] = total / n_repeats - baseline
     importance_key = scores if metric in ERROR_METRICS else -scores
-    names = list(model.feature_names or (f"x{j}" for j in range(m)))
-    return _build_report(
-        names, scores, "permutation", subset, importance_key,
-        notes={"baseline": baseline, "metric": metric},
+    order = np.argsort(-importance_key, kind="stable")
+    ranks = np.empty(m, dtype=int)
+    ranks[order] = np.arange(1, m + 1)
+    names = names or [f"x{j}" for j in range(m)]
+    rows = tuple(
+        {"name": names[j], "score": float(scores[j]), "rank": int(ranks[j])}
+        for j in range(m)
     )
+    return ImportanceReport(rows=rows, method="permutation", subset=subset,
+                            notes={"baseline": baseline, "metric": metric})
 
 
 def _coalition_value(predict, record, background, mask) -> float:
@@ -178,7 +173,6 @@ def _shapley_exhaustive(predict, record, background, m):
 
 def shapley_sampling(
     model: TrainedModel,
-    X,
     background,
     record,
     n_samples: int = 2000,
@@ -192,7 +186,6 @@ def shapley_sampling(
     exhaustive (full background averaging per coalition) and the sum rule
     holds exactly.
     """
-    del X  # the schema is carried by the trained model
     background = np.asarray(background, dtype=float)
     record = np.asarray(record, dtype=float)
     if background.ndim != 2 or background.shape[0] == 0:
@@ -245,8 +238,8 @@ def subset_importance(
             f"metric must be one of {', '.join(ERROR_METRICS)} for the "
             f"regression models subset importance fits, got {metric!r}"
         )
-    enc = encode(dataset)
-    values = enc.values
+    encoder = Encoder.fit(dataset)
+    values = encoder.transform(dataset)
     durations = dataset.durations
     index_sets = {
         "all": np.arange(len(dataset)),
@@ -275,15 +268,10 @@ def subset_importance(
             n_repeats=n_repeats,
             seed=derive_seed(seed, 100 + SUBSET_TAGS.index(tag)),
             subset=tag,
+            names=encoder.feature_names,
         )
-        notes = dict(report.notes)
-        notes["n_records"] = int(rows.shape[0])
-        notes["flagged_small"] = rows.shape[0] < MIN_SUBSET_SIZE
-        rows_named = tuple(
-            {**row, "name": enc.feature_names[j]}
-            for j, row in enumerate(report.rows)
-        )
-        reports[tag] = ImportanceReport(
-            rows=rows_named, method=report.method, subset=tag, notes=notes
-        )
+        reports[tag] = replace(report, notes={
+            **report.notes, "n_records": int(rows.shape[0]),
+            "flagged_small": rows.shape[0] < MIN_SUBSET_SIZE,
+        })
     return reports

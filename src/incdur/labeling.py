@@ -111,7 +111,7 @@ def threshold_sweep(
     rather than failing the sweep. Row order is fixed: ascending tc, then
     model order as given.
     """
-    values = encode(dataset).values
+    values = encode(dataset)
 
     def cell(tc_kind):
         tc, kind = tc_kind
@@ -156,7 +156,7 @@ def quantile_grid(
     Cells with q1 >= q2 are skipped; degenerate thresholds (t1 == t2 on
     heavily tied data) are flagged unevaluable.
     """
-    values = encode(dataset).values
+    values = encode(dataset)
     cells = [(float(q1), float(q2)) for q1 in q1_range for q2 in q2_range if q1 < q2]
     return parallel_map(
         lambda q: _grid_cell(values, dataset.durations, *q, model, cv, seed),
@@ -193,7 +193,7 @@ def ldo_hdo_sweep(
         }
         if keep.shape[0] >= 4:
             sub = dataset.subset(keep)
-            cell = _sweep_cell(encode(sub).values, binary_labels(sub.durations, tc),
+            cell = _sweep_cell(encode(sub), binary_labels(sub.durations, tc),
                                model, cv, seed, tc)
             row["f1"] = cell.get("f1")
             row["evaluable"] = cell["evaluable"]

@@ -77,7 +77,7 @@ def fit_model(
         kind=kind,
         task=task,
         inner=FITTERS[kind](values, targets, n_classes, params, seed),
-        feature_names=getattr(X, "feature_names", None),
+        n_features=values.shape[1],
         target_transform=target_transform if task == "regression" else "none",
         classes=classes,
         params=params,

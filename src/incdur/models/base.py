@@ -124,32 +124,21 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
 
 
-def as_values(X, feature_names=None):
-    """Accept an EncodedMatrix or a plain array; optionally validate names."""
-    names = getattr(X, "feature_names", None)
-    values = getattr(X, "values", X)
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        values = values.reshape(1, -1)
-    if feature_names is not None and names is not None and tuple(names) != tuple(
-        feature_names
-    ):
-        raise ModelError("feature names do not match the model's training snapshot")
-    if feature_names is not None and values.shape[1] != len(feature_names):
-        raise ModelError(
-            f"expected {len(feature_names)} features, got {values.shape[1]}"
-        )
-    return values
+def as_values(X) -> np.ndarray:
+    """``X`` as a float matrix; a 1-D ``X`` is one row."""
+    values = np.asarray(X, dtype=float)
+    return values.reshape(1, -1) if values.ndim == 1 else values
 
 
 @dataclass(frozen=True)
 class TrainedModel:
-    """Immutable fitted model with a pure, deterministic predict."""
+    """Immutable fitted model with a pure, deterministic predict that takes
+    matrices of the fitted width, ``n_features`` columns, only."""
 
     kind: str
     task: str
     inner: object = field(compare=False)
-    feature_names: tuple[str, ...] | None = None
+    n_features: int
     target_transform: str = "none"
     classes: np.ndarray | None = None
     params: object = None
@@ -160,8 +149,17 @@ class TrainedModel:
         if self.target_transform not in TARGET_TRANSFORMS:
             raise ModelError(f"unknown transform {self.target_transform!r}")
 
+    def check_width(self, X) -> np.ndarray:
+        """``X`` as a float matrix, rejected unless it has the fitted width."""
+        values = as_values(X)
+        if values.shape[1] != self.n_features:
+            raise ModelError(
+                f"expected {self.n_features} features, got {values.shape[1]}"
+            )
+        return values
+
     def predict(self, X) -> np.ndarray:
-        values = as_values(X, self.feature_names)
+        values = self.check_width(X)
         if self.task == "regression":
             return self.from_raw(self.inner.predict_values(values))
         probs = self.inner.predict_proba_values(values)
@@ -175,8 +173,7 @@ class TrainedModel:
     def predict_proba(self, X) -> np.ndarray:
         if self.task != "classification":
             raise ModelError("predict_proba requires a classification model")
-        values = as_values(X, self.feature_names)
-        return self.inner.predict_proba_values(values)
+        return self.inner.predict_proba_values(self.check_width(X))
 
 
 def prepare_targets(y, task, target_transform):

@@ -72,8 +72,7 @@ class FusionConfig:
 def _encode_on(dataset: Dataset, fit_indices: np.ndarray) -> np.ndarray:
     """Encode all rows with an encoder fitted on the training population,
     so categorical levels unseen in training map to the missing indicator."""
-    encoder = Encoder().fit(dataset.subset(fit_indices))
-    return encoder.transform(dataset).values
+    return Encoder.fit(dataset.subset(fit_indices)).transform(dataset)
 
 
 def run_scenario(
@@ -187,7 +186,7 @@ def quantiled_time_folding(
     if n < n_groups:
         raise ScenarioError("need at least n_groups records")
     order = np.argsort(dataset.durations, kind="stable")
-    values = encode(dataset).values[order]
+    values = encode(dataset)[order]
     durations = dataset.durations[order]
     pred = cross_val_predict(
         model_kind, values, durations, n_groups, params=model_params,
@@ -227,15 +226,15 @@ class FusionModel(PipelineModel):
 
 def _as_matrix(model, X) -> np.ndarray:
     if isinstance(X, Dataset):
-        return model.encoder.transform(X).values
+        return model.encoder.transform(X)
     return np.asarray(X, dtype=float)
 
 
 def _encoded(dataset: Dataset, tc: float):
     """(encoder fitted on all records, their encoded values, binary labels)."""
     labels = binary_labels(dataset.durations, tc)
-    encoder = Encoder().fit(dataset)
-    return encoder, encoder.transform(dataset).values, labels
+    encoder = Encoder.fit(dataset)
+    return encoder, encoder.transform(dataset), labels
 
 
 def _fit_bases(config, values, durations, labels, rows, seed, fusion=False):

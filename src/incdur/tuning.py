@@ -239,11 +239,13 @@ def run_ieo(
     Each draw is scored on concatenated out-of-fold predictions over the
     sequential 80% train/test part; the best draw is refit on the
     ORM-filtered train/test part and evaluated on the held-out 20%
-    validation part. Failed draws score as infinitely bad and keep their
-    reason as the trace entry's ``error``.
+    validation part. Extra mode refits on the rows the draw kept; intra
+    mode scores the whole train/test part anew. Failed draws score as
+    infinitely bad and keep their reason as the trace entry's ``error``.
 
     ``metric``="f1" switches to binary classification of durations at
-    threshold ``tc``; "mape"/"rmse" run regression on raw durations.
+    threshold ``tc``, which only f1 takes; "mape"/"rmse" run regression on
+    raw durations.
     """
     if folds < 2:
         raise TuningError("folds must be >= 2")
@@ -253,20 +255,17 @@ def run_ieo(
         raise TuningError(f"unknown mode {mode!r}")
     if metric not in METRICS:
         raise TuningError(f"unknown metric {metric!r}")
+    if (tc is None) == (metric == "f1"):
+        raise TuningError("metric 'f1' needs a threshold tc; no other metric takes one")
     space = space or HyperSpace()
-    values = encode(dataset).values
+    values = encode(dataset)
     durations = dataset.durations
     n = len(dataset)
     if n < 10:
         raise TuningError("need at least 10 records")
 
     task = "classification" if metric == "f1" else "regression"
-    if task == "classification":
-        if tc is None:
-            raise TuningError("metric 'f1' requires a threshold tc")
-        y = binary_labels(durations, tc)
-    else:
-        y = durations
+    y = binary_labels(durations, tc) if task == "classification" else durations
 
     train_part, valid_part = holdout_split(n)
     orm_matrix = np.hstack([values, durations[:, None]])
@@ -302,10 +301,12 @@ def run_ieo(
         ok, key=lambda e: sign * e[3]["metric_value"]
     )
 
-    final_train, _ = _apply_orm(
-        orm_matrix, train_part, best_draw.orm_params,
-        derive_seed(seed, best_draw.draw_index, 9002),
-    )
+    final_train = oof_indices
+    if mode == "intra":
+        final_train, _ = _apply_orm(
+            orm_matrix, train_part, best_draw.orm_params,
+            derive_seed(seed, best_draw.draw_index, 9002),
+        )
     final_model = fit_model(
         model_kind, values[final_train], y[final_train],
         params=best_draw.model_params, task=task,

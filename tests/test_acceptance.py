@@ -256,7 +256,7 @@ def test_criterion_5_extra_zero_percent_reproduces_plain_cv():
     result = run_ieo(ds, "tree", folds=5, mode="extra", iterations=1, seed=17,
                      space=_fixed_space(max_percent=0.0))
     assert result.best["orm_percent"] == 0.0
-    values = encode(ds).values
+    values = encode(ds)
     n_tr = int(0.8 * len(ds))
     draw = sample_draw(_fixed_space(), "tree", "extra", 5, 17, 0)
     plain = cross_val_predict("tree", values[:n_tr], ds.durations[:n_tr], 5,
@@ -333,7 +333,7 @@ _SF_PATH = os.environ.get(
 )
 def test_criterion_7_san_francisco_reproduction():
     ds = load_sf_extract(_SF_PATH)
-    values = encode(ds).values
+    values = encode(ds)
     params = BoostParams(n_rounds=150, learning_rate=0.1, max_depth=4)
 
     # binary classification at Tc = 45, positive class = short-term (0)
@@ -394,7 +394,7 @@ def test_criterion_9_exhaustive_efficiency_and_symmetry():
         y = rng.normal(size=60)
         model = fit_model("tree", X, y, params=TreeParams(max_depth=4))
         background, record = X[:15], X[30]
-        contrib = shapley_sampling(model, None, background, record,
+        contrib = shapley_sampling(model, background, record,
                                    n_samples=math.factorial(m))
         expected_sum = (model.predict(record.reshape(1, -1))[0]
                         - model.predict(background).mean())
@@ -407,7 +407,7 @@ def test_criterion_9_exhaustive_efficiency_and_symmetry():
 
     base = rng.normal(size=60)
     X = np.column_stack([base, base, rng.normal(size=60)])
-    contrib = shapley_sampling(SymmetricModel(), None, X[:15], X[30],
+    contrib = shapley_sampling(SymmetricModel(), X[:15], X[30],
                                n_samples=math.factorial(3))
     assert contrib[0] == pytest.approx(contrib[1], abs=TOL)
 
@@ -418,7 +418,7 @@ def test_criterion_9_linear_contributions_within_five_percent():
     beta = np.array([1.0, -2.0, 3.0, 0.5])
     model = fit_model("linear", X, X @ beta)
     background, record = X[:100], X[200]
-    contrib = shapley_sampling(model, None, background, record,
+    contrib = shapley_sampling(model, background, record,
                                n_samples=2000, seed=0)
     closed = beta * (record - background.mean(axis=0))
     assert np.all(np.abs(contrib - closed) <= 0.05 * np.abs(closed).max())

@@ -198,6 +198,14 @@ def _exits_2_naming(tmp_path, capsys, subcommand, cfg, field, extra=()):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("change", [
+    {"tc": 45, "metric": "rmse"}, {"tc": 45}, {"metric": "f1"},
+])
+def test_ieo_tc_goes_with_f1_only(tmp_path, capsys, change):
+    cfg = {**BASE_CONFIG, "ieo": {**BASE_CONFIG["ieo"], **change}}
+    _exits_2_naming(tmp_path, capsys, "ieo", cfg, "ieo.tc")
+
+
 def test_timing_metric_must_be_an_error_metric(tmp_path, capsys):
     # iteration_curve has no threshold tc, so f1 could never run
     cfg = {**BASE_CONFIG, "timing": {**BASE_CONFIG["timing"], "metric": "f1"}}

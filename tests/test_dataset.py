@@ -73,10 +73,11 @@ def test_encode_one_hot_levels_sorted():
         rows=(("N",), ("S",), ("E",)),
         durations=np.array([1.0, 2.0, 3.0]),
     )
-    enc = encode(ds)
+    enc = Encoder.fit(ds)
     assert enc.feature_names == ("direction=E", "direction=N", "direction=S")
-    assert enc.values.tolist() == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
-    assert (enc.values.sum(axis=1) == 1).all()
+    values = enc.transform(ds)
+    assert values.tolist() == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+    assert (values.sum(axis=1) == 1).all()
 
 
 def test_encode_numeric_passthrough_and_median():
@@ -85,8 +86,7 @@ def test_encode_numeric_passthrough_and_median():
         rows=((1.0,), (None,), (3.0,)),
         durations=np.array([1.0, 2.0, 3.0]),
     )
-    enc = encode(ds)
-    assert enc.values[:, 0].tolist() == [1.0, 2.0, 3.0]
+    assert encode(ds)[:, 0].tolist() == [1.0, 2.0, 3.0]
 
 
 def test_encode_unseen_level_maps_to_missing_indicator():
@@ -95,12 +95,12 @@ def test_encode_unseen_level_maps_to_missing_indicator():
         rows=(("a",), (None,)),
         durations=np.array([1.0, 2.0]),
     )
-    enc = Encoder().fit(train)
+    enc = Encoder.fit(train)
     assert enc.feature_names == ("t=a", "t=missing")
     test = Dataset(
         schema=train.schema, rows=(("zzz",),), durations=np.array([1.0])
     )
-    assert enc.transform(test).values.tolist() == [[0.0, 1.0]]
+    assert enc.transform(test).tolist() == [[0.0, 1.0]]
 
 
 def test_encode_unseen_level_without_missing_column_is_all_zero():
@@ -109,11 +109,11 @@ def test_encode_unseen_level_without_missing_column_is_all_zero():
         rows=(("a",), ("b",)),
         durations=np.array([1.0, 2.0]),
     )
-    enc = Encoder().fit(train)
+    enc = Encoder.fit(train)
     test = Dataset(
         schema=train.schema, rows=(("zzz",),), durations=np.array([1.0])
     )
-    assert enc.transform(test).values.tolist() == [[0.0, 0.0]]
+    assert enc.transform(test).tolist() == [[0.0, 0.0]]
 
 
 def test_encode_all_missing_numeric_rejected():
@@ -123,6 +123,17 @@ def test_encode_all_missing_numeric_rejected():
         durations=np.array([1.0, 2.0]),
     )
     with pytest.raises(DatasetError):
+        encode(ds)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_encode_rejects_non_finite_csv_cells(tmp_path, cell):
+    p = tmp_path / "d.csv"
+    p.write_text(f"hour,lanes,duration\n1,2,10\n2,{cell},20\n")
+    ds = load_csv(
+        p, schema(FeatureColumn("hour", "numeric"), FeatureColumn("lanes", "numeric"))
+    )
+    with pytest.raises(DatasetError, match="column 'lanes' has non-finite values"):
         encode(ds)
 
 

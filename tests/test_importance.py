@@ -20,6 +20,7 @@ from incdur.models import (
     BoostParams,
     ForestParams,
     LinearParams,
+    ModelError,
     TrainedModel,
     TreeParams,
     fit_model,
@@ -94,6 +95,21 @@ def test_permutation_deterministic_under_seed():
     a = permutation_importance(model, X, y, seed=5)
     b = permutation_importance(model, X, y, seed=5)
     assert a.rows == b.rows
+
+
+def test_permutation_takes_names_and_checks_width():
+    X, y, _ = linear_problem(seed=4)
+    model = fit_model("tree", X, y)
+    names = [f"f{j}" for j in range(X.shape[1])]
+    named = permutation_importance(model, X, y, seed=5, names=names)
+    plain = permutation_importance(model, X, y, seed=5)
+    assert [r["name"] for r in named.rows] == names
+    assert [r["name"] for r in plain.rows] == [f"x{j}" for j in range(X.shape[1])]
+    assert [(r["score"], r["rank"]) for r in named.rows] == [
+        (r["score"], r["rank"]) for r in plain.rows
+    ]
+    with pytest.raises(ModelError, match="expected"):
+        permutation_importance(model, X[:, 1:], y)
 
 
 def test_permutation_rejects_fewer_than_one_repeat():
@@ -270,7 +286,7 @@ def test_shapley_single_feature_exact():
     model = fit_model("linear", X, y)
     background = X[:10]
     record = X[15]
-    contrib = shapley_sampling(model, None, background, record, n_samples=10)
+    contrib = shapley_sampling(model, background, record, n_samples=10)
     expected = model.predict(record.reshape(1, -1))[0] - model.predict(
         background
     ).mean()
@@ -283,7 +299,7 @@ def test_shapley_linear_closed_form_monte_carlo():
     model = fit_model("linear", X, y)
     background = X[:100]
     record = X[200]
-    contrib = shapley_sampling(model, None, background, record,
+    contrib = shapley_sampling(model, background, record,
                                n_samples=2000, seed=3)
     closed = beta * (record - background.mean(axis=0))
     scale = np.abs(closed).max()
@@ -298,7 +314,7 @@ def test_shapley_exhaustive_efficiency_exact():
         model = fit_model("tree", X, y, params=TreeParams(max_depth=4))
         background = X[:15]
         record = X[30]
-        contrib = shapley_sampling(model, None, background, record,
+        contrib = shapley_sampling(model, background, record,
                                    n_samples=math.factorial(m))
         expected_sum = (
             model.predict(record.reshape(1, -1))[0]
@@ -322,7 +338,7 @@ def test_shapley_exhaustive_symmetry():
     X = np.column_stack([base, base, rng.normal(size=80)])
     background = X[:20]
     record = X[40].copy()
-    contrib = shapley_sampling(_SymmetricModel(), None, background, record,
+    contrib = shapley_sampling(_SymmetricModel(), background, record,
                                n_samples=math.factorial(3))
     assert contrib[0] == pytest.approx(contrib[1], abs=1e-9)
 
@@ -355,7 +371,7 @@ def test_shapley_exhaustive_matches_direct_enumeration():
             prev = cur
     expected /= len(perms)
 
-    got = shapley_sampling(model, None, background, record,
+    got = shapley_sampling(model, background, record,
                            n_samples=math.factorial(m))
     assert np.allclose(got, expected, atol=1e-9)
 

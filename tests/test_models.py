@@ -373,17 +373,6 @@ def test_predict_is_pure():
     assert np.array_equal(model.predict(X), model.predict(X))
 
 
-def test_feature_name_snapshot_enforced():
-    from incdur.dataset import EncodedMatrix
-
-    X = EncodedMatrix(np.random.default_rng(0).normal(size=(20, 2)), ("a", "b"))
-    y = X.values[:, 0]
-    model = fit_model("tree", X, y)
-    wrong = EncodedMatrix(X.values, ("a", "c"))
-    with pytest.raises(ModelError):
-        model.predict(wrong)
-
-
 SMALL_PARAMS = {
     "tree": TreeParams(max_depth=2),
     "gbt": BoostParams(n_rounds=3),
@@ -397,10 +386,8 @@ SMALL_PARAMS = {
 @pytest.mark.parametrize("task", ["regression", "classification"])
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_fit_model_is_the_one_fit_contract(kind, task):
-    from incdur.dataset import EncodedMatrix
-
     rng = np.random.default_rng(3)
-    X = EncodedMatrix(rng.normal(size=(12, 2)), ("a", "b"))
+    X = rng.normal(size=(12, 2))
     if task == "regression":
         y = rng.uniform(1.0, 50.0, size=12)
     else:
@@ -410,13 +397,27 @@ def test_fit_model_is_the_one_fit_contract(kind, task):
         fit_model(kind, X, y[:-1], params, task)
     # kNN included: a 1-row fit is rejected even when k = 1 would fit
     with pytest.raises(ModelError, match=r"rows\(X\) >= 2"):
-        fit_model(kind, X.values[:1], y[:1], params, task)
+        fit_model(kind, X[:1], y[:1], params, task)
     with pytest.raises(ModelError, match="unknown model kind"):
         fit_model(kind + "-x", X, y, params, task)
     model = fit_model(kind, X, y, params, task, target_transform="log1p", seed=1)
     assert model.kind == kind
     assert model.params is params
-    assert model.feature_names == ("a", "b")
+    assert model.n_features == 2
     expected = "log1p" if task == "regression" else "none"
     assert model.target_transform == expected
     assert model.predict(X).shape == (12,)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_predict_rejects_other_widths(kind):
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(12, 4))
+    y = rng.uniform(1.0, 50.0, size=12)
+    regressor = fit_model(kind, X, y, SMALL_PARAMS[kind])
+    classifier = fit_model(kind, X, y > 25.0, SMALL_PARAMS[kind], "classification")
+    for width in (3, 5):
+        for predict in (regressor.predict, classifier.predict,
+                        classifier.predict_proba):
+            with pytest.raises(ModelError, match=f"expected 4 features, got {width}"):
+                predict(np.ones((2, width)))

@@ -177,7 +177,7 @@ TREE_CONFIG = FusionConfig(
 def test_pipeline_routes_class0_to_regressor_a():
     ds = leaked_dataset(n=200, seed=11)
     model = fit_pipeline(ds, TREE_CONFIG, tc=45.0)
-    values = model.encoder.transform(ds).values
+    values = model.encoder.transform(ds)
     cls = model.classifier.predict(values)
     out = predict_pipeline(model, ds)
     reg_a = model.regressor_a.predict(values)
@@ -242,7 +242,7 @@ def test_fusion_not_much_worse_than_single_model():
                                       mu=np.log(40), sigma=0.9))
         fusion = fit_fusion(train, TREE_CONFIG, tc=45.0, seed=seed)
         single = fusion.regressor_all
-        test_values = fusion.encoder.transform(test).values
+        test_values = fusion.encoder.transform(test)
         fusion_rmse = rmse(test.durations, predict_fusion(fusion, test))
         single_rmse = rmse(test.durations, single.predict(test_values))
         per_seed.append(fusion_rmse <= single_rmse * 1.10)
@@ -254,7 +254,7 @@ def test_fusion_exploits_perfect_meta_column():
     # recovers it: fusion error stays within 1% of that column's error
     ds = leaked_dataset(n=400, seed=16)
     model = fit_fusion(ds, TREE_CONFIG, tc=45.0)
-    values = model.encoder.transform(ds).values
+    values = model.encoder.transform(ds)
     reg_all_rmse = rmse(ds.durations, model.regressor_all.predict(values))
     fusion_rmse = rmse(ds.durations, predict_fusion(model, ds))
     assert fusion_rmse <= reg_all_rmse + 0.01 * max(reg_all_rmse, 1.0)

@@ -6,7 +6,7 @@ import pytest
 from incdur.cv import cross_val_predict, derive_seed, fold_indexes
 from incdur.dataset import SynthConfig, encode, synthesize
 from incdur.metrics import mape_excluding_zero
-from incdur.models import ModelError
+from incdur.models import ModelError, fit_model
 from incdur.outliers import MAX_ORM_PERCENT, OrmError
 from incdur.tuning import (
     HyperSpace,
@@ -134,7 +134,7 @@ def test_ieo_extra_percent_zero_equals_plain_cv():
                      space=fixed_space(max_percent=0.0))
     assert result.best["orm_percent"] == 0.0
 
-    values = encode(ds).values
+    values = encode(ds)
     n_tr = int(0.8 * len(ds))
     draw_seed = derive_seed(11, 0)
     plain = cross_val_predict(
@@ -203,6 +203,22 @@ def test_ieo_validation_part_held_out():
         ds.durations[result.validation_indices], result.validation_predictions
     )
     assert result.validation_metric == pytest.approx(mape)
+
+
+def test_ieo_extra_refit_trains_on_the_draws_rows():
+    ds = make_data(n=250, seed=7)
+    result = run_ieo(ds, "tree", folds=4, mode="extra", iterations=8, seed=9,
+                     space=fixed_space())
+    i = result.best["draw_index"]
+    assert result.best["removed_extra"] > 0
+    values = encode(ds)
+    refit = fit_model(
+        "tree", values[result.oof_indices], ds.durations[result.oof_indices],
+        params=sample_draw(fixed_space(), "tree", "extra", 4, 9, i).model_params,
+        seed=derive_seed(9, i, 9003),
+    )
+    assert np.array_equal(result.validation_predictions,
+                          refit.predict(values[result.validation_indices]))
 
 
 def test_ieo_f1_metric_requires_tc():
@@ -295,3 +311,9 @@ def test_ieo_plain_value_error_propagates(monkeypatch):
 def test_ieo_rejects_bad_arguments(arg, value):
     with pytest.raises(TuningError, match=arg):
         run_ieo(make_data(n=50, seed=13), "tree", **{arg: value})
+
+
+@pytest.mark.parametrize("metric", ["mape", "rmse"])
+def test_ieo_tc_only_with_f1(metric):
+    with pytest.raises(TuningError, match="tc"):
+        run_ieo(make_data(n=50, seed=13), "tree", metric=metric, tc=45.0)
