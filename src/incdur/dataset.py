@@ -77,12 +77,6 @@ class FeatureSchema:
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns)
 
-    def column(self, name: str) -> FeatureColumn:
-        for c in self.columns:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -209,7 +203,9 @@ def load_csv(path, schema: FeatureSchema, column_map: dict | None = None) -> Dat
 
     ``column_map`` maps schema names (and the target name) to CSV header
     names; identity by default. Rows whose target does not parse as a
-    non-negative number are dropped and counted in ``load_report``.
+    non-negative number are dropped and counted in ``load_report``. In the
+    rows kept, an empty feature cell is missing (``None``), and a cell that
+    does not parse as its column's kind raises ``DatasetError``.
     """
     column_map = dict(column_map or {})
     wanted = list(schema.names) + [schema.target_column]
@@ -244,17 +240,13 @@ def load_csv(path, schema: FeatureSchema, column_map: dict | None = None) -> Dat
             row = []
             for col in schema.columns:
                 raw = (record.get(mapped[col.name]) or "").strip()
-                if raw == "":
-                    row.append(None)
-                elif col.kind == "categorical":
-                    row.append(raw)
-                elif col.kind == "boolean":
-                    row.append(_parse_bool(raw))
-                else:
-                    try:
-                        row.append(float(raw))
-                    except ValueError:
-                        row.append(None)
+                try:
+                    row.append(_parse_cell(raw, col.kind))
+                except ValueError:
+                    raise DatasetError(
+                        f"column {col.name!r}, CSV line {reader.line_num}: "
+                        f"{raw!r} is not {col.kind}"
+                    ) from None
             rows.append(tuple(row))
             durations.append(target)
 
@@ -268,18 +260,25 @@ def load_csv(path, schema: FeatureSchema, column_map: dict | None = None) -> Dat
     )
 
 
-def _parse_bool(raw: str):
+def _parse_cell(raw: str, kind: str):
+    """A stripped CSV cell as a row value: ``None`` when empty; raises
+    ``ValueError`` when it does not parse as ``kind``."""
+    if raw == "":
+        return None
+    if kind == "categorical":
+        return raw
+    if kind == "numeric":
+        return float(raw)
     lowered = raw.lower()
     if lowered in ("1", "true", "yes", "y", "t"):
         return 1.0
     if lowered in ("0", "false", "no", "n", "f"):
         return 0.0
     # numeric encodings ("1.0"/"0.0") appear in round-tripped CSVs
-    try:
-        value = float(lowered)
-    except ValueError:
-        return None
-    return value if value in (0.0, 1.0) else None
+    value = float(lowered)
+    if value not in (0.0, 1.0):
+        raise ValueError(raw)
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,10 @@ import numpy as np
 
 from .cv import derive_seed
 from .dataset import Dataset, Encoder
-from .labeling import DEFAULT_TC, binary_labels
+from .labeling import DEFAULT_TC, subset_rows
 from .metrics import metric_value
 from .models import TrainedModel, fit_model
+from .models.tree import TreeModel
 
 __all__ = [
     "ERROR_METRICS",
@@ -66,7 +67,7 @@ def _predictors(model: TrainedModel, values):
     ``model.predict``; for a tree regressor ``predict`` re-walks only the
     trees that split on column j."""
     inner = model.inner
-    if model.task != "regression" or not hasattr(inner, "combine"):
+    if model.task != "regression" or not isinstance(inner, TreeModel):
         return model.predict(values), lambda shuffled, j: model.predict(shuffled)
     packed = inner.packed
     leaves = packed.stacked(values)
@@ -232,7 +233,7 @@ def subset_importance(
     """Independent importance reports on all data, the short-term subset A
     (duration <= tc) and the long-term subset B. Subsets smaller than 20
     records are flagged in the report notes."""
-    labels = binary_labels(dataset.durations, tc)
+    index_sets = dict(zip(SUBSET_TAGS, subset_rows(dataset.durations, tc)))
     if metric not in ERROR_METRICS:
         raise ValueError(
             f"metric must be one of {', '.join(ERROR_METRICS)} for the "
@@ -241,11 +242,6 @@ def subset_importance(
     encoder = Encoder.fit(dataset)
     values = encoder.transform(dataset)
     durations = dataset.durations
-    index_sets = {
-        "all": np.arange(len(dataset)),
-        "A": np.flatnonzero(labels == 0),
-        "B": np.flatnonzero(labels == 1),
-    }
     reports = {}
     for tag in SUBSET_TAGS:
         rows = index_sets[tag]

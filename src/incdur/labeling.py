@@ -14,6 +14,7 @@ from .metrics import classification_metrics, f1_macro
 __all__ = [
     "MultiClassThresholds",
     "binary_labels",
+    "subset_rows",
     "multiclass_labels",
     "mutcd_labels",
     "threshold_sweep",
@@ -52,6 +53,13 @@ def binary_labels(durations, tc: float) -> np.ndarray:
         raise ValueError("tc must be > 0")
     d = np.asarray(durations, dtype=float)
     return (d > tc).astype(int)
+
+
+def subset_rows(durations, tc: float) -> tuple[np.ndarray, ...]:
+    """Row ids of all records, of short-term subset A and of long-term B."""
+    labels = binary_labels(durations, tc)
+    return (np.arange(labels.shape[0]), np.flatnonzero(labels == 0),
+            np.flatnonzero(labels == 1))
 
 
 def multiclass_labels(durations, thresholds: MultiClassThresholds) -> np.ndarray:

@@ -5,7 +5,8 @@ checks the inputs (``|y| = rows(X) >= 2``), prepares the targets (class
 indices, or the target transform for regression), calls the kind's fitter
 and wraps the result in a ``TrainedModel``. Each learner module holds only
 its algorithm: ``fit(values, targets, n_classes, params, seed)`` returns the
-inner predictor, with ``n_classes`` 0 for regression.
+inner predictor, with ``n_classes`` 0 for regression. Every inner predictor
+answers ``predict_values(values)``: regression values or class probabilities.
 """
 
 from __future__ import annotations

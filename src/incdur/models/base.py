@@ -124,6 +124,17 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
 
 
+def sigmoid_proba(scores):
+    """Class probabilities from raw scores (rows, 1 or classes): the sigmoid
+    pair for one column, else one-vs-rest sigmoids normalised over classes."""
+    p = _sigmoid(scores)
+    if p.shape[1] == 1:
+        return np.column_stack([1.0 - p[:, 0], p[:, 0]])
+    total = p.sum(axis=1, keepdims=True)
+    total[total == 0] = 1.0
+    return p / total
+
+
 def as_values(X) -> np.ndarray:
     """``X`` as a float matrix; a 1-D ``X`` is one row."""
     values = np.asarray(X, dtype=float)
@@ -133,7 +144,10 @@ def as_values(X) -> np.ndarray:
 @dataclass(frozen=True)
 class TrainedModel:
     """Immutable fitted model with a pure, deterministic predict that takes
-    matrices of the fitted width, ``n_features`` columns, only."""
+    matrices of the fitted width, ``n_features`` columns, only.
+
+    ``inner.predict_values(values)`` answers both tasks: regression values
+    (in the transformed target space) or class probabilities."""
 
     kind: str
     task: str
@@ -159,11 +173,10 @@ class TrainedModel:
         return values
 
     def predict(self, X) -> np.ndarray:
-        values = self.check_width(X)
+        out = self.inner.predict_values(self.check_width(X))
         if self.task == "regression":
-            return self.from_raw(self.inner.predict_values(values))
-        probs = self.inner.predict_proba_values(values)
-        return self.classes[np.argmax(probs, axis=1)]
+            return self.from_raw(out)
+        return self.classes[np.argmax(out, axis=1)]
 
     def from_raw(self, raw) -> np.ndarray:
         """Regression predictions from the learner's raw outputs: undoes the
@@ -173,7 +186,7 @@ class TrainedModel:
     def predict_proba(self, X) -> np.ndarray:
         if self.task != "classification":
             raise ModelError("predict_proba requires a classification model")
-        return self.inner.predict_proba_values(self.check_width(X))
+        return self.inner.predict_values(self.check_width(X))
 
 
 def prepare_targets(y, task, target_transform):

@@ -4,12 +4,14 @@ with optional gradient-based one-side sampling (GOSS)."""
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from .base import BoostParams, _sigmoid
+from .base import BoostParams, _sigmoid, sigmoid_proba
 from .tree import (
     Node,
-    PackedTrees,
+    TreeModel,
     grow_mse_tree,
     grow_second_order_tree,
     ordered_sum,
@@ -103,115 +105,66 @@ def _fit_round(values, presort, grad, hess, params, second_order, rng):
     return tree
 
 
-class _Booster:
-    """A trained additive stage list: prediction = base + lr * sum(trees)."""
-
-    def __init__(self, base_score, trees, learning_rate):
-        self.base_score = float(base_score)
-        self.trees = list(trees)
-        self.learning_rate = float(learning_rate)
-        self.packed = PackedTrees.from_nodes(self.trees)
-
-    def combine(self, leaf):
-        """Raw scores from a row chunk's leaf payloads (trees, rows)."""
-        return ordered_sum(leaf, self.base_score, self.learning_rate)
-
-    def score_values(self, values):
-        return self.packed.reduce(values, self.combine)
-
-    def staged_scores(self, values):
-        """Cumulative raw scores after each round (round count + 1 entries)."""
-        stages = np.full((len(self.trees) + 1, values.shape[0]), self.base_score)
-        for rows, leaf in self.packed.leaves(values):
-            for t, tree_leaf in enumerate(leaf):
-                stages[t + 1, rows] = stages[t, rows] + self.learning_rate * tree_leaf
-        return list(stages)
+def _class_proba(leaf, bases, rate):
+    """Class probabilities from a chunk's leaf payloads: one raw score per
+    class from its base and its consecutive, equal share of the trees."""
+    scores = [
+        ordered_sum(share, base, rate)
+        for share, base in zip(np.split(leaf, len(bases)), bases)
+    ]
+    return sigmoid_proba(np.column_stack(scores))
 
 
-class BoostRegressor:
-    def __init__(self, booster: _Booster):
-        self.booster = booster
-        self.packed = booster.packed
-        self.combine = booster.combine
-
-    def predict_values(self, values):
-        return self.booster.score_values(values)
-
-    def staged_predict_values(self, values):
-        return self.booster.staged_scores(values)
+def _squared_error(score, y):
+    """Gradient and hessian of 0.5*(F - y)^2 in F."""
+    return score - y, np.ones_like(y)
 
 
-class BoostBinaryClassifier:
-    def __init__(self, booster: _Booster):
-        self.booster = booster
-
-    def predict_proba_values(self, values):
-        p = _sigmoid(self.booster.score_values(values))
-        return np.column_stack([1.0 - p, p])
+def _log_loss(score, y01):
+    """Gradient and hessian of the log-loss in the log-odds F."""
+    p = _sigmoid(score)
+    return p - y01, p * (1.0 - p)
 
 
-class BoostOvRClassifier:
-    """One binary booster per class; probabilities normalised over classes."""
-
-    def __init__(self, boosters):
-        self.boosters = list(boosters)
-
-    def predict_proba_values(self, values):
-        scores = np.column_stack(
-            [_sigmoid(b.score_values(values)) for b in self.boosters]
-        )
-        total = scores.sum(axis=1, keepdims=True)
-        total[total == 0] = 1.0
-        return scores / total
-
-
-def _boost_regression(values, presort, y, params, second_order, rng):
-    base = float(np.mean(y))
-    score = np.full(values.shape[0], base)
-    trees = []
-    for _ in range(params.n_rounds):
-        grad = score - y  # d/dF of 0.5*(F - y)^2
-        hess = np.ones_like(y)
-        tree = _fit_round(values, presort, grad, hess, params, second_order, rng)
-        trees.append(tree)
-        score = score + params.learning_rate * predict_tree(tree, values)
-    return _Booster(base, trees, params.learning_rate)
-
-
-def _boost_binary(values, presort, y01, params, second_order, rng):
+def _log_odds(y01):
+    """The base raw score of 0/1 labels: their clipped mean's log-odds."""
     p0 = float(np.clip(np.mean(y01), 1e-6, 1.0 - 1e-6))
-    base = float(np.log(p0 / (1.0 - p0)))
+    return float(np.log(p0 / (1.0 - p0)))
+
+
+def _boost(values, presort, y, base, gradients, params, second_order, rng):
+    """The rounds' trees, from raw score ``base``; ``gradients(score, y)``
+    gives each round's (gradient, hessian)."""
     score = np.full(values.shape[0], base)
     trees = []
     for _ in range(params.n_rounds):
-        p = _sigmoid(score)
-        grad = p - y01
-        hess = p * (1.0 - p)
+        grad, hess = gradients(score, y)
         tree = _fit_round(values, presort, grad, hess, params, second_order, rng)
         trees.append(tree)
         score = score + params.learning_rate * predict_tree(tree, values)
-    return _Booster(base, trees, params.learning_rate)
+    return trees
 
 
 def fit(values, targets, n_classes, params: BoostParams, seed, second_order=False):
     """Boosted trees on prepared targets (``n_classes`` 0 means regression).
 
     ``second_order`` selects the regularised second-order objective instead
-    of plain residual boosting; more than two classes fit one-vs-rest.
+    of plain residual boosting. Two classes boost the log-odds of class 1;
+    more fit one-vs-rest, each class's rounds after the previous class's.
     """
     rng = np.random.default_rng(seed)
     presort = np.argsort(values.T, axis=1, kind="mergesort")  # once per fit
+    rate = float(params.learning_rate)
+
+    def boost(y, base, gradients):
+        return _boost(values, presort, y, base, gradients, params, second_order, rng)
+
     if n_classes == 0:
-        return BoostRegressor(
-            _boost_regression(values, presort, targets, params, second_order, rng)
-        )
-    if n_classes == 2:
-        return BoostBinaryClassifier(_boost_binary(
-            values, presort, targets.astype(float), params, second_order, rng
-        ))
-    return BoostOvRClassifier([
-        _boost_binary(
-            values, presort, (targets == c).astype(float), params, second_order, rng
-        )
-        for c in range(n_classes)
-    ])
+        base = float(np.mean(targets))
+        trees = boost(targets, base, _squared_error)
+        return TreeModel(trees, partial(ordered_sum, start=base, scale=rate))
+    classes = [1] if n_classes == 2 else range(n_classes)
+    labels = [(targets == c).astype(float) for c in classes]
+    bases = [_log_odds(y01) for y01 in labels]
+    trees = [t for y01, base in zip(labels, bases) for t in boost(y01, base, _log_loss)]
+    return TreeModel(trees, partial(_class_proba, bases=bases, rate=rate))

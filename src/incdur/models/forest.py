@@ -5,37 +5,18 @@ from __future__ import annotations
 import numpy as np
 
 from .base import ForestParams
-from .tree import PackedTrees, grow_gini_tree, grow_mse_tree
+from .tree import TreeModel, grow_gini_tree, grow_mse_tree
 
 
-class ForestRegressor:
-    def __init__(self, trees):
-        self.trees = list(trees)
-        self.packed = PackedTrees.from_nodes(self.trees)
-
-    @staticmethod
-    def combine(leaf):
-        return leaf.mean(axis=0)
-
-    def predict_values(self, values):
-        return self.packed.reduce(values, self.combine)
+def _mean(leaf):
+    return leaf.mean(axis=0)
 
 
-class ForestClassifier:
-    """Majority vote; ties go to the lower class index (lexicographically
-    smaller label, since classes are stored sorted)."""
-
-    def __init__(self, trees, n_classes):
-        self.trees = list(trees)
-        self.n_classes = int(n_classes)
-        self.packed = PackedTrees.from_nodes(self.trees)
-
-    def predict_proba_values(self, values):
-        votes = np.zeros((values.shape[0], self.n_classes))
-        for rows, leaf in self.packed.leaves(values):
-            picked = np.argmax(leaf, axis=2)[..., None]
-            votes[rows] = np.sum(picked == np.arange(self.n_classes), axis=0)
-        return votes / len(self.trees)
+def _votes(leaf):
+    """Vote shares: each tree votes for its leaf's majority class, ties to
+    the lower class index (the smaller label, since classes are sorted)."""
+    picked = np.argmax(leaf, axis=2)[..., None]
+    return np.sum(picked == np.arange(leaf.shape[2]), axis=0) / leaf.shape[0]
 
 
 def fit(values, targets, n_classes, params: ForestParams, seed):
@@ -66,6 +47,4 @@ def fit(values, targets, n_classes, params: ForestParams, seed):
             )
         trees.append(tree)
 
-    if n_classes == 0:
-        return ForestRegressor(trees)
-    return ForestClassifier(trees, n_classes)
+    return TreeModel(trees, _votes if n_classes else _mean)

@@ -124,18 +124,15 @@ class KnnModel:
         self.std = std
         self.n_classes = int(n_classes)
 
-    def _neighbours(self, values):
-        return nearest_rows((values - self.mean) / self.std, self.train, self.k)[0]
-
     def predict_values(self, values):
-        nb = self._neighbours(values)
-        return self.targets[nb].mean(axis=1)
-
-    def predict_proba_values(self, values):
-        labels = self.targets[self._neighbours(values)]
+        """Mean neighbour target, or neighbour vote shares per class."""
+        nb = nearest_rows((values - self.mean) / self.std, self.train, self.k)[0]
+        near = self.targets[nb]
+        if not self.n_classes:
+            return near.mean(axis=1)
         votes = np.zeros((values.shape[0], self.n_classes))
         for c in range(self.n_classes):
-            votes[:, c] = (labels == c).sum(axis=1)
+            votes[:, c] = (near == c).sum(axis=1)
         return votes / self.k
 
 

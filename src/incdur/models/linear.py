@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import LinearParams, ModelError, _sigmoid
+from .base import LinearParams, ModelError, _sigmoid, sigmoid_proba
 
 GRAD_TOL = 1e-6
 MAX_ITERS = 10_000
@@ -27,14 +27,8 @@ class LogisticClassifier:
         self.intercepts = np.asarray(intercepts, dtype=float)  # (K,) or (1,)
         self.coefs = np.asarray(coefs, dtype=float)  # (K, m) or (1, m)
 
-    def predict_proba_values(self, values):
-        scores = _sigmoid(values @ self.coefs.T + self.intercepts)
-        if scores.shape[1] == 1:
-            p = scores[:, 0]
-            return np.column_stack([1.0 - p, p])
-        total = scores.sum(axis=1, keepdims=True)
-        total[total == 0] = 1.0
-        return scores / total
+    def predict_values(self, values):
+        return sigmoid_proba(values @ self.coefs.T + self.intercepts)
 
 
 def logistic_loss_grad(weights, values, y01, ridge):

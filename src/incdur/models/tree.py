@@ -17,15 +17,15 @@ ascending rows is the node's own stable sort, and a cumsum along axis 1 adds
 in the same order as a 1-D cumsum. Split-gain ties break toward the lower
 feature index, then the lower threshold.
 
-Every tree model and Isolation Forest predict through ``PackedTrees``: the
-trees, held as flat arrays with global node ids and self-looping leaves, are
-walked together one depth level per step with ``np.take``, in row chunks.
-``Node`` trees are packed once after fitting; Isolation Forest grows its
-trees straight into the arrays. Rows go left when ``x < threshold``, so NaN
-goes right. A walk may take a subset of the trees, and a learner's
-``combine`` step turns a row chunk's leaf payloads into predictions, so
-permutation importance can re-walk only the trees that split on a shuffled
-column and finish the prediction as ``predict`` does.
+Every tree learner returns one ``TreeModel``: its ``Node`` trees, packed
+once into ``PackedTrees``, and the learner's ``combine`` step, which turns a
+row chunk's leaf payloads into predictions. Isolation Forest grows its trees
+straight into ``PackedTrees``. The packed trees, flat arrays with global node
+ids and self-looping leaves, are walked together one depth level per step
+with ``np.take``, in row chunks. Rows go left when ``x < threshold``, so NaN
+goes right. A walk may take a subset of the trees, so permutation importance
+can re-walk only the trees that split on a shuffled column and finish the
+prediction with ``combine`` as ``predict_values`` does.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
     "grow_gini_tree",
     "grow_second_order_tree",
     "PackedTrees",
+    "TreeModel",
     "ordered_sum",
     "predict_tree",
     "leaf_values",
@@ -303,11 +304,9 @@ class PackedTrees:
         return np.concatenate([leaf for _, leaf in self.leaves(X)], axis=1)
 
     def reduce(self, X, combine):
-        """``combine(leaf payloads of a row chunk)`` per chunk: one value per row."""
-        out = np.empty(X.shape[0])
-        for rows, leaf in self.leaves(X):
-            out[rows] = combine(leaf)
-        return out
+        """``combine(leaf payloads of a row chunk)`` per chunk, concatenated:
+        one output (or one row of width outputs) per row of ``X``."""
+        return np.concatenate([combine(leaf) for _, leaf in self.leaves(X)])
 
     def reduce_stacked(self, payloads, combine):
         """``reduce`` from every tree's payloads (trees, rows), already walked.
@@ -315,10 +314,10 @@ class PackedTrees:
         It combines the same row chunks as ``reduce``, each as a contiguous
         array, so the two give bit-identical values.
         """
-        out = np.empty(payloads.shape[1])
-        for rows in self._chunks(payloads.shape[1], self.roots.shape[0]):
-            out[rows] = combine(np.ascontiguousarray(payloads[:, rows]))
-        return out
+        return np.concatenate([
+            combine(np.ascontiguousarray(payloads[:, rows]))
+            for rows in self._chunks(payloads.shape[1], self.roots.shape[0])
+        ])
 
     def split_columns(self, m):
         """(trees, m) bool: whether tree t splits on column j at any node."""
@@ -328,6 +327,20 @@ class PackedTrees:
         uses = np.zeros((self.roots.shape[0], m), dtype=bool)
         uses[tree[split], self.feature[split]] = True
         return uses
+
+
+class TreeModel:
+    """A fitted tree learner: ``Node`` trees, packed once, and ``combine``,
+    which maps a row chunk's leaf payloads (trees, rows[, width]) to the
+    chunk's regression values or class probabilities."""
+
+    def __init__(self, trees, combine):
+        self.trees = list(trees)
+        self.combine = combine
+        self.packed = PackedTrees.from_nodes(self.trees)
+
+    def predict_values(self, values):
+        return self.packed.reduce(values, self.combine)
 
 
 def ordered_sum(leaf, start=0.0, scale=1.0):

@@ -19,7 +19,7 @@ import numpy as np
 from ._parallel import parallel_map
 from .cv import cross_val_predict, derive_seed, fold_indexes
 from .dataset import Dataset, Encoder, encode
-from .labeling import DEFAULT_TC, binary_labels
+from .labeling import DEFAULT_TC, binary_labels, subset_rows
 from .metrics import mape_excluding_zero, rmse
 from .models import TrainedModel, fit_model
 
@@ -95,9 +95,7 @@ def run_scenario(
     if name not in SCENARIOS:
         raise ScenarioError(f"unknown scenario {name!r}")
     durations = dataset.durations
-    labels = binary_labels(durations, tc)
-    rows = {"All": np.arange(len(dataset)), "A": np.flatnonzero(labels == 0),
-            "B": np.flatnonzero(labels == 1)}
+    rows = dict(zip(("All", "A", "B"), subset_rows(durations, tc)))
     source, target = SCENARIOS[name]
     for subset in (source, target):
         if rows[subset].shape[0] == 0:

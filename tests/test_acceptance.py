@@ -42,7 +42,7 @@ from incdur.models import (
     fit_model,
 )
 from incdur.models.linear import logistic_loss, logistic_loss_grad
-from incdur.models.tree import leaf_values
+from incdur.models.tree import leaf_values, predict_tree
 from incdur.outliers import OrmParams, isolation_forest_scores, lof_scores
 from incdur.scenarios import run_scenario
 from incdur.sf import load_sf_extract
@@ -201,7 +201,12 @@ def test_criterion_4_first_order_training_rmse_non_increasing():
         y = X[:, 0] * 3 + np.sin(X[:, 1]) + rng.normal(scale=0.3, size=120)
         model = fit_model("gbt", X, y, BoostParams(n_rounds=200, learning_rate=0.1,
                                                    max_depth=3))
-        errors = [rmse(y, stage) for stage in model.inner.staged_predict_values(X)]
+        score = np.full(X.shape[0], np.mean(y))  # add one tree at a time
+        errors = [rmse(y, score)]
+        for tree in model.inner.trees:
+            score = score + 0.1 * predict_tree(tree, X)
+            errors.append(rmse(y, score))
+        assert errors[-1] == rmse(y, model.predict(X))
         assert all(b <= a + TOL for a, b in zip(errors, errors[1:]))
 
 
@@ -211,7 +216,7 @@ def test_criterion_4_second_order_leaf_weights_vanish_at_huge_lambda():
     y = rng.normal(size=100)
     model = fit_model("gbt-reg", X, y,
                       BoostParams(n_rounds=5, max_depth=3, reg_lambda=1e9))
-    for tree in model.inner.booster.trees:
+    for tree in model.inner.trees:
         assert np.max(np.abs(leaf_values(tree))) < 1e-6
 
 

@@ -67,6 +67,25 @@ def test_load_csv_errors(tmp_path):
         load_csv(p2, schema(FeatureColumn("x", "numeric")))
 
 
+@pytest.mark.parametrize(
+    "kind, cell, line",
+    [("numeric", "abc", 3), ("boolean", "maybe", 3), ("boolean", "2", 3)],
+)
+def test_load_csv_rejects_unparseable_cells(tmp_path, kind, cell, line):
+    p = tmp_path / "d.csv"
+    p.write_text(f"x,duration\n1,10\n{cell},20\n0,30\n")
+    with pytest.raises(DatasetError, match=f"'x', CSV line {line}: '{cell}'"):
+        load_csv(p, schema(FeatureColumn("x", kind)))
+
+
+def test_load_csv_keeps_empty_cells_missing(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("x,b,duration\n1,yes,10\n,,20\n3,0.0,30\n")
+    ds = load_csv(p, schema(FeatureColumn("x"), FeatureColumn("b", "boolean")))
+    assert ds.rows == ((1.0, 1.0), (None, None), (3.0, 0.0))
+    assert ds.load_report == {"n_rows": 3, "n_dropped": 0}
+
+
 def test_encode_one_hot_levels_sorted():
     ds = Dataset(
         schema=schema(FeatureColumn("direction", "categorical")),

@@ -12,6 +12,7 @@ from incdur.labeling import (
     multiclass_labels,
     mutcd_labels,
     quantile_grid,
+    subset_rows,
     threshold_sweep,
 )
 
@@ -34,6 +35,11 @@ def leaked_dataset(copies=3, seed=0):
 
 def test_binary_labels_boundary():
     assert binary_labels([10, 45, 50], tc=45).tolist() == [0, 0, 1]
+
+
+def test_subset_rows_split_at_tc():
+    every, short, long = subset_rows([50, 10, 45, 46], tc=45)
+    assert (every.tolist(), short.tolist(), long.tolist()) == ([0, 1, 2, 3], [1, 2], [0, 3])
 
 
 def test_binary_labels_all_short():

@@ -13,9 +13,15 @@ from incdur.models import (
     TreeParams,
     fit_model,
 )
-from incdur.models.forest import ForestClassifier
+from incdur.models.forest import _votes
 from incdur.models.linear import logistic_loss, logistic_loss_grad
-from incdur.models.tree import Node, grow_second_order_tree, leaf_values
+from incdur.models.tree import (
+    Node,
+    TreeModel,
+    grow_second_order_tree,
+    leaf_values,
+    predict_tree,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +42,7 @@ def test_tree_constant_target_is_single_leaf():
     X = np.arange(8, dtype=float).reshape(-1, 1)
     y = np.full(8, 3.5)
     model = fit_model("tree", X, y, TreeParams(max_depth=5))
-    assert leaf_values(model.inner.root) == [3.5]
+    assert leaf_values(model.inner.trees[0]) == [3.5]
     assert (model.predict(X) == 3.5).all()
 
 
@@ -72,7 +78,7 @@ def test_tree_split_tie_breaks_lower_feature_index():
     X = np.column_stack([x, x])
     y = np.array([0.0, 0.0, 4.0, 4.0])
     model = fit_model("tree", X, y, TreeParams(max_depth=1))
-    assert model.inner.root.feature == 0
+    assert model.inner.trees[0].feature == 0
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +106,12 @@ def test_gbt_training_rmse_non_increasing():
         X, y = _random_regression(seed)
         model = fit_model("gbt", X, y, BoostParams(n_rounds=200, learning_rate=0.1,
                                                    max_depth=3))
-        staged = model.inner.staged_predict_values(X)
-        errors = [rmse(y, stage) for stage in staged]
+        score = np.full(X.shape[0], np.mean(y))  # add one tree at a time
+        errors = [rmse(y, score)]
+        for tree in model.inner.trees:
+            score = score + 0.1 * predict_tree(tree, X)
+            errors.append(rmse(y, score))
+        assert errors[-1] == rmse(y, model.predict(X))
         assert all(b <= a + 1e-9 for a, b in zip(errors, errors[1:]))
 
 
@@ -112,7 +122,7 @@ def test_second_order_leaf_weights_vanish_at_huge_lambda():
         BoostParams(n_rounds=5, learning_rate=0.3, max_depth=3,
                     reg_lambda=1e9),
     )
-    for tree in model.inner.booster.trees:
+    for tree in model.inner.trees:
         weights = np.abs(np.asarray(leaf_values(tree), dtype=float))
         assert weights.max() < 1e-6
     assert np.allclose(model.predict(X), np.mean(y), atol=1e-4)
@@ -137,7 +147,7 @@ def test_second_order_gamma_blocks_weak_splits():
         "gbt-reg", X, y,
         BoostParams(n_rounds=3, max_depth=3, learning_rate=0.5, gamma=1e12),
     )
-    for tree in model.inner.booster.trees:
+    for tree in model.inner.trees:
         assert tree.is_leaf
 
 
@@ -188,8 +198,7 @@ def test_forest_degenerate_equals_single_tree():
 def test_forest_vote_tie_returns_lower_class():
     leaf0 = Node(value=np.array([5.0, 1.0]))
     leaf1 = Node(value=np.array([1.0, 5.0]))
-    clf = ForestClassifier([leaf0, leaf1], n_classes=2)
-    proba = clf.predict_proba_values(np.zeros((1, 1)))
+    proba = TreeModel([leaf0, leaf1], _votes).predict_values(np.zeros((1, 1)))
     assert proba.tolist() == [[0.5, 0.5]]
     # argmax of a tie picks index 0 -> class 0
     assert int(np.argmax(proba[0])) == 0

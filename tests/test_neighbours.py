@@ -135,7 +135,7 @@ def test_knn_classification_matches_full_argsort(k):
     inner = model.inner
     nb = _knn_reference(model, Q)
     votes = np.stack([(inner.targets[nb] == c).sum(axis=1) for c in range(3)], axis=1)
-    assert np.array_equal(inner.predict_proba_values(Q), votes / k)
+    assert np.array_equal(inner.predict_values(Q), votes / k)
 
 
 def test_knn_memory_grows_with_rows_not_rows_times_train_times_features():

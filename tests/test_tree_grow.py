@@ -346,28 +346,30 @@ def _ignoring_presort(ref):
     return lambda *args, presort=None, **kw: ref(*args, **kw)
 
 
-def _stages(inner):
-    """(trees, base score, learning rate) per booster; a forest's trees alone."""
-    if hasattr(inner, "trees"):
-        return [(inner.trees, None, None)]
-    boosters = inner.boosters if hasattr(inner, "boosters") else [inner.booster]
-    return [(b.trees, b.base_score, b.learning_rate) for b in boosters]
+def _fitted(model, X):
+    """The fit's trees and its outputs on ``X``: ``predict``, and
+    ``predict_proba`` for a classifier. A booster's outputs also check its
+    base score and learning rate."""
+    outputs = [model.predict(X)]
+    if model.task == "classification":
+        outputs.append(model.predict_proba(X))
+    return model.inner.trees, outputs
 
 
 def _fit_both(monkeypatch, kind, X, y, params, task):
-    """The fit grows the same trees (and boosters their base score and rate)
-    with the reference growers patched in."""
-    got = _stages(fit_model(kind, X, y, params, task=task, seed=5).inner)
+    """The fit grows the same trees and gives the same outputs with the
+    reference growers patched in."""
+    got_trees, got = _fitted(fit_model(kind, X, y, params, task=task, seed=5), X)
     monkeypatch.setattr(forest, "grow_mse_tree", ref_mse_tree)
     monkeypatch.setattr(forest, "grow_gini_tree", ref_gini_tree)
     monkeypatch.setattr(boosting, "grow_mse_tree", _ignoring_presort(ref_mse_tree))
     monkeypatch.setattr(
         boosting, "grow_second_order_tree", _ignoring_presort(ref_second_order_tree)
     )
-    want = _stages(fit_model(kind, X, y, params, task=task, seed=5).inner)
+    want_trees, want = _fitted(fit_model(kind, X, y, params, task=task, seed=5), X)
     monkeypatch.undo()
-    return len(got) == len(want) and all(
-        same_trees(g[0], w[0]) and g[1:] == w[1:] for g, w in zip(got, want)
+    return same_trees(got_trees, want_trees) and all(
+        np.array_equal(g, w) for g, w in zip(got, want)
     )
 
 

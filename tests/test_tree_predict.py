@@ -36,13 +36,17 @@ def _tree_ref(node, X):
     )
 
 
-def _booster_ref(booster, X, staged=False):
-    score = np.full(X.shape[0], booster.base_score)
-    stages = [score.copy()]
-    for tree in booster.trees:
-        score = score + booster.learning_rate * _tree_ref(tree, X)
-        stages.append(score.copy())
-    return stages if staged else score
+def _booster_ref(trees, base, learning_rate, X):
+    score = np.full(X.shape[0], base)
+    for tree in trees:
+        score = score + learning_rate * _tree_ref(tree, X)
+    return score
+
+
+def _log_odds(y01):
+    """The classification base score from the training labels."""
+    p0 = float(np.clip(np.mean(y01), 1e-6, 1.0 - 1e-6))
+    return float(np.log(p0 / (1.0 - p0)))
 
 
 def _forest_reg_ref(trees, X):
@@ -93,13 +97,11 @@ GBT_PARAMS = [
 def test_gbt_regression_matches_node_walk(kind, params):
     X, y = _data(0)
     model = fit_model(kind, X, y, params, seed=3)
-    booster = model.inner.booster
+    trees = model.inner.trees
+    assert len(trees) == params.n_rounds
     for Q in _queries(0):
-        assert np.array_equal(model.predict(Q), _booster_ref(booster, Q))
-        staged = model.inner.staged_predict_values(Q)
-        ref = _booster_ref(booster, Q, staged=True)
-        assert len(staged) == len(ref) == params.n_rounds + 1
-        assert all(np.array_equal(a, b) for a, b in zip(staged, ref))
+        ref = _booster_ref(trees, np.mean(y), params.learning_rate, Q)
+        assert np.array_equal(model.predict(Q), ref)
 
 
 @pytest.mark.parametrize(
@@ -111,14 +113,19 @@ def test_gbt_classification_matches_node_walk(kind, n_classes):
     labels = _labels(y, n_classes)
     params = BoostParams(n_rounds=15, max_depth=3, colsample=0.6)
     model = fit_model(kind, X, labels, params, task="classification", seed=5)
-    inner = model.inner
-    boosters = [inner.booster] if n_classes == 2 else inner.boosters
+    classes = [1] if n_classes == 2 else range(n_classes)
+    trees, rounds = model.inner.trees, params.n_rounds
+    assert len(trees) == rounds * len(classes)
+    # each class's rounds follow the previous class's
+    per_class = [trees[i * rounds:(i + 1) * rounds] for i in range(len(classes))]
     for Q in _queries(1):
+        scores = np.column_stack([
+            _sigmoid(_booster_ref(trees, _log_odds(labels == c), 0.1, Q))
+            for c, trees in zip(classes, per_class)
+        ])
         if n_classes == 2:
-            p = _sigmoid(_booster_ref(inner.booster, Q))
-            ref = np.column_stack([1.0 - p, p])
+            ref = np.column_stack([1.0 - scores[:, 0], scores[:, 0]])
         else:
-            scores = np.column_stack([_sigmoid(_booster_ref(b, Q)) for b in boosters])
             total = scores.sum(axis=1, keepdims=True)
             total[total == 0] = 1.0
             ref = scores / total
@@ -128,10 +135,11 @@ def test_gbt_classification_matches_node_walk(kind, n_classes):
 def test_gbt_colsample_remaps_features_to_global_columns():
     X, y = _data(2, m=8)
     model = fit_model("gbt", X, y, BoostParams(n_rounds=30, colsample=0.4), seed=1)
-    used = {int(f) for f in model.inner.booster.packed.feature}
+    used = {int(f) for f in model.inner.packed.feature}
     assert max(used) > 2  # a 3-column subset has local ids 0..2 only
     Q = _queries(2, m=8)[2]
-    assert np.array_equal(model.predict(Q), _booster_ref(model.inner.booster, Q))
+    ref = _booster_ref(model.inner.trees, np.mean(y), 0.1, Q)
+    assert np.array_equal(model.predict(Q), ref)
 
 
 def test_random_forest_regression_matches_node_walk():
@@ -149,9 +157,8 @@ def test_random_forest_classification_matches_node_walk():
         "random-forest", X, labels, ForestParams(n_trees=30, max_depth=5),
         task="classification", seed=2,
     )
-    inner = model.inner
     for Q in _queries(4):
-        ref = _forest_clf_ref(inner.trees, inner.n_classes, Q)
+        ref = _forest_clf_ref(model.inner.trees, 3, Q)
         assert np.array_equal(model.predict_proba(Q), ref)
 
 
@@ -161,8 +168,8 @@ def test_cart_regression_and_classification_match_node_walk():
     clf = fit_model("tree", X, _labels(y, 3), TreeParams(max_depth=4),
                     task="classification")
     for Q in _queries(5):
-        assert np.array_equal(reg.predict(Q), _tree_ref(reg.inner.root, Q))
-        dist = _tree_ref(clf.inner.root, Q).reshape(Q.shape[0], 3)
+        assert np.array_equal(reg.predict(Q), _tree_ref(reg.inner.trees[0], Q))
+        dist = _tree_ref(clf.inner.trees[0], Q).reshape(Q.shape[0], 3)
         ref = dist / dist.sum(axis=1, keepdims=True)
         assert np.array_equal(clf.predict_proba(Q), ref)
 
@@ -175,8 +182,7 @@ def test_single_leaf_trees():
         fit_model("random-forest", X, y, ForestParams(n_trees=5), seed=0),
         fit_model("gbt", X, y, BoostParams(n_rounds=4)),
     ):
-        packed = getattr(model.inner, "booster", model.inner).packed
-        assert packed.depth == 0
+        assert model.inner.packed.depth == 0
         for Q in _queries(6):
             assert np.array_equal(model.predict(Q), np.full(Q.shape[0], 2.5))
 
@@ -185,7 +191,7 @@ def test_nan_goes_right():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0.0, 0.0, 5.0, 5.0])
     model = fit_model("tree", X, y, TreeParams(max_depth=1))
-    assert model.inner.root.right.value == 5.0
+    assert model.inner.trees[0].right.value == 5.0
     assert np.array_equal(model.predict(np.array([[np.nan]])), [5.0])
 
 
@@ -197,8 +203,9 @@ def test_chunk_boundary(monkeypatch):
     # 7 trees x 5 rows per chunk: 60 rows cross eleven chunk boundaries
     monkeypatch.setattr(PackedTrees, "CHUNK_CELLS", 35)
     assert np.array_equal(model.predict(Q), whole)
-    assert np.array_equal(model.predict(Q), _booster_ref(model.inner.booster, Q))
-    tree = model.inner.booster.trees[0]
+    ref = _booster_ref(model.inner.trees, np.mean(y), 0.1, Q)
+    assert np.array_equal(model.predict(Q), ref)
+    tree = model.inner.trees[0]
     assert np.array_equal(predict_tree(tree, Q), _tree_ref(tree, Q))
     forest = fit_model("random-forest", X, y, ForestParams(n_trees=7, max_depth=4),
                        seed=0)
