@@ -24,7 +24,6 @@ import time
 from dataclasses import MISSING, fields
 
 from . import __version__
-from .cv import derive_seed, holdout_split
 from .dataset import (
     Dataset,
     DatasetError,
@@ -39,16 +38,12 @@ from .dataset import (
 from .importance import (ERROR_METRICS, MIN_SUBSET_SIZE, SUBSET_TAGS,
                          subset_importance)
 from .labeling import ldo_hdo_sweep, quantile_grid, threshold_sweep
-from .metrics import mape_excluding_zero, rmse
-from .models import MODEL_KINDS, fit_model
+from .models import MODEL_KINDS
 from .models.base import TARGET_TRANSFORMS
 from .scenarios import (
     SCENARIO_NAMES,
     FusionConfig,
-    fit_fusion,
-    fit_pipeline,
-    predict_fusion,
-    predict_pipeline,
+    fusion_table,
     scenario_table,
 )
 from .tuning import METRICS, MODES, iteration_curve, run_ieo
@@ -409,29 +404,7 @@ def _cmd_fusion(cfg, dataset, out, seed, workers):
         numbers={**TC, "folds": (int, 2)},
     )
     config = FusionConfig(**_take(block, FUSION_FIELDS))
-    train_idx, test_idx = holdout_split(len(dataset))
-    train = dataset.subset(train_idx)
-    test = dataset.subset(test_idx)
-    actual = test.durations
-
-    fusion = fit_fusion(train, config, seed=derive_seed(seed, 1), **block)
-    pipeline = fit_pipeline(train, config, fusion.tc, seed=derive_seed(seed, 2))
-    single = fit_model(
-        config.regressor_all_kind, fusion.encoder.transform(train), train.durations,
-        task="regression", target_transform=config.target_transform,
-        seed=derive_seed(seed, 3),
-    )
-    rows = []
-    for name, pred in (
-        ("fusion", predict_fusion(fusion, test)),
-        ("pipeline", predict_pipeline(pipeline, test)),
-        ("single", single.predict(fusion.encoder.transform(test))),
-    ):
-        mape, excluded = mape_excluding_zero(actual, pred)
-        rows.append(
-            {"model": name, "rmse": rmse(actual, pred), "mape": mape,
-             "mape_excluded_zeros": excluded, "n_test": len(test)}
-        )
+    rows = fusion_table(dataset, config, seed=seed, **block)
     path = os.path.join(out, "fusion.csv")
     _write_csv(path, rows, ["model", "rmse", "mape", "mape_excluded_zeros", "n_test"])
     return [path], []

@@ -3,12 +3,12 @@ Monte-Carlo Shapley value sampling, with per-duration-subset rankings.
 
 Permutation importance draws one ``rng.permutation(n)`` per column and
 repeat, column by column, and scores each shuffled copy. For a tree
-regressor it walks the rows through every tree once and keeps the leaf
-payloads (trees × rows floats); a shuffled copy then goes only through the
-trees that split on the shuffled column, since no other tree's leaves can
-change, and the learner's combine step and target transform finish the
-prediction exactly as ``TrainedModel.predict`` does. Every other model
-predicts each shuffled copy in full.
+regressor it walks the rows through every tree once and keeps each row
+chunk's leaf payloads (trees × rows floats in all). A shuffled chunk goes
+only through the trees that split on the shuffled column, since no other
+tree's leaves can change, into a copy of the chunk's payloads; the combine
+step and target transform finish it as ``TrainedModel.predict`` does.
+Every other model predicts each shuffled copy in full.
 """
 
 from __future__ import annotations
@@ -70,24 +70,24 @@ def _predictors(model: TrainedModel, values):
     if model.task != "regression" or not isinstance(inner, TreeModel):
         return model.predict(values), lambda shuffled, j: model.predict(shuffled)
     packed = inner.packed
-    leaves = packed.stacked(values)
+    chunks = list(packed.leaves(values))  # the row chunks ``reduce`` combines
     uses = packed.split_columns(values.shape[1])
-
-    def finish(payloads):
-        return model.from_raw(packed.reduce_stacked(payloads, inner.combine))
-
-    baseline = finish(leaves)
+    baseline = model.from_raw(np.concatenate([inner.combine(c) for _, c in chunks]))
 
     def predict(shuffled, j):
         trees = np.flatnonzero(uses[:, j])
         if trees.size == 0:
             return baseline
-        # walk, then copy: the walk's temporaries and the copy never coexist
-        walked = list(packed.leaves(shuffled, trees))
-        payloads = leaves.copy()
-        for rows, leaf in walked:
-            payloads[trees, rows] = leaf
-        return finish(payloads)
+
+        def rewalked(rows, leaf):
+            # fewer trees walk the chunk in one piece; walk, then copy, so
+            # the walk's temporaries and the copy never coexist
+            ((_, walked),) = packed.leaves(shuffled[rows], trees)
+            payloads = leaf.copy()
+            payloads[trees] = walked
+            return inner.combine(payloads)
+
+        return model.from_raw(np.concatenate([rewalked(*c) for c in chunks]))
 
     return baseline, predict
 

@@ -5,8 +5,10 @@ checks the inputs (``|y| = rows(X) >= 2``), prepares the targets (class
 indices, or the target transform for regression), calls the kind's fitter
 and wraps the result in a ``TrainedModel``. Each learner module holds only
 its algorithm: ``fit(values, targets, n_classes, params, seed)`` returns the
-inner predictor, with ``n_classes`` 0 for regression. Every inner predictor
-answers ``predict_values(values)``: regression values or class probabilities.
+inner predictor, with ``n_classes`` 0 for regression; a classifier fitted on
+one class (a sequential fold can hold one) predicts it, with probability 1,
+whatever its kind. Every inner predictor answers ``predict_values(values)``:
+regression values or class probabilities.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .base import (
     KnnParams,
     LinearParams,
     ModelError,
+    OneClass,
     TrainedModel,
     TreeParams,
     as_values,
@@ -74,10 +77,14 @@ def fit_model(
         raise ModelError("need |y| = rows(X) >= 2")
     targets, classes = prepare_targets(y, task, target_transform)
     n_classes = 0 if classes is None else len(classes)
+    if n_classes == 1:  # every kind: the one class, with probability 1
+        inner = OneClass()
+    else:
+        inner = FITTERS[kind](values, targets, n_classes, params, seed)
     return TrainedModel(
         kind=kind,
         task=task,
-        inner=FITTERS[kind](values, targets, n_classes, params, seed),
+        inner=inner,
         n_features=values.shape[1],
         target_transform=target_transform if task == "regression" else "none",
         classes=classes,

@@ -135,6 +135,14 @@ def sigmoid_proba(scores):
     return p / total
 
 
+class OneClass:
+    """The inner model of a classifier fitted on one class."""
+
+    @staticmethod
+    def predict_values(values):
+        return np.ones((values.shape[0], 1))
+
+
 def as_values(X) -> np.ndarray:
     """``X`` as a float matrix; a 1-D ``X`` is one row."""
     values = np.asarray(X, dtype=float)

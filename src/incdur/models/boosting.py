@@ -12,6 +12,7 @@ from .base import BoostParams, _sigmoid, sigmoid_proba
 from .tree import (
     Node,
     TreeModel,
+    _candidate_features,
     grow_mse_tree,
     grow_second_order_tree,
     ordered_sum,
@@ -56,13 +57,6 @@ def _select_rows(grad, params: BoostParams, rng):
     return np.arange(n), np.ones(n)
 
 
-def _select_cols(m, params: BoostParams, rng):
-    if params.colsample >= 1.0:
-        return np.arange(m)
-    k = max(1, int(round(params.colsample * m)))
-    return np.sort(rng.choice(m, size=k, replace=False))
-
-
 def _fit_round(values, presort, grad, hess, params, second_order, rng):
     """Grow one tree on the current pseudo-targets; returns a global-index tree.
 
@@ -73,7 +67,7 @@ def _fit_round(values, presort, grad, hess, params, second_order, rng):
     """
     rows, scale = _select_rows(grad, params, rng)
     n, m = values.shape
-    cols = _select_cols(m, params, rng)
+    cols = _candidate_features(m, params.colsample, rng)
     if rows.shape[0] == n and cols.shape[0] == m:
         sub, order = values, presort
     else:

@@ -1,4 +1,4 @@
-"""CART trees from one presorted grower, and a stacked flat-array predict.
+"""CART trees from one presorted grower, and one flat-array walk.
 
 ``_grow`` grows pre-order from every feature's stable argsort, taken once per
 fit (boosting takes it once for all its rounds and filters it to each
@@ -22,10 +22,10 @@ once into ``PackedTrees``, and the learner's ``combine`` step, which turns a
 row chunk's leaf payloads into predictions. Isolation Forest grows its trees
 straight into ``PackedTrees``. The packed trees, flat arrays with global node
 ids and self-looping leaves, are walked together one depth level per step
-with ``np.take``, in row chunks. Rows go left when ``x < threshold``, so NaN
-goes right. A walk may take a subset of the trees, so permutation importance
-can re-walk only the trees that split on a shuffled column and finish the
-prediction with ``combine`` as ``predict_values`` does.
+with ``np.take``, in row chunks that ``reduce`` combines. Rows go left when
+``x < threshold``, so NaN goes right. A walk may take a subset of the trees,
+so permutation importance re-walks a chunk only through the trees that split
+on a shuffled column, and combines it as ``reduce`` does.
 """
 
 from __future__ import annotations
@@ -273,21 +273,19 @@ class PackedTrees:
         roots = [add(tree, 0) for tree in trees]
         return cls(roots, feature, threshold, child, value, max(depths))
 
-    def _chunks(self, n, trees):
-        """Row slices of a walk over ``trees`` trees; 0 rows: one empty slice."""
-        step = max(1, self.CHUNK_CELLS // trees)
-        for start in range(0, max(n, 1), step):
-            yield slice(start, min(n, start + step))
-
     def leaves(self, X, trees=None):
-        """Yield (row slice, leaf payloads of shape (trees, rows[, width])).
+        """Yield (row slice, leaf payloads of shape (trees, rows[, width]))
+        per row chunk; 0 rows give one empty chunk.
 
-        ``trees`` (tree indices) walks only those trees, in that order.
+        ``trees`` (tree indices) walks only those trees, in that order, in
+        chunks of at least as many rows as a walk of all the trees.
         """
         roots = self.roots if trees is None else self.roots[trees]
         n, m = X.shape
         flat = np.ascontiguousarray(X, dtype=float).reshape(-1)
-        for rows in self._chunks(n, roots.shape[0]):
+        step = max(1, self.CHUNK_CELLS // roots.shape[0])
+        for start in range(0, max(n, 1), step):
+            rows = slice(start, min(n, start + step))
             node = np.repeat(roots[:, None], rows.stop - rows.start, axis=1)
             base = np.arange(rows.start, rows.stop) * m
             for _ in range(self.depth):  # in-place steps: no extra temporaries
@@ -299,25 +297,10 @@ class PackedTrees:
                 node = np.take(self.child, node)
             yield rows, np.take(self.value, node, axis=0)
 
-    def stacked(self, X):
-        """All leaf payloads at once, (trees, rows[, width]); for few trees."""
-        return np.concatenate([leaf for _, leaf in self.leaves(X)], axis=1)
-
     def reduce(self, X, combine):
         """``combine(leaf payloads of a row chunk)`` per chunk, concatenated:
         one output (or one row of width outputs) per row of ``X``."""
         return np.concatenate([combine(leaf) for _, leaf in self.leaves(X)])
-
-    def reduce_stacked(self, payloads, combine):
-        """``reduce`` from every tree's payloads (trees, rows), already walked.
-
-        It combines the same row chunks as ``reduce``, each as a contiguous
-        array, so the two give bit-identical values.
-        """
-        return np.concatenate([
-            combine(np.ascontiguousarray(payloads[:, rows]))
-            for rows in self._chunks(payloads.shape[1], self.roots.shape[0])
-        ])
 
     def split_columns(self, m):
         """(trees, m) bool: whether tree t splits on column j at any node."""
@@ -354,7 +337,7 @@ def ordered_sum(leaf, start=0.0, scale=1.0):
 
 def predict_tree(node: Node, X) -> np.ndarray:
     """Evaluate a tree on a matrix; leaf payloads may be scalar or vector."""
-    return PackedTrees.from_nodes([node]).stacked(X)[0]
+    return PackedTrees.from_nodes([node]).reduce(X, lambda leaf: leaf[0])
 
 
 def leaf_values(node: Node) -> list:

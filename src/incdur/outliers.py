@@ -2,8 +2,8 @@
 percentage-based record removal. Scores are higher-is-more-anomalous.
 
 Isolation Forest grows each tree iteratively, pre-order, straight into the
-flat arrays that ``models.tree.PackedTrees`` walks, so scoring is one stacked
-predict; the rng draws stay in the order of a recursive build, and only a
+flat arrays that ``models.tree.PackedTrees`` walks, so scoring is one
+``PackedTrees.reduce``; the rng draws stay in the order of a recursive build, and only a
 node that may still split carries a copy of its rows. LOF finds neighbours
 with ``models.knn.nearest_rows``, the blocked k-nearest search kNN uses:
 distances come in row blocks, summed one feature at a time, and only each

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import parallel_map
-from .cv import cross_val_predict, derive_seed, fold_indexes
+from .cv import cross_val_predict, derive_seed, fold_indexes, holdout_split
 from .dataset import Dataset, Encoder, encode
 from .labeling import DEFAULT_TC, binary_labels, subset_rows
 from .metrics import mape_excluding_zero, rmse
@@ -33,9 +33,8 @@ __all__ = [
     "scenario_table",
     "quantiled_time_folding",
     "fit_pipeline",
-    "predict_pipeline",
     "fit_fusion",
-    "predict_fusion",
+    "fusion_table",
 ]
 
 #: Scenario name -> (training rows, test rows), each "All", "A" or "B".
@@ -73,6 +72,13 @@ def _encode_on(dataset: Dataset, fit_indices: np.ndarray) -> np.ndarray:
     """Encode all rows with an encoder fitted on the training population,
     so categorical levels unseen in training map to the missing indicator."""
     return Encoder.fit(dataset.subset(fit_indices)).transform(dataset)
+
+
+def _errors(actual, predictions) -> dict:
+    """The error columns of a table row: MAPE, RMSE and test size."""
+    mape, excluded = mape_excluding_zero(actual, predictions)
+    return {"mape": mape, "rmse": rmse(actual, predictions),
+            "mape_excluded_zeros": excluded, "n_test": int(actual.shape[0])}
 
 
 def run_scenario(
@@ -131,16 +137,11 @@ def run_scenario(
         test_indices = rows[target]
         predictions = model.predict(values[test_indices])
 
-    actual = durations[test_indices]
-    mape, excluded = mape_excluding_zero(actual, predictions)
     return {
         "scenario": name,
         "model": model_kind,
         "tc": tc,
-        "mape": mape,
-        "rmse": rmse(actual, predictions),
-        "mape_excluded_zeros": excluded,
-        "n_test": int(test_indices.shape[0]),
+        **_errors(durations[test_indices], predictions),
         "test_indices": test_indices,
         "predictions": predictions,
     }
@@ -207,32 +208,35 @@ def quantiled_time_folding(
 class PipelineModel:
     """Classifier routes each record to the subset-specialised regressor."""
 
-    tc: float
     encoder: Encoder
     classifier: TrainedModel
     regressor_a: TrainedModel
     regressor_b: TrainedModel
 
+    def predict(self, dataset: Dataset) -> np.ndarray:
+        values = self.encoder.transform(dataset)
+        out = self.regressor_a.predict(values)
+        long_term = self.classifier.predict(values) == 1
+        if long_term.any():
+            out = out.copy()
+            out[long_term] = self.regressor_b.predict(values[long_term])
+        return out
+
 
 @dataclass(frozen=True)
 class FusionModel(PipelineModel):
-    """Meta-regressor over (class, regA, regB, regAll) base predictions."""
+    """Meta-regressor over the (class, regA, regB, regAll) base predictions
+    that varied out of fold, the ``meta_columns``."""
 
     regressor_all: TrainedModel
     meta: TrainedModel
+    meta_columns: np.ndarray  # bool, one per base model
 
-
-def _as_matrix(model, X) -> np.ndarray:
-    if isinstance(X, Dataset):
-        return model.encoder.transform(X)
-    return np.asarray(X, dtype=float)
-
-
-def _encoded(dataset: Dataset, tc: float):
-    """(encoder fitted on all records, their encoded values, binary labels)."""
-    labels = binary_labels(dataset.durations, tc)
-    encoder = Encoder.fit(dataset)
-    return encoder, encoder.transform(dataset), labels
+    def predict(self, dataset: Dataset) -> np.ndarray:
+        bases = (self.classifier, self.regressor_a, self.regressor_b,
+                 self.regressor_all)
+        meta_x = _meta_features(bases, self.encoder.transform(dataset))
+        return self.meta.predict(np.ascontiguousarray(meta_x[:, self.meta_columns]))
 
 
 def _fit_bases(config, values, durations, labels, rows, seed, fusion=False):
@@ -261,21 +265,11 @@ def _fit_bases(config, values, durations, labels, rows, seed, fusion=False):
 def fit_pipeline(
     dataset: Dataset, config: FusionConfig, tc: float = DEFAULT_TC, seed: int = 0
 ) -> PipelineModel:
-    encoder, values, labels = _encoded(dataset, tc)
-    bases = _fit_bases(config, values, dataset.durations, labels,
+    encoder = Encoder.fit(dataset)
+    bases = _fit_bases(config, encoder.transform(dataset), dataset.durations,
+                       binary_labels(dataset.durations, tc),
                        np.arange(len(dataset)), seed)
-    return PipelineModel(float(tc), encoder, *bases)
-
-
-def predict_pipeline(model: PipelineModel, X) -> np.ndarray:
-    values = _as_matrix(model, X)
-    cls = model.classifier.predict(values)
-    out = model.regressor_a.predict(values)
-    long_term = cls == 1
-    if long_term.any():
-        out = out.copy()
-        out[long_term] = model.regressor_b.predict(values[long_term])
-    return out
+    return PipelineModel(encoder, *bases)
 
 
 def _meta_features(bases, values) -> np.ndarray:
@@ -292,9 +286,13 @@ def fit_fusion(
 ) -> FusionModel:
     """Meta-features are generated out-of-fold: the base models scoring a
     training record never saw it, so the meta-regressor is not trained on
-    in-sample base predictions."""
-    encoder, values, labels = _encoded(dataset, tc)
+    in-sample base predictions. A meta column that is constant out of fold
+    (say, every record classed long-term) is left out, since the meta
+    model's intercept already holds a constant column."""
+    encoder = Encoder.fit(dataset)
+    values = encoder.transform(dataset)
     durations = dataset.durations
+    labels = binary_labels(durations, tc)
     n = len(dataset)
 
     meta_x = np.empty((n, 4))
@@ -304,18 +302,39 @@ def fit_fusion(
                            derive_seed(seed, 10, k), fusion=True)
         meta_x[test] = _meta_features(bases, values[test])
 
+    columns = (meta_x != meta_x[:1]).any(axis=0)
     meta = fit_model(
-        config.meta_kind, meta_x, durations,
+        config.meta_kind, np.ascontiguousarray(meta_x[:, columns]), durations,
         task="regression", target_transform=config.target_transform,
         seed=derive_seed(seed, 20),
     )
     bases = _fit_bases(config, values, durations, labels, np.arange(n), seed,
                        fusion=True)
-    return FusionModel(float(tc), encoder, *bases, meta)
+    return FusionModel(encoder, *bases, meta, columns)
 
 
-def predict_fusion(model: FusionModel, X) -> np.ndarray:
-    values = _as_matrix(model, X)
-    bases = (model.classifier, model.regressor_a, model.regressor_b,
-             model.regressor_all)
-    return model.meta.predict(_meta_features(bases, values))
+def fusion_table(
+    dataset: Dataset,
+    config: FusionConfig = FusionConfig(),
+    tc: float = DEFAULT_TC,
+    folds: int = 5,
+    seed: int = 0,
+) -> list[dict]:
+    """Fusion, pipeline and one all-data regressor, fitted on the training
+    part of a holdout split and scored on its test part: one row each."""
+    train_idx, test_idx = holdout_split(len(dataset))
+    train, test = dataset.subset(train_idx), dataset.subset(test_idx)
+    fusion = fit_fusion(train, config, tc, folds, seed=derive_seed(seed, 1))
+    pipeline = fit_pipeline(train, config, tc, seed=derive_seed(seed, 2))
+    single = fit_model(
+        config.regressor_all_kind, fusion.encoder.transform(train), train.durations,
+        task="regression", target_transform=config.target_transform,
+        seed=derive_seed(seed, 3),
+    )
+    predictions = {
+        "fusion": fusion.predict(test),
+        "pipeline": pipeline.predict(test),
+        "single": single.predict(fusion.encoder.transform(test)),
+    }
+    return [{"model": name, **_errors(test.durations, pred)}
+            for name, pred in predictions.items()]

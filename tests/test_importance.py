@@ -275,6 +275,31 @@ def test_tree_path_peak_memory_stays_near_the_plain_loop():
     assert tree_path <= 1.25 * plain
 
 
+def peak_bytes(run):
+    """The peak of traced allocations while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tree_path_peak_memory_grows_only_by_the_kept_payloads():
+    # past the plain loop's peak, the tree path holds the baseline leaf
+    # payloads (8 bytes a tree and row) and one chunk's substituted copy
+    n = 12_000
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(n, 6))
+    y = np.abs(X @ np.arange(1.0, 7.0)) + rng.random(n)
+    model = fit_model("gbt", X, y)  # 100 trees
+    trees = model.inner.packed.roots.shape[0]
+    tree_path = peak_bytes(lambda: permutation_importance(model, X, y, n_repeats=2))
+    plain = peak_bytes(lambda: plain_importance(model, X, y, "rmse", 2, 0))
+    kept = 8 * trees * n + 8 * PackedTrees.CHUNK_CELLS
+    assert tree_path <= plain + kept + (1 << 20)
+
+
 # ---------------------------------------------------------------------------
 # Shapley sampling
 # ---------------------------------------------------------------------------

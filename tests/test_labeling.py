@@ -107,6 +107,23 @@ def test_threshold_sweep_unevaluable_cell_flagged():
     assert rows[0]["evaluable"] is False
 
 
+def long_tail_dataset(seed=0):
+    """50 records, short but for the last three (80, 90 and 100 minutes):
+    at tc=45 the fifth of five sequential folds trains on one class."""
+    rng = np.random.default_rng(seed)
+    durations = rng.uniform(5.0, 40.0, size=50)
+    durations[-3:] = (80.0, 90.0, 100.0)
+    schema = FeatureSchema(columns=(FeatureColumn("x", "numeric"),))
+    return Dataset(schema=schema, rows=tuple((v,) for v in rng.normal(size=50).tolist()),
+                   durations=durations)
+
+
+@pytest.mark.parametrize("kind", ["gbt", "linear", "tree"])
+def test_threshold_sweep_survives_a_one_class_training_fold(kind):
+    (row,) = threshold_sweep(long_tail_dataset(), [kind], tc_values=(45,), cv=5)
+    assert row["evaluable"] and 0.0 <= row["f1"] <= 1.0
+
+
 def test_threshold_sweep_worker_invariant():
     ds = leaked_dataset(copies=3, seed=4)
     a = threshold_sweep(ds, ["tree", "knn"], tc_values=(30, 45, 60), cv=3)

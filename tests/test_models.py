@@ -430,3 +430,13 @@ def test_predict_rejects_other_widths(kind):
                         classifier.predict_proba):
             with pytest.raises(ModelError, match=f"expected 4 features, got {width}"):
                 predict(np.ones((2, width)))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_one_class_fit_predicts_that_class_with_probability_one(kind):
+    # a sequential training fold of a skewed table can hold one class only
+    X = np.random.default_rng(5).normal(size=(12, 3))
+    model = fit_model(kind, X, np.full(12, "long"), SMALL_PARAMS[kind],
+                      "classification")
+    assert model.predict(X).tolist() == ["long"] * 12
+    assert np.array_equal(model.predict_proba(X), np.ones((12, 1)))

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from incdur.dataset import Dataset, FeatureColumn, FeatureSchema, SynthConfig, synthesize
+from incdur.dataset import (Dataset, FeatureColumn, FeatureSchema, PlantedEffect,
+                            SynthConfig, synthesize)
 from incdur.importance import subset_importance
 from incdur.labeling import binary_labels
 from incdur.metrics import rmse
@@ -14,8 +15,6 @@ from incdur.scenarios import (
     ScenarioError,
     fit_fusion,
     fit_pipeline,
-    predict_fusion,
-    predict_pipeline,
     quantiled_time_folding,
     run_scenario,
     scenario_table,
@@ -179,7 +178,7 @@ def test_pipeline_routes_class0_to_regressor_a():
     model = fit_pipeline(ds, TREE_CONFIG, tc=45.0)
     values = model.encoder.transform(ds)
     cls = model.classifier.predict(values)
-    out = predict_pipeline(model, ds)
+    out = model.predict(ds)
     reg_a = model.regressor_a.predict(values)
     reg_b = model.regressor_b.predict(values)
     assert np.array_equal(out[cls == 0], reg_a[cls == 0])
@@ -197,7 +196,7 @@ def test_pipeline_with_oracle_classifier_mixes_subset_errors():
     # perfect, so the composite error collapses towards zero
     ds = leaked_dataset(n=300, seed=13)
     model = fit_pipeline(ds, TREE_CONFIG, tc=45.0)
-    pred = predict_pipeline(model, ds)
+    pred = model.predict(ds)
     assert rmse(ds.durations, pred) < 0.1 * ds.durations.std()
 
 
@@ -232,6 +231,20 @@ def test_fusion_meta_features_have_four_columns():
     assert model.meta.inner.coefs.shape[0] == 4
 
 
+def test_fusion_leaves_out_a_meta_column_constant_out_of_fold():
+    # 12 of 150 records are short-term, and every out-of-fold class is long:
+    # with the intercept, that column made the linear meta-model singular
+    ds = synthesize(SynthConfig(n=150, seed=1, mu=3.9, sigma=0.9, effects=(
+        PlantedEffect("x1", "numeric", slope=1.5),
+        PlantedEffect("f", "boolean", multiplier=2.0),
+    )))
+    model = fit_fusion(ds, FusionConfig(classifier_kind="random-forest"), tc=40,
+                       folds=3)
+    assert model.meta_columns.tolist() == [False, True, True, True]
+    assert model.meta.n_features == 3
+    assert np.isfinite(model.predict(ds)).all()
+
+
 def test_fusion_not_much_worse_than_single_model():
     rng = np.random.default_rng(15)
     per_seed = []
@@ -243,7 +256,7 @@ def test_fusion_not_much_worse_than_single_model():
         fusion = fit_fusion(train, TREE_CONFIG, tc=45.0, seed=seed)
         single = fusion.regressor_all
         test_values = fusion.encoder.transform(test)
-        fusion_rmse = rmse(test.durations, predict_fusion(fusion, test))
+        fusion_rmse = rmse(test.durations, fusion.predict(test))
         single_rmse = rmse(test.durations, single.predict(test_values))
         per_seed.append(fusion_rmse <= single_rmse * 1.10)
     assert sum(per_seed) >= 3
@@ -256,5 +269,5 @@ def test_fusion_exploits_perfect_meta_column():
     model = fit_fusion(ds, TREE_CONFIG, tc=45.0)
     values = model.encoder.transform(ds)
     reg_all_rmse = rmse(ds.durations, model.regressor_all.predict(values))
-    fusion_rmse = rmse(ds.durations, predict_fusion(model, ds))
+    fusion_rmse = rmse(ds.durations, model.predict(ds))
     assert fusion_rmse <= reg_all_rmse + 0.01 * max(reg_all_rmse, 1.0)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from incdur.cv import cross_val_predict, derive_seed, fold_indexes
-from incdur.dataset import SynthConfig, encode, synthesize
+from incdur.dataset import (Dataset, FeatureColumn, FeatureSchema, SynthConfig,
+                            encode, synthesize)
 from incdur.metrics import mape_excluding_zero
 from incdur.models import ModelError, fit_model
 from incdur.outliers import MAX_ORM_PERCENT, OrmError
@@ -228,6 +229,20 @@ def test_ieo_f1_metric_requires_tc():
         run_ieo(ds, "tree", metric="f1", **plan)
     result = run_ieo(ds, "tree", metric="f1", tc=40.0, **plan)
     assert 0.0 <= result.best["metric_value"] <= 1.0
+
+
+def test_ieo_f1_search_survives_one_class_training_folds():
+    # only the last three of 50 records are long-term at tc=45, so every
+    # training fold of the sequential 80% search part holds one class
+    rng = np.random.default_rng(0)
+    durations = rng.uniform(5.0, 40.0, size=50)
+    durations[-3:] = (80.0, 90.0, 100.0)
+    ds = Dataset(schema=FeatureSchema(columns=(FeatureColumn("x", "numeric"),)),
+                 rows=tuple((v,) for v in rng.normal(size=50).tolist()),
+                 durations=durations)
+    result = run_ieo(ds, "gbt", folds=5, iterations=2, metric="f1", tc=45)
+    assert not any(entry["failed"] for entry in result.trace)
+    assert result.validation_predictions.tolist() == [0] * 10
 
 
 def test_ieo_log1p_constant_duration_round_trip():
