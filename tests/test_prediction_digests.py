@@ -3,7 +3,8 @@
 For each kind and task, the sha256 of ``predict`` and, for classifiers,
 ``predict_proba`` on a query batch, its first row and zero rows. This pins
 the paths the golden CLI configs never fit: gbt, knn and linear classifiers,
-one-vs-rest boosting, and GOSS and row/column-subsampled boosting.
+one-vs-rest boosting, GOSS, row/column-subsampled and column-only subsampled
+boosting.
 """
 
 import hashlib
@@ -31,6 +32,9 @@ PARAMS = {
     "gbt-goss": ("gbt", BoostParams(n_rounds=10, max_depth=3, goss=(0.2, 0.3))),
     "gbt-reg-subsample": ("gbt-reg", BoostParams(n_rounds=10, max_depth=3,
                                                  subsample=0.7, colsample=0.6)),
+    "gbt-colsample": ("gbt", BoostParams(n_rounds=10, max_depth=3, colsample=0.6)),
+    "gbt-reg-colsample": ("gbt-reg", BoostParams(n_rounds=10, max_depth=3,
+                                                 colsample=0.5, gamma=0.01)),
 }
 
 #: task label: (task, target transform, classes; 0 means regression)
@@ -107,6 +111,22 @@ DIGESTS = {
         "7c2415d94391076ead5fc55f854d0059eafed73443bdcc327156780389d4de45",
     ("gbt-reg-subsample", "3-class"):
         "efafec9866739c2dcab4ce1ca5ef4411864fb4922d71693df5786ab837acbe75",
+    ("gbt-colsample", "regression"):
+        "b06c078475d20112241a99601d18744e3c85bea91c2e47bd731d400d4931b5b0",
+    ("gbt-colsample", "log1p"):
+        "9e1dce5de00602e22c801e7a7d71d270c50089432ee705271642929757aea654",
+    ("gbt-colsample", "binary"):
+        "87b25e9f5454128e277c847201585cf4cd20e9ecacf5b12a6e26f0f387f8b30a",
+    ("gbt-colsample", "3-class"):
+        "dc009c497f5e29b826a5af5f9c7db6ce4632f9f04673fa826d4d390df70d67ab",
+    ("gbt-reg-colsample", "regression"):
+        "f1eef8303193653b6299f3e3f177a2fdd8fe9f5b7d4466d62d346803bcb5a975",
+    ("gbt-reg-colsample", "log1p"):
+        "0d413b6dbd716391f2d1ac94aa8e457f0ff5f6b8ff5cd63ac369a94d712ba209",
+    ("gbt-reg-colsample", "binary"):
+        "c795532a5b01ac91de8a2c7136fbf55c6678c3365bb8c2c5682bb351326dd338",
+    ("gbt-reg-colsample", "3-class"):
+        "996fbaa33a4fb1fec4be8c5b07d20e1e1ac4be3ea4ab74c717befff0451c3af6",
 }
 
 
