@@ -37,7 +37,8 @@ from .dataset import (
 )
 from .importance import (ERROR_METRICS, MIN_SUBSET_SIZE, SUBSET_TAGS,
                          subset_importance)
-from .labeling import ldo_hdo_sweep, quantile_grid, threshold_sweep
+from .cv import holdout_split
+from .labeling import binary_labels, ldo_hdo_sweep, quantile_grid, threshold_sweep
 from .models import MODEL_KINDS
 from .models.base import TARGET_TRANSFORMS
 from .scenarios import (
@@ -394,7 +395,18 @@ def _cmd_ieo(cfg, dataset, out, seed, workers):
             "n_validation": int(result.validation_indices.shape[0]),
         },
     )
-    return [trace_path, summary_path], []
+    warnings = []
+    if block.get("metric") == "f1":
+        search, _ = holdout_split(len(dataset))
+        classes = set(binary_labels(dataset.durations[search], block["tc"]).tolist())
+        if len(classes) == 1:
+            (label,) = classes
+            warnings.append(
+                f"ieo search part holds only class {label} "
+                f"({'long' if label else 'short'}-term at tc={block['tc']}): "
+                "every draw scores the same f1, so the search cannot rank them"
+            )
+    return [trace_path, summary_path], warnings
 
 
 def _cmd_fusion(cfg, dataset, out, seed, workers):

@@ -153,7 +153,7 @@ class Encoder:
                     raise DatasetError(
                         f"column {col.name!r} is entirely missing; cannot impute"
                     )
-                plan.append((col.name, "numeric", float(np.median(present))))
+                plan.append((col.name, "numeric", _median(present)))
         return cls(tuple(plan))
 
     @property
@@ -191,6 +191,17 @@ class Encoder:
                     raise DatasetError(f"column {name!r} has non-finite values")
                 cols.append(col)
         return np.hstack(cols)
+
+
+def _median(values) -> float:
+    """``np.median`` of a non-empty list, bit for bit (NaN if any value is):
+    the mean of the middle one or two values, without the ``numpy.ma``
+    import that ``np.median`` makes on first use."""
+    ordered = np.sort(values)  # NaN sorts last
+    n = ordered.shape[0]
+    if np.isnan(ordered[-1]):
+        return float(ordered[-1])
+    return float(np.mean(ordered[(n - 1) // 2:n // 2 + 1]))
 
 
 def encode(dataset: Dataset) -> np.ndarray:

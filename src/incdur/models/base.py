@@ -207,7 +207,9 @@ def prepare_targets(y, task, target_transform):
                 raise ModelError("log1p transform requires y >= 0")
             y = np.log1p(y)
         return y, None
-    classes = np.unique(y)
+    # np.unique's sorted distinct labels, without its numpy.ma import
+    ordered = np.sort(y)
+    classes = ordered[np.append(True, ordered[1:] != ordered[:-1])]
     index = {c: i for i, c in enumerate(classes.tolist())}
     y_idx = np.array([index[v] for v in y.tolist()], dtype=int)
     return y_idx, classes

@@ -1,6 +1,12 @@
 """Gradient boosting: first-order residual fitting and a second-order
 regularised variant (leaf weight -G/(H+lambda), gamma-thresholded split gain),
-with optional gradient-based one-side sampling (GOSS)."""
+with optional gradient-based one-side sampling (GOSS).
+
+Each round adds ``learning_rate`` times its tree's predictions on the
+training rows to the raw scores. A round grown on every row (any column
+subset) takes them from the grower, which writes each leaf's value into its
+rows' slots of ``fitted``; a subsample or GOSS round walks every row through
+its tree."""
 
 from __future__ import annotations
 
@@ -58,7 +64,8 @@ def _select_rows(grad, params: BoostParams, rng):
 
 
 def _fit_round(values, presort, grad, hess, params, second_order, rng):
-    """Grow one tree on the current pseudo-targets; returns a global-index tree.
+    """Grow one tree on the current pseudo-targets; returns (a global-index
+    tree, its predictions on every row of ``values``).
 
     ``presort`` is the stable argsort of every column of ``values``. A round
     on a subset keeps, per chosen column, its rows in that order and renumbers
@@ -67,6 +74,7 @@ def _fit_round(values, presort, grad, hess, params, second_order, rng):
     """
     rows, scale = _select_rows(grad, params, rng)
     n, m = values.shape
+    fitted = np.empty(n) if rows.shape[0] == n else None  # rows == arange(n)
     cols = _candidate_features(m, params.colsample, rng)
     if rows.shape[0] == n and cols.shape[0] == m:
         sub, order = values, presort
@@ -87,16 +95,19 @@ def _fit_round(values, presort, grad, hess, params, second_order, rng):
             params.min_samples_leaf,
             params.min_child_weight,
             presort=order,
+            fitted=fitted,
         )
     else:
         # fitting a regression tree to (scaled) residuals
         tree = grow_mse_tree(
             sub, -grad[rows] * scale, params.max_depth, params.min_samples_leaf,
-            presort=order,
+            presort=order, fitted=fitted,
         )
     if cols.shape[0] < m:
         _remap_features(tree, cols)
-    return tree
+    if fitted is None:
+        fitted = predict_tree(tree, values)
+    return tree, fitted
 
 
 def _class_proba(leaf, bases, rate):
@@ -133,9 +144,9 @@ def _boost(values, presort, y, base, gradients, params, second_order, rng):
     trees = []
     for _ in range(params.n_rounds):
         grad, hess = gradients(score, y)
-        tree = _fit_round(values, presort, grad, hess, params, second_order, rng)
+        tree, fitted = _fit_round(values, presort, grad, hess, params, second_order, rng)
         trees.append(tree)
-        score = score + params.learning_rate * predict_tree(tree, values)
+        score = score + params.learning_rate * fitted
     return trees
 
 

@@ -2,7 +2,11 @@
 
 ``_grow`` grows pre-order from every feature's stable argsort, taken once per
 fit (boosting takes it once for all its rounds and filters it to each
-round's rows and columns) and filtered to each child's rows. Each node
+round's rows and columns; a forest takes it once for all its trees, and
+each tree radix-sorts its rows' places in it) and filtered to each child's
+rows.
+Given a ``fitted`` array, the grower writes each leaf's value into its rows'
+slots: the tree's predictions on its training rows, with no walk. Each node
 computes its statistics once, for the stop rule, the split score and the
 leaf: (y, sum y) for squared error, class counts for Gini, (G, H) for
 second-order boosting trees. A criterion callback turns the sorted orders of
@@ -68,7 +72,7 @@ def _candidate_features(m, feature_fraction, rng):
 
 
 def _grow(X, max_depth, min_leaf, feature_fraction, rng, stats, leaf, score,
-          min_gain, stop=None, presort=None):
+          min_gain, stop=None, presort=None, fitted=None):
     """Grow one tree, pre-order, over columns sorted once.
 
     ``stats(idx)`` summarises a node's rows (ids ascending) once; ``stop``,
@@ -78,6 +82,8 @@ def _grow(X, max_depth, min_leaf, feature_fraction, rng, stats, leaf, score,
     parent score): the split after sorted position i scores ``scores[:, i]``,
     and its gain is that minus the parent score. ``presort`` is
     ``np.argsort(X.T, axis=1, kind="mergesort")`` when the caller holds it.
+    ``fitted``, an array of one slot per row of ``X``, receives each row's
+    leaf value: the tree's prediction on its training rows, with no walk.
     """
     n_rows, m = X.shape
     if presort is None:
@@ -85,11 +91,17 @@ def _grow(X, max_depth, min_leaf, feature_fraction, rng, stats, leaf, score,
     XT = np.ascontiguousarray(X.T)
     starts = np.arange(m)[:, None] * n_rows  # where each column of XT starts
 
+    def make_leaf(idx, s):
+        value = leaf(s)
+        if fitted is not None:
+            fitted[idx] = value
+        return Node(value=value)
+
     def build(idx, order, depth):
         n = idx.shape[0]
         s = stats(idx)
         if depth >= max_depth or n < 2 * min_leaf or (stop is not None and stop(s)):
-            return Node(value=leaf(s))
+            return make_leaf(idx, s)
         feats = _candidate_features(m, feature_fraction, rng)
         if feats.shape[0] == m:
             rows, xs = order, XT.take(order + starts)
@@ -105,14 +117,14 @@ def _grow(X, max_depth, min_leaf, feature_fraction, rng, stats, leaf, score,
             if gain > min_gain and (best is None or gain > best + 1e-12):
                 best, f = gain, c  # ties go to the lower feature
         if best is None:
-            return Node(value=leaf(s))
+            return make_leaf(idx, s)
         i = lo + int(scores[f].argmax())
         thr = float((xs[f, i] + xs[f, i + 1]) / 2.0)
         # rows with x < thr: values ascend, NaN last; the midpoint of two
         # adjacent doubles can round onto the lower one, and a sum can overflow
         k = int(xs[f].searchsorted(thr))
         if k == 0 or k == n:
-            return Node(value=leaf(s))
+            return make_leaf(idx, s)
         j = int(feats[f])
         left = right = None  # children at max_depth are leaves: no orders
         if depth + 1 < max_depth:
@@ -130,7 +142,7 @@ def _grow(X, max_depth, min_leaf, feature_fraction, rng, stats, leaf, score,
 
 
 def grow_mse_tree(X, y, max_depth, min_samples_leaf=1, feature_fraction=None,
-                  rng=None, presort=None):
+                  rng=None, presort=None, fitted=None):
     """Greedy regression tree; leaves hold target means."""
 
     def stats(idx):
@@ -142,29 +154,36 @@ def grow_mse_tree(X, y, max_depth, min_samples_leaf=1, feature_fraction=None,
         n = ys.shape[0]
         sse_parent = float((ys * ys).sum() - total**2 / n)
         ys = y[rows]
-        csum = ys.cumsum(axis=1)[:, :-1]
-        csq = (ys * ys).cumsum(axis=1)[:, :-1]
-        n_left = np.arange(1, n)
         # float_power matches the scalar ``v ** 2``; ``**`` on arrays does not
-        total = csum[:, -1:] + ys[:, -1:]
-        total_sq = csq[:, -1:] + np.float_power(ys[:, -1:], 2)
-        sse = (
-            csq
-            - csum**2 / n_left
-            + (total_sq - csq)
-            - (total - csum) ** 2 / (n - n_left)
-        )
-        return -sse, -sse_parent  # argmax keeps the first minimum of sse
+        last_sq = np.float_power(ys[:, -1:], 2)
+        csum = ys.cumsum(axis=1)
+        total, csum = csum[:, -1:], csum[:, :-1]
+        csq = np.multiply(ys, ys, out=ys).cumsum(axis=1)[:, :-1]
+        n_left = np.arange(1.0, n)
+        # sse = csq - csum^2 / n_left + (total_sq - csq)
+        #       - (total - csum)^2 / (n - n_left), in that order, in place
+        sse = np.square(csum)
+        sse /= n_left
+        np.subtract(csq, sse, out=sse)
+        right = (csq[:, -1:] + last_sq) - csq
+        sse += right
+        np.subtract(total, csum, out=right)
+        np.square(right, out=right)
+        right /= n_left[::-1]
+        sse -= right
+        # argmax keeps the first minimum of sse
+        return np.negative(sse, out=sse), -sse_parent
 
     return _grow(
         X, max_depth, min_samples_leaf, feature_fraction, rng,
         stats=stats, leaf=lambda s: float(s[1] / s[0].shape[0]), score=score,
-        min_gain=1e-12, presort=presort,
+        min_gain=1e-12, presort=presort, fitted=fitted,
     )
 
 
 def grow_gini_tree(
-    X, y_idx, n_classes, max_depth, min_samples_leaf=1, feature_fraction=None, rng=None
+    X, y_idx, n_classes, max_depth, min_samples_leaf=1, feature_fraction=None,
+    rng=None, presort=None,
 ):
     """Greedy classification tree; leaves hold class-count distributions."""
     # 0/1 columns of every class but the last, whose count is the rest
@@ -191,7 +210,7 @@ def grow_gini_tree(
         X, max_depth, min_samples_leaf, feature_fraction, rng,
         stats=lambda idx: np.bincount(y_idx[idx], minlength=n_classes),
         leaf=lambda counts: counts.astype(float), score=score, min_gain=1e-12,
-        stop=lambda counts: np.count_nonzero(counts) <= 1,
+        stop=lambda counts: np.count_nonzero(counts) <= 1, presort=presort,
     )
 
 
@@ -207,6 +226,7 @@ def grow_second_order_tree(
     feature_fraction=None,
     rng=None,
     presort=None,
+    fitted=None,
 ):
     """Second-order tree: leaf weight -G/(H+lambda), gamma-thresholded gains."""
 
@@ -228,7 +248,7 @@ def grow_second_order_tree(
         X, max_depth, min_samples_leaf, feature_fraction, rng,
         stats=lambda idx: (float(g[idx].sum()), float(h[idx].sum())),
         leaf=lambda s: -s[0] / (s[1] + reg_lambda), score=score, min_gain=0.0,
-        presort=presort,
+        presort=presort, fitted=fitted,
     )
 
 

@@ -351,12 +351,60 @@ def test_csv_dataset_round_trip(tmp_path):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("tc, warned", [(45, True), (20, False)])
+def test_ieo_f1_warns_when_the_search_part_holds_one_class(tmp_path, tc, warned):
+    # only the last three of 50 records are long-term at tc=45, so the
+    # sequential 80% search part holds class 0 alone; at tc=20 it holds both
+    rng = np.random.default_rng(0)
+    durations = rng.uniform(5.0, 40.0, size=50)
+    durations[-3:] = (80.0, 90.0, 100.0)
+    lines = ["x,duration"] + [
+        f"{x!r},{d!r}" for x, d in zip(rng.normal(size=50).tolist(), durations.tolist())
+    ]
+    (tmp_path / "one_class.csv").write_text("\n".join(lines) + "\n")
+    cfg = {
+        "seed": 0,
+        "dataset": {"csv": {"path": str(tmp_path / "one_class.csv"),
+                            "columns": [{"name": "x", "kind": "numeric"}]}},
+        "ieo": {"model": "gbt", "folds": 5, "iterations": 2, "metric": "f1",
+                "tc": tc},
+    }
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["ieo", "--config", str(p), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    if warned:
+        assert manifest["warnings"] == [
+            "ieo search part holds only class 0 (short-term at tc=45.0): every "
+            "draw scores the same f1, so the search cannot rank them"
+        ]
+    else:
+        assert manifest["warnings"] == []
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes over a second to import; only `profile` needs it
     src = os.path.dirname(os.path.dirname(incdur.__file__))
     code = "import sys, incdur.cli; assert 'scipy.stats' not in sys.modules"
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_cli_runs_leave_numpy_ma_unloaded(tmp_path):
+    # np.median and np.unique import numpy.ma on first use; the encoder's
+    # imputation and the classifiers' labels never need it
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(BASE_CONFIG))
+    src = os.path.dirname(os.path.dirname(incdur.__file__))
+    code = (
+        "import sys; from incdur.cli import main; "
+        f"assert main(['fusion', '--config', {str(p)!r}, '--out', {str(tmp_path / 'f')!r}]) == 0; "
+        f"assert main(['importance', '--config', {str(p)!r}, '--out', {str(tmp_path / 'i')!r}]) == 0; "
+        "assert 'numpy.ma' not in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))
 
 
 GOLDEN_CONFIG = {

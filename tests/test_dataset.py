@@ -108,6 +108,24 @@ def test_encode_numeric_passthrough_and_median():
     assert encode(ds)[:, 0].tolist() == [1.0, 2.0, 3.0]
 
 
+def test_encode_imputes_np_median_bit_for_bit():
+    # odd and even counts, ties, wide magnitudes and NaN cells
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        values = rng.normal(size=n) * 10.0 ** rng.integers(-30, 30)
+        if rng.random() < 0.3:
+            values = np.round(values)
+        if rng.random() < 0.1:
+            values[rng.integers(0, n)] = np.nan
+        rows = [(v,) for v in values.tolist()] + [(None,)]
+        ds = Dataset(schema=schema(FeatureColumn("x", "numeric")), rows=tuple(rows),
+                     durations=np.ones(n + 1))
+        (_, _, fill), = Encoder.fit(ds).plan
+        want = np.median(values)
+        assert fill == want or (np.isnan(fill) and np.isnan(want)), seed
+
+
 def test_encode_unseen_level_maps_to_missing_indicator():
     train = Dataset(
         schema=schema(FeatureColumn("t", "categorical")),

@@ -13,6 +13,7 @@ from incdur.models import (
     TreeParams,
     fit_model,
 )
+from incdur.models.base import prepare_targets
 from incdur.models.forest import _votes
 from incdur.models.linear import logistic_loss, logistic_loss_grad
 from incdur.models.tree import (
@@ -440,3 +441,16 @@ def test_one_class_fit_predicts_that_class_with_probability_one(kind):
                       "classification")
     assert model.predict(X).tolist() == ["long"] * 12
     assert np.array_equal(model.predict_proba(X), np.ones((12, 1)))
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[3, -1, 3, 0, -1], [1.0, 0.0, 2.0, 2.0], ["bb", "a", "ccc", "a"], [True, False, True],
+     [7, 7]],
+)
+def test_class_labels_equal_np_unique(labels):
+    y = np.array(labels)
+    y_idx, classes = prepare_targets(y, "classification", "none")
+    assert classes.dtype == np.unique(y).dtype
+    assert np.array_equal(classes, np.unique(y))
+    assert np.array_equal(classes[y_idx], y)

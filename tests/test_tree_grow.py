@@ -22,6 +22,7 @@ from incdur.models.tree import (
     grow_mse_tree,
     grow_second_order_tree,
     leaf_values,
+    predict_tree,
 )
 
 
@@ -341,9 +342,76 @@ def test_gini_many_classes_and_pure_children_match_reference():
     assert pure > 100
 
 
+def test_grown_leaf_values_equal_the_walk_on_training_rows():
+    # an all-row boosting round takes its training scores from ``fitted``
+    cases = []
+    for seed in SEEDS:  # ties, NaN cells, depth 0-8, min_samples_leaf 1-5
+        rng, X, kw = _case(seed)
+        draw_seed = kw.pop("rng_seed", None)
+        kw["rng"] = None if draw_seed is None else np.random.default_rng(draw_seed)
+        cases.append((rng, X, kw))
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        X = _adjacent_doubles(rng, int(rng.choice([4, 12, 40])), int(rng.integers(1, 4)))
+        cases.append((rng, X, dict(max_depth=4, min_samples_leaf=int(rng.integers(1, 3)))))
+    seen = set()
+    for rng, X, kw in cases:
+        n = X.shape[0]
+        y = rng.normal(size=n) * 10.0 ** rng.integers(-2, 4)
+        g, h = rng.normal(size=n), rng.uniform(0.01, 0.25, size=n)
+        growers = (
+            (grow_mse_tree, (y,), {}),
+            (grow_second_order_tree, (g, h), dict(reg_lambda=1.0, gamma=0.0)),
+        )
+        for grow, args, extra in growers:
+            fitted = np.full(n, np.nan)
+            tree = grow(X, *args, **kw, **extra, fitted=fitted)
+            assert np.array_equal(fitted, predict_tree(tree, X))
+        seen.update({
+            "nan": bool(np.isnan(X).any()),
+            "depth 0": kw["max_depth"] == 0,
+            "min leaf > 1": kw["min_samples_leaf"] > 1,
+            "split": not tree.is_leaf,
+        }.items())
+    assert all((name, True) in seen for name in ("nan", "depth 0", "min leaf > 1", "split"))
+
+
+@pytest.mark.parametrize(
+    "params, walks",
+    [
+        (BoostParams(n_rounds=6, max_depth=3), 0),
+        (BoostParams(n_rounds=6, max_depth=3, colsample=0.5), 0),
+        (BoostParams(n_rounds=6, max_depth=3, subsample=0.7), 6),
+        (BoostParams(n_rounds=6, max_depth=3, goss=(0.2, 0.3)), 6),
+    ],
+)
+@pytest.mark.parametrize("kind", ["gbt", "gbt-reg"])
+def test_only_row_sampled_rounds_walk_the_training_rows(monkeypatch, kind, params, walks):
+    calls = []
+
+    def counting(tree, X):
+        calls.append(X.shape[0])
+        return predict_tree(tree, X)
+
+    monkeypatch.setattr(boosting, "predict_tree", counting)
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(80, 4))
+    y = X[:, 0] + rng.normal(size=80)
+    fit_model(kind, X, y, params, task="regression", seed=1)
+    assert calls == [80] * walks
+
+
 def _ignoring_presort(ref):
-    """The reference grower, taking and ignoring the boosting loop's presort."""
-    return lambda *args, presort=None, **kw: ref(*args, **kw)
+    """The reference grower, taking and ignoring the fit's presort, and
+    filling the boosting loop's ``fitted`` by walking its tree over ``X``."""
+
+    def grow(X, *args, presort=None, fitted=None, **kw):
+        tree = ref(X, *args, **kw)
+        if fitted is not None:
+            fitted[:] = predict_tree(tree, X)
+        return tree
+
+    return grow
 
 
 def _fitted(model, X):
@@ -360,8 +428,8 @@ def _fit_both(monkeypatch, kind, X, y, params, task):
     """The fit grows the same trees and gives the same outputs with the
     reference growers patched in."""
     got_trees, got = _fitted(fit_model(kind, X, y, params, task=task, seed=5), X)
-    monkeypatch.setattr(forest, "grow_mse_tree", ref_mse_tree)
-    monkeypatch.setattr(forest, "grow_gini_tree", ref_gini_tree)
+    monkeypatch.setattr(forest, "grow_mse_tree", _ignoring_presort(ref_mse_tree))
+    monkeypatch.setattr(forest, "grow_gini_tree", _ignoring_presort(ref_gini_tree))
     monkeypatch.setattr(boosting, "grow_mse_tree", _ignoring_presort(ref_mse_tree))
     monkeypatch.setattr(
         boosting, "grow_second_order_tree", _ignoring_presort(ref_second_order_tree)
@@ -424,3 +492,20 @@ def test_boosting_presort_matches_reference_growers(monkeypatch, kind, params, t
     if task == "classification":  # binary for gbt, three classes (one-vs-rest) for gbt-reg
         y = np.digitize(y, [0.0] if kind == "gbt" else [-5.0, 5.0])
     assert _fit_both(monkeypatch, kind, X, y, params, task)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ForestParams(n_trees=3, max_depth=4),
+        ForestParams(n_trees=3, max_depth=4, bootstrap=False, bootstrap_fraction=0.7),
+    ],
+)
+def test_forest_presort_matches_reference_growers_on_16_bit_places(monkeypatch, params):
+    # 300 rows: a row's place in a column's sort no longer fits in 8 bits;
+    # ties, binary columns and NaN cells stay in
+    rng = np.random.default_rng(31)
+    X = _matrix(rng, 300, 4)
+    X[rng.random(size=X.shape) < 0.05] = np.nan
+    y = np.nan_to_num(X[:, 0]) + rng.normal(size=300)
+    assert _fit_both(monkeypatch, "random-forest", X, y, params, "regression")
