@@ -2,12 +2,12 @@
 
 One JSON config per run: a single dataset source (csv or synth), a
 mandatory seed, and per-subcommand blocks. Each block holds the keyword
-arguments of the library call its subcommand makes (``FIELDS`` renames the
-few keys that differ from their parameters); the block is type- and
-range-checked up front, and a key it leaves out takes the default of that
-function's signature or config dataclass. Every experiment writes CSV
-tables plus a run manifest listing all emitted files; reruns with the same
-config and seed produce identical numeric outputs regardless of --workers.
+arguments of the library call its subcommand makes, each key named as its
+parameter; the block is type- and range-checked up front, and a key it
+leaves out takes the default of that function's signature. Every experiment
+writes CSV tables plus a run manifest listing all emitted files; reruns with
+the same config and seed produce identical numeric outputs regardless of
+--workers.
 """
 
 from __future__ import annotations
@@ -37,16 +37,10 @@ from .dataset import (
 )
 from .importance import (ERROR_METRICS, MIN_SUBSET_SIZE, SUBSET_TAGS,
                          subset_importance)
-from .cv import holdout_split
-from .labeling import binary_labels, ldo_hdo_sweep, quantile_grid, threshold_sweep
+from .labeling import ldo_hdo_sweep, quantile_grid, threshold_sweep
 from .models import MODEL_KINDS
 from .models.base import TARGET_TRANSFORMS
-from .scenarios import (
-    SCENARIO_NAMES,
-    FusionConfig,
-    fusion_table,
-    scenario_table,
-)
+from .scenarios import SCENARIO_NAMES, fusion_table, scenario_table
 from .tuning import METRICS, MODES, iteration_curve, run_ieo
 
 
@@ -120,21 +114,9 @@ def _numbers(obj: dict, path: str, spec) -> dict:
     return out
 
 
-#: Config key -> parameter or config-dataclass field, where the names differ.
-FIELDS = {
-    "ldo_sweep": {"thresholds": "ldo_thresholds"},
-    "scenarios": {"names": "scenarios"},
-    "ieo": {"model": "model_kind"},
-    "importance": {"model": "model_kind"},
-    "fusion": {"classifier": "classifier_kind", "regressor_a": "regressor_a_kind",
-               "regressor_b": "regressor_b_kind",
-               "regressor_all": "regressor_all_kind", "meta": "meta_kind"},
-}
-
-
 def _block(cfg: dict, name: str, one_of=None, list_of=None, numbers=None) -> dict:
     """The config block ``name`` ({} when absent), checked before any work,
-    as keyword arguments: each key renamed as ``FIELDS[name]`` says.
+    as keyword arguments.
 
     ``one_of`` maps a key to the values it may take; ``list_of`` maps a key
     to the values its list items may take. ``numbers`` is a ``_numbers``
@@ -157,13 +139,7 @@ def _block(cfg: dict, name: str, one_of=None, list_of=None, numbers=None) -> dic
             raise ConfigError(
                 f"config field {name}.{key} must be a list of: {', '.join(allowed)}"
             )
-    rename = FIELDS.get(name, {})
-    return {rename.get(key, key): value for key, value in block.items()}
-
-
-def _take(block: dict, names) -> dict:
-    """Remove and return the items of ``block`` whose keys are in ``names``."""
-    return {key: block.pop(key) for key in names if key in block}
+    return block
 
 
 def _make(cls, path: str, **kwargs):
@@ -196,7 +172,6 @@ def _load_config(path: str) -> dict:
 ANY = (float, -math.inf)  # any finite number
 TC = {"tc": (float, 0)}
 TRANSFORM = {"target_transform": TARGET_TRANSFORMS}
-FUSION_FIELDS = [f.name for f in fields(FusionConfig)]
 SYNTH_NUMBERS = {"n": (int, 1), "seed": (int, 0), "mu": ANY, "sigma": (float, 0),
                  "corrupt_fraction": ANY, "corrupt_multiplier": ANY}
 EFFECT_NUMBERS = {"low": ANY, "high": ANY, "slope": ANY, "true_rate": ANY,
@@ -228,7 +203,7 @@ def _build_dataset(cfg: dict, seed: int) -> Dataset:
                   **{"seed": seed, **block, "effects": tuple(effects)})
         )
 
-    block = dict(_object(_get(cfg, "dataset.csv"), "dataset.csv", CSV_KEYS))
+    block = _object(_get(cfg, "dataset.csv"), "dataset.csv", CSV_KEYS)
     columns = _get(cfg, "dataset.csv.columns", kind=list)
     if not columns:
         raise ConfigError("dataset.csv.columns must be non-empty")
@@ -238,12 +213,28 @@ def _build_dataset(cfg: dict, seed: int) -> Dataset:
         _get(_object(c, at, ("name", "kind")), "name", kind=str, at=f"{at}.")
         schema_columns.append(_make(FeatureColumn, at, **c))
     schema = _make(FeatureSchema, "dataset.csv", columns=tuple(schema_columns),
-                   **_take(block, ("target_column",)))
+                   **{k: v for k, v in block.items() if k == "target_column"})
     column_map = block.get("column_map")
     if isinstance(column_map, str):
-        with open(column_map, encoding="utf-8") as fh:
-            column_map = json.load(fh)
-    return load_csv(_get(cfg, "dataset.csv.path", kind=str), schema, column_map)
+        try:
+            with open(column_map, encoding="utf-8") as fh:
+                column_map = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 JSON
+            raise ConfigError(f"config field dataset.csv.column_map: {exc}") from None
+    if column_map is not None and not (
+        isinstance(column_map, dict)
+        and all(isinstance(v, str) for v in column_map.values())
+    ):
+        raise ConfigError(
+            "config field dataset.csv.column_map must map names to CSV column "
+            "names, inline or in a JSON file"
+        )
+    try:
+        return load_csv(_get(cfg, "dataset.csv.path", kind=str), schema, column_map)
+    except DatasetError as exc:
+        if exc.field is None:  # the file's content, not the config, is at fault
+            raise
+        raise ConfigError(f"config field dataset.csv.{exc.field}: {exc}") from None
 
 
 def _write_csv(path: str, rows: list[dict], fieldnames: list[str]):
@@ -395,28 +386,16 @@ def _cmd_ieo(cfg, dataset, out, seed, workers):
             "n_validation": int(result.validation_indices.shape[0]),
         },
     )
-    warnings = []
-    if block.get("metric") == "f1":
-        search, _ = holdout_split(len(dataset))
-        classes = set(binary_labels(dataset.durations[search], block["tc"]).tolist())
-        if len(classes) == 1:
-            (label,) = classes
-            warnings.append(
-                f"ieo search part holds only class {label} "
-                f"({'long' if label else 'short'}-term at tc={block['tc']}): "
-                "every draw scores the same f1, so the search cannot rank them"
-            )
-    return [trace_path, summary_path], warnings
+    return [trace_path, summary_path], list(result.warnings)
 
 
 def _cmd_fusion(cfg, dataset, out, seed, workers):
+    kinds = ("classifier", "regressor_a", "regressor_b", "regressor_all", "meta")
     block = _block(
-        cfg, "fusion", one_of={**dict.fromkeys(FIELDS["fusion"], MODEL_KINDS),
-                               **TRANSFORM},
+        cfg, "fusion", one_of={**dict.fromkeys(kinds, MODEL_KINDS), **TRANSFORM},
         numbers={**TC, "folds": (int, 2)},
     )
-    config = FusionConfig(**_take(block, FUSION_FIELDS))
-    rows = fusion_table(dataset, config, seed=seed, **block)
+    rows = fusion_table(dataset, seed=seed, **block)
     path = os.path.join(out, "fusion.csv")
     _write_csv(path, rows, ["model", "rmse", "mape", "mape_excluded_zeros", "n_test"])
     return [path], []

@@ -224,8 +224,8 @@ def load_csv(path, schema: FeatureSchema, column_map: dict | None = None) -> Dat
 
     try:
         handle = open(path, newline="", encoding="utf-8")
-    except FileNotFoundError:
-        raise DatasetError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise DatasetError(f"cannot open {path}: {exc.strerror}", field="path") from None
 
     with handle:
         reader = csv.DictReader(handle)

@@ -223,7 +223,7 @@ def shapley_sampling(
 def subset_importance(
     dataset: Dataset,
     tc: float = DEFAULT_TC,
-    model_kind: str = "tree",
+    model: str = "tree",
     model_params=None,
     metric: str = "rmse",
     n_repeats: int = 5,
@@ -247,8 +247,8 @@ def subset_importance(
         rows = index_sets[tag]
         if rows.shape[0] < 2:
             raise ValueError(f"subset {tag} has fewer than 2 records")
-        model = fit_model(
-            model_kind,
+        fitted = fit_model(
+            model,
             values[rows],
             durations[rows],
             params=model_params,
@@ -257,7 +257,7 @@ def subset_importance(
             seed=derive_seed(seed, SUBSET_TAGS.index(tag)),
         )
         report = permutation_importance(
-            model,
+            fitted,
             values[rows],
             durations[rows],
             metric=metric,

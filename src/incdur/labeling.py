@@ -175,7 +175,7 @@ def quantile_grid(
 def ldo_hdo_sweep(
     dataset: Dataset,
     model: str = "tree",
-    ldo_thresholds=(0, 5, 10, 15, 20),
+    thresholds=(0, 5, 10, 15, 20),
     tc: float = DEFAULT_TC,
     cv: int = 5,
     seed: int = 0,
@@ -186,7 +186,7 @@ def ldo_hdo_sweep(
     re-run the binary classification at ``tc`` and report the remaining
     fraction and F1. Rows removing more than half the data are flagged.
     """
-    thresholds = list(ldo_thresholds)
+    thresholds = list(thresholds)
     if any(b < a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("ldo thresholds must be ascending")
     n = len(dataset)

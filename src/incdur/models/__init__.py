@@ -3,7 +3,8 @@
 ``fit_model`` is the only way to fit a learner. It fills in default params,
 checks the inputs (``|y| = rows(X) >= 2``), prepares the targets (class
 indices, or the target transform for regression), calls the kind's fitter
-and wraps the result in a ``TrainedModel``. Each learner module holds only
+and wraps the result in a ``TrainedModel``. ``KINDS`` is the one table of
+model kinds: each maps to its params dataclass and its learner's ``fit``. Each learner module holds only
 its algorithm: ``fit(values, targets, n_classes, params, seed)`` returns the
 inner predictor, with ``n_classes`` 0 for regression; a classifier fitted on
 one class (a sequential fold can hold one) predicts it, with probability 1,
@@ -19,7 +20,6 @@ import numpy as np
 
 from . import boosting, cart, forest, knn, linear
 from .base import (
-    MODEL_KINDS,
     BoostParams,
     ForestParams,
     KnnParams,
@@ -29,12 +29,12 @@ from .base import (
     TrainedModel,
     TreeParams,
     as_values,
-    make_params,
     params_to_dict,
     prepare_targets,
 )
 
 __all__ = [
+    "KINDS",
     "MODEL_KINDS",
     "TreeParams",
     "BoostParams",
@@ -48,14 +48,22 @@ __all__ = [
     "fit_model",
 ]
 
-FITTERS = {
-    "tree": cart.fit,
-    "gbt": boosting.fit,
-    "gbt-reg": partial(boosting.fit, second_order=True),
-    "random-forest": forest.fit,
-    "knn": knn.fit,
-    "linear": linear.fit,
+#: Model kind -> (its params dataclass, its learner's ``fit``).
+KINDS = {
+    "gbt": (BoostParams, boosting.fit),
+    "gbt-reg": (BoostParams, partial(boosting.fit, second_order=True)),
+    "random-forest": (ForestParams, forest.fit),
+    "knn": (KnnParams, knn.fit),
+    "linear": (LinearParams, linear.fit),
+    "tree": (TreeParams, cart.fit),
 }
+MODEL_KINDS = tuple(KINDS)
+
+
+def make_params(kind: str, **kwargs):
+    if kind not in KINDS:
+        raise ModelError(f"unknown model kind {kind!r}")
+    return KINDS[kind][0](**kwargs)
 
 
 def fit_model(
@@ -68,7 +76,7 @@ def fit_model(
     seed: int = 0,
 ) -> TrainedModel:
     """Fit any model kind; classification ignores ``target_transform``."""
-    if kind not in FITTERS:
+    if kind not in KINDS:
         raise ModelError(f"unknown model kind {kind!r}")
     params = params or make_params(kind)
     values = as_values(X)
@@ -80,7 +88,7 @@ def fit_model(
     if n_classes == 1:  # every kind: the one class, with probability 1
         inner = OneClass()
     else:
-        inner = FITTERS[kind](values, targets, n_classes, params, seed)
+        inner = KINDS[kind][1](values, targets, n_classes, params, seed)
     return TrainedModel(
         kind=kind,
         task=task,

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-MODEL_KINDS = ("gbt", "gbt-reg", "random-forest", "knn", "linear", "tree")
 TASKS = ("regression", "classification")
 TARGET_TRANSFORMS = ("none", "log1p")
 
@@ -98,22 +97,6 @@ class LinearParams:
     def __post_init__(self):
         if self.ridge < 0:
             raise ModelError("ridge must be >= 0")
-
-
-PARAM_TYPES = {
-    "tree": TreeParams,
-    "gbt": BoostParams,
-    "gbt-reg": BoostParams,
-    "random-forest": ForestParams,
-    "knn": KnnParams,
-    "linear": LinearParams,
-}
-
-
-def make_params(kind: str, **kwargs):
-    if kind not in PARAM_TYPES:
-        raise ModelError(f"unknown model kind {kind!r}")
-    return PARAM_TYPES[kind](**kwargs)
 
 
 def params_to_dict(params) -> dict:

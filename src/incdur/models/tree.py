@@ -119,11 +119,13 @@ def _grow(X, max_depth, min_leaf, feature_fraction, rng, stats, leaf, score,
         if best is None:
             return make_leaf(idx, s)
         i = lo + int(scores[f].argmax())
-        thr = float((xs[f, i] + xs[f, i + 1]) / 2.0)
+        low, high = xs[f, i:i + 2].tolist()  # Python floats add without warnings
+        thr = (low + high) / 2.0
         # rows with x < thr: values ascend, NaN last; the midpoint of two
-        # adjacent doubles can round onto the lower one, and a sum can overflow
+        # adjacent doubles can round onto the lower one, a sum can overflow,
+        # and -inf and +inf have no midpoint (NaN)
         k = int(xs[f].searchsorted(thr))
-        if k == 0 or k == n:
+        if k == 0 or k == n or thr != thr:
             return make_leaf(idx, s)
         j = int(feats[f])
         left = right = None  # children at max_depth are leaves: no orders

@@ -8,6 +8,9 @@ evaluates on subset Y; same-population scenarios use cross-validation
 instead, since train and test must stay disjoint. The pipeline routes each
 record to a subset regressor by a classifier's label; fusion extends it
 with an all-data regressor and a meta-regressor over the four base outputs.
+``fit_pipeline`` and ``fit_fusion`` take the base kinds as one tuple:
+classifier, regressor A, regressor B and, for fusion, the all-data
+regressor.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .models import TrainedModel, fit_model
 __all__ = [
     "SCENARIOS",
     "SCENARIO_NAMES",
-    "FusionConfig",
     "PipelineModel",
     "FusionModel",
     "run_scenario",
@@ -54,20 +56,6 @@ class ScenarioError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FusionConfig:
-    """Base-model kinds for the composite models. The pipeline uses the
-    classifier plus the two subset regressors; fusion adds the all-data
-    regressor and a meta-regressor over the 4 base outputs."""
-
-    classifier_kind: str = "gbt"
-    regressor_a_kind: str = "gbt"
-    regressor_b_kind: str = "gbt"
-    regressor_all_kind: str = "gbt"
-    meta_kind: str = "linear"
-    target_transform: str = "none"
-
-
 def _encode_on(dataset: Dataset, fit_indices: np.ndarray) -> np.ndarray:
     """Encode all rows with an encoder fitted on the training population,
     so categorical levels unseen in training map to the missing indicator."""
@@ -84,7 +72,7 @@ def _errors(actual, predictions) -> dict:
 def run_scenario(
     dataset: Dataset,
     name: str,
-    model_kind: str,
+    model: str,
     tc: float = DEFAULT_TC,
     folds: int = 10,
     seed: int = 0,
@@ -112,7 +100,7 @@ def run_scenario(
     values = _encode_on(dataset, train)
     if source in (target, "All"):
         oof = cross_val_predict(
-            model_kind,
+            model,
             values[train],
             durations[train],
             folds,
@@ -125,8 +113,8 @@ def run_scenario(
         test_indices = train[keep]
         predictions = oof[keep]
     else:
-        model = fit_model(
-            model_kind,
+        fitted = fit_model(
+            model,
             values[train],
             durations[train],
             params=model_params,
@@ -135,11 +123,11 @@ def run_scenario(
             seed=derive_seed(seed, 0),
         )
         test_indices = rows[target]
-        predictions = model.predict(values[test_indices])
+        predictions = fitted.predict(values[test_indices])
 
     return {
         "scenario": name,
-        "model": model_kind,
+        "model": model,
         "tc": tc,
         **_errors(durations[test_indices], predictions),
         "test_indices": test_indices,
@@ -154,11 +142,11 @@ def scenario_table(
     folds: int = 10,
     seed: int = 0,
     target_transform: str = "none",
-    scenarios=SCENARIO_NAMES,
+    names=SCENARIO_NAMES,
     workers: int = 1,
 ) -> list[dict]:
     """One row per (scenario, model), in fixed order, without index arrays."""
-    cells = [(name, kind) for name in scenarios for kind in models]
+    cells = [(name, kind) for name in names for kind in models]
     rows = parallel_map(
         lambda cell: run_scenario(dataset, *cell, tc=tc, folds=folds, seed=seed,
                                   target_transform=target_transform),
@@ -172,7 +160,7 @@ def scenario_table(
 
 def quantiled_time_folding(
     dataset: Dataset,
-    model_kind: str,
+    model: str,
     n_groups: int = 10,
     model_params=None,
     seed: int = 0,
@@ -188,7 +176,7 @@ def quantiled_time_folding(
     values = encode(dataset)[order]
     durations = dataset.durations[order]
     pred = cross_val_predict(
-        model_kind, values, durations, n_groups, params=model_params,
+        model, values, durations, n_groups, params=model_params,
         task="regression", target_transform=target_transform, seed=seed,
     )
     rows = []
@@ -239,9 +227,9 @@ class FusionModel(PipelineModel):
         return self.meta.predict(np.ascontiguousarray(meta_x[:, self.meta_columns]))
 
 
-def _fit_bases(config, values, durations, labels, rows, seed, fusion=False):
-    """Fit the classifier and the two subset regressors on a row subset,
-    then, for ``fusion``, the all-data regressor."""
+def _fit_bases(kinds, values, durations, labels, rows, seed, target_transform):
+    """Fit one model per kind on a row subset: the classifier, the two
+    subset regressors and, given a fourth kind, the all-data regressor."""
     a_rows = rows[labels[rows] == 0]
     b_rows = rows[labels[rows] == 1]
     if a_rows.shape[0] < 2 or b_rows.shape[0] < 2:
@@ -249,26 +237,29 @@ def _fit_bases(config, values, durations, labels, rows, seed, fusion=False):
             "both duration subsets need at least 2 training records"
         )
     fits = [
-        (config.classifier_kind, rows, labels, "classification"),
-        (config.regressor_a_kind, a_rows, durations, "regression"),
-        (config.regressor_b_kind, b_rows, durations, "regression"),
-        (config.regressor_all_kind, rows, durations, "regression"),
+        (rows, labels, "classification"),
+        (a_rows, durations, "regression"),
+        (b_rows, durations, "regression"),
+        (rows, durations, "regression"),
     ]
     return [
         fit_model(kind, values[fit_rows], y[fit_rows], task=task,
-                  target_transform=config.target_transform,
-                  seed=derive_seed(seed, key))
-        for key, (kind, fit_rows, y, task) in enumerate(fits[:4 if fusion else 3], 1)
+                  target_transform=target_transform, seed=derive_seed(seed, key))
+        for key, (kind, (fit_rows, y, task)) in enumerate(zip(kinds, fits), 1)
     ]
 
 
 def fit_pipeline(
-    dataset: Dataset, config: FusionConfig, tc: float = DEFAULT_TC, seed: int = 0
+    dataset: Dataset,
+    kinds,
+    tc: float = DEFAULT_TC,
+    seed: int = 0,
+    target_transform: str = "none",
 ) -> PipelineModel:
     encoder = Encoder.fit(dataset)
-    bases = _fit_bases(config, encoder.transform(dataset), dataset.durations,
+    bases = _fit_bases(kinds, encoder.transform(dataset), dataset.durations,
                        binary_labels(dataset.durations, tc),
-                       np.arange(len(dataset)), seed)
+                       np.arange(len(dataset)), seed, target_transform)
     return PipelineModel(encoder, *bases)
 
 
@@ -279,10 +270,12 @@ def _meta_features(bases, values) -> np.ndarray:
 
 def fit_fusion(
     dataset: Dataset,
-    config: FusionConfig,
+    kinds,
     tc: float = DEFAULT_TC,
     folds: int = 5,
     seed: int = 0,
+    meta: str = "linear",
+    target_transform: str = "none",
 ) -> FusionModel:
     """Meta-features are generated out-of-fold: the base models scoring a
     training record never saw it, so the meta-regressor is not trained on
@@ -298,24 +291,29 @@ def fit_fusion(
     meta_x = np.empty((n, 4))
     for k in range(folds):
         train, test = fold_indexes(n, folds, k)
-        bases = _fit_bases(config, values, durations, labels, train,
-                           derive_seed(seed, 10, k), fusion=True)
+        bases = _fit_bases(kinds, values, durations, labels, train,
+                           derive_seed(seed, 10, k), target_transform)
         meta_x[test] = _meta_features(bases, values[test])
 
     columns = (meta_x != meta_x[:1]).any(axis=0)
-    meta = fit_model(
-        config.meta_kind, np.ascontiguousarray(meta_x[:, columns]), durations,
-        task="regression", target_transform=config.target_transform,
+    meta_model = fit_model(
+        meta, np.ascontiguousarray(meta_x[:, columns]), durations,
+        task="regression", target_transform=target_transform,
         seed=derive_seed(seed, 20),
     )
-    bases = _fit_bases(config, values, durations, labels, np.arange(n), seed,
-                       fusion=True)
-    return FusionModel(encoder, *bases, meta, columns)
+    bases = _fit_bases(kinds, values, durations, labels, np.arange(n), seed,
+                       target_transform)
+    return FusionModel(encoder, *bases, meta_model, columns)
 
 
 def fusion_table(
     dataset: Dataset,
-    config: FusionConfig = FusionConfig(),
+    classifier: str = "gbt",
+    regressor_a: str = "gbt",
+    regressor_b: str = "gbt",
+    regressor_all: str = "gbt",
+    meta: str = "linear",
+    target_transform: str = "none",
     tc: float = DEFAULT_TC,
     folds: int = 5,
     seed: int = 0,
@@ -324,11 +322,14 @@ def fusion_table(
     part of a holdout split and scored on its test part: one row each."""
     train_idx, test_idx = holdout_split(len(dataset))
     train, test = dataset.subset(train_idx), dataset.subset(test_idx)
-    fusion = fit_fusion(train, config, tc, folds, seed=derive_seed(seed, 1))
-    pipeline = fit_pipeline(train, config, tc, seed=derive_seed(seed, 2))
+    kinds = (classifier, regressor_a, regressor_b, regressor_all)
+    fusion = fit_fusion(train, kinds, tc, folds, seed=derive_seed(seed, 1),
+                        meta=meta, target_transform=target_transform)
+    pipeline = fit_pipeline(train, kinds[:3], tc, seed=derive_seed(seed, 2),
+                            target_transform=target_transform)
     single = fit_model(
-        config.regressor_all_kind, fusion.encoder.transform(train), train.durations,
-        task="regression", target_transform=config.target_transform,
+        regressor_all, fusion.encoder.transform(train), train.durations,
+        task="regression", target_transform=target_transform,
         seed=derive_seed(seed, 3),
     )
     predictions = {

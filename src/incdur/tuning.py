@@ -127,6 +127,7 @@ class IeoResult:
     validation_indices: np.ndarray
     validation_predictions: np.ndarray
     validation_metric: float
+    warnings: tuple[str, ...] = ()
 
 
 def _sample_value(rng, spec):
@@ -142,7 +143,7 @@ def _sample_value(rng, spec):
 
 def sample_draw(
     space: HyperSpace,
-    model_kind: str,
+    model: str,
     mode: str,
     folds: int,
     seed: int,
@@ -150,12 +151,12 @@ def sample_draw(
 ) -> HyperDraw:
     """Deterministic function of (seed, draw_index): uniform per dimension,
     log-uniform for scale-like parameters."""
-    if model_kind not in space.model_space:
-        raise TuningError(f"no ranges declared for model kind {model_kind!r}")
+    if model not in space.model_space:
+        raise TuningError(f"no ranges declared for model kind {model!r}")
     rng = np.random.default_rng([seed & 0xFFFFFFFF, draw_index])
-    ranges = space.model_space[model_kind]
+    ranges = space.model_space[model]
     sampled = {name: _sample_value(rng, ranges[name]) for name in sorted(ranges)}
-    model_params = make_params(model_kind, **sampled)
+    model_params = make_params(model, **sampled)
 
     method = space.orm_methods[int(rng.integers(0, len(space.orm_methods)))]
     grid = space.percent_grid(mode, folds)
@@ -179,7 +180,7 @@ def _apply_orm(orm_matrix, indices, orm_params, seed):
     return indices[kept_local], indices.shape[0] - kept_local.shape[0]
 
 
-def _evaluate_draw(draw, values, y, orm_matrix, train_part, model_kind, task,
+def _evaluate_draw(draw, values, y, orm_matrix, train_part, model, task,
                    metric, folds, mode, seed, target_transform):
     """(kept rows, their out-of-fold predictions, the draw's scored trace
     fields). The folds rotate over the kept rows; each fits with
@@ -210,7 +211,7 @@ def _evaluate_draw(draw, values, y, orm_matrix, train_part, model_kind, task,
         return train
 
     oof = cross_val_predict(
-        model_kind, values[kept], y[kept], folds, params=draw.model_params,
+        model, values[kept], y[kept], folds, params=draw.model_params,
         task=task, target_transform=target_transform,
         seed=derive_seed(seed, draw.draw_index), train_rows=train_rows,
     )
@@ -223,7 +224,7 @@ def _evaluate_draw(draw, values, y, orm_matrix, train_part, model_kind, task,
 
 def run_ieo(
     dataset: Dataset,
-    model_kind: str = "tree",
+    model: str = "tree",
     folds: int = 5,
     mode: str = "none",
     iterations: int = 250,
@@ -245,7 +246,8 @@ def run_ieo(
 
     ``metric``="f1" switches to binary classification of durations at
     threshold ``tc``, which only f1 takes; "mape"/"rmse" run regression on
-    raw durations.
+    raw durations. When the search part holds one class, every draw scores
+    the same f1, and the result's ``warnings`` say so.
     """
     if folds < 2:
         raise TuningError("folds must be >= 2")
@@ -268,10 +270,19 @@ def run_ieo(
     y = binary_labels(durations, tc) if task == "classification" else durations
 
     train_part, valid_part = holdout_split(n)
+    warnings = []
+    classes = set(y[train_part].tolist()) if task == "classification" else ()
+    if len(classes) == 1:
+        (label,) = classes
+        warnings.append(
+            f"ieo search part holds only class {label} "
+            f"({'long' if label else 'short'}-term at tc={float(tc)}): "
+            "every draw scores the same f1, so the search cannot rank them"
+        )
     orm_matrix = np.hstack([values, durations[:, None]])
 
     def eval_one(it):
-        draw = sample_draw(space, model_kind, mode, folds, seed, it)
+        draw = sample_draw(space, model, mode, folds, seed, it)
         entry = {
             "draw_index": it,
             "model_params": params_to_dict(draw.model_params),
@@ -280,7 +291,7 @@ def run_ieo(
         }
         try:
             kept, oof, scored = _evaluate_draw(
-                draw, values, y, orm_matrix, train_part, model_kind, task,
+                draw, values, y, orm_matrix, train_part, model, task,
                 metric, folds, mode, seed, target_transform,
             )
             scored["failed"] = False
@@ -308,7 +319,7 @@ def run_ieo(
             derive_seed(seed, best_draw.draw_index, 9002),
         )
     final_model = fit_model(
-        model_kind, values[final_train], y[final_train],
+        model, values[final_train], y[final_train],
         params=best_draw.model_params, task=task,
         target_transform=target_transform,
         seed=derive_seed(seed, best_draw.draw_index, 9003),
@@ -316,7 +327,7 @@ def run_ieo(
     valid_pred = final_model.predict(values[valid_part])
 
     return IeoResult(
-        model_kind=model_kind,
+        model_kind=model,
         mode=mode,
         metric=metric,
         trace=tuple(e[3] for e in evaluated),
@@ -326,6 +337,7 @@ def run_ieo(
         validation_indices=valid_part,
         validation_predictions=valid_pred,
         validation_metric=metric_value(metric, y[valid_part], valid_pred),
+        warnings=tuple(warnings),
     )
 
 

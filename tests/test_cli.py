@@ -1,6 +1,7 @@
 """CLI: config validation, artifacts, manifest, and worker determinism."""
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import incdur
+from incdur import cli
 from incdur.cli import main
 
 BASE_CONFIG = {
@@ -216,6 +218,10 @@ def _synth(**change):
     return {**BASE_CONFIG["dataset"]["synth"], **change}
 
 
+def _csv(**change):
+    return {"path": "x.csv", "columns": [{"name": "x1"}], **change}
+
+
 @pytest.mark.parametrize(
     "dataset, field",
     [
@@ -255,11 +261,90 @@ def _synth(**change):
          "dataset.csv.columns[0].kind"),
         ({"csv": {"path": "x.csv", "columns": [{"name": "x1"}, {"name": "x1"}]}},
          "dataset.csv.columns"),
+        # the column map, inline or a JSON file, and the table file
+        ({"csv": _csv(column_map="nope.json")}, "dataset.csv.column_map"),
+        ({"csv": _csv(column_map=".")}, "dataset.csv.column_map"),
+        ({"csv": _csv(column_map=["a"])}, "dataset.csv.column_map"),
+        ({"csv": _csv(column_map=5)}, "dataset.csv.column_map"),
+        ({"csv": _csv(column_map={"x1": 5})}, "dataset.csv.column_map"),
+        ({"csv": _csv(path="missing.csv")}, "dataset.csv.path"),
+        ({"csv": _csv(path=".")}, "dataset.csv.path"),
     ],
 )
 def test_dataset_keys_are_checked(tmp_path, capsys, dataset, field):
     cfg = {**BASE_CONFIG, "dataset": dataset}
     _exits_2_naming(tmp_path, capsys, "synth", cfg, field)
+
+
+@pytest.mark.parametrize("content", ['["x1"]', "x1,duration\n"])
+def test_dataset_csv_column_map_file_must_hold_a_map(tmp_path, capsys, content):
+    (tmp_path / "table.csv").write_text("x1,duration\n1,10\n2,20\n")
+    (tmp_path / "map.json").write_text(content)
+    dataset = {"csv": _csv(path=str(tmp_path / "table.csv"),
+                           column_map=str(tmp_path / "map.json"))}
+    _exits_2_naming(tmp_path, capsys, "synth", {**BASE_CONFIG, "dataset": dataset},
+                    "dataset.csv.column_map")
+
+
+class _Bound(Exception):
+    """Raised by a library call's stand-in once its arguments are bound."""
+
+
+#: subcommand -> (block, the library function cli calls, a block that sets
+#: every key the block accepts)
+FULL_BLOCKS = {
+    "profile": ("profile", "profile", {"n_bins": 5}),
+    "sweep": ("sweep", "threshold_sweep",
+              {"models": ["tree"], "tc_values": [30, 45], "cv": 3}),
+    "multiclass": ("multiclass", "quantile_grid", {"model": "tree", "cv": 3}),
+    "ldo-sweep": ("ldo_sweep", "ldo_hdo_sweep",
+                  {"model": "tree", "thresholds": [0, 5], "tc": 45, "cv": 3}),
+    "scenarios": ("scenarios", "scenario_table",
+                  {"models": ["tree"], "names": ["AtoA"], "tc": 45, "folds": 4,
+                   "target_transform": "log1p"}),
+    "ieo": ("ieo", "run_ieo",
+            {"model": "tree", "mode": "extra", "metric": "f1", "tc": 45,
+             "iterations": 3, "folds": 4, "target_transform": "none"}),
+    "fusion": ("fusion", "fusion_table",
+               {"classifier": "tree", "regressor_a": "linear",
+                "regressor_b": "knn", "regressor_all": "gbt", "meta": "tree",
+                "target_transform": "log1p", "tc": 45, "folds": 3}),
+    "importance": ("importance", "subset_importance",
+                   {"model": "tree", "metric": "mape", "n_repeats": 2, "tc": 45,
+                    "target_transform": "log1p"}),
+    "timing": ("timing", "iteration_curve",
+               {"models": ["tree"], "iteration_counts": [2], "folds": 3,
+                "metric": "rmse", "target_transform": "log1p"}),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(FULL_BLOCKS))
+def test_block_keys_reach_parameters_of_the_same_name(tmp_path, monkeypatch,
+                                                      subcommand):
+    name, call, block = FULL_BLOCKS[subcommand]
+    accepted, bound = [], {}
+    check_block = cli._block
+
+    def spy_block(cfg, block_name, one_of=None, list_of=None, numbers=None):
+        accepted.extend([*(one_of or {}), *(list_of or {}), *(numbers or {})])
+        return check_block(cfg, block_name, one_of, list_of, numbers)
+
+    signature = inspect.signature(getattr(cli, call))
+
+    def stand_in(*args, **kwargs):
+        bound.update(signature.bind(*args, **kwargs).arguments)
+        raise _Bound
+
+    monkeypatch.setattr(cli, "_block", spy_block)
+    monkeypatch.setattr(cli, call, stand_in)
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({**BASE_CONFIG, name: block}))
+    # the stand-in's exception ends the run at the CLI boundary
+    assert main([subcommand, "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    assert sorted(accepted) == sorted(block)
+    for key, value in block.items():
+        got = bound[key]
+        assert (list(got) if isinstance(value, list) else got) == value, key
 
 
 @pytest.mark.parametrize(

@@ -416,7 +416,7 @@ def test_subset_importance_planted_long_term_effect():
     )
     ds = synthesize(SynthConfig(n=2500, seed=10, mu=np.log(35), sigma=0.6,
                                 effects=effects))
-    reports = subset_importance(ds, tc=45.0, model_kind="tree",
+    reports = subset_importance(ds, tc=45.0, model="tree",
                                 model_params=TreeParams(max_depth=5), seed=0)
     assert set(reports) == {"all", "A", "B"}
     assert row(reports["B"], "late")["rank"] < row(reports["A"], "late")["rank"]
@@ -426,7 +426,7 @@ def test_subset_importance_small_subset_flagged():
     ds = synthesize(SynthConfig(n=60, seed=11, mu=np.log(20), sigma=0.4))
     # a high tc leaves only a handful of long-term records
     tc = float(np.quantile(ds.durations, 0.9))
-    reports = subset_importance(ds, tc=tc, model_kind="tree", seed=1)
+    reports = subset_importance(ds, tc=tc, model="tree", seed=1)
     assert reports["B"].notes["flagged_small"]
     assert not reports["all"].notes["flagged_small"]
 
@@ -435,7 +435,7 @@ def test_subset_importance_small_subset_flagged():
 def test_subset_importance_rejects_non_regression_metrics(metric):
     ds = synthesize(SynthConfig(n=60, seed=11, mu=np.log(20), sigma=0.4))
     with pytest.raises(ValueError, match="metric"):
-        subset_importance(ds, tc=20.0, model_kind="tree", metric=metric)
+        subset_importance(ds, tc=20.0, model="tree", metric=metric)
 
 
 def test_subset_importance_zero_feature_ranks_last():
@@ -451,6 +451,6 @@ def test_subset_importance_zero_feature_ranks_last():
     ds = Dataset(schema=schema,
                  rows=tuple((float(a), 0.0) for a in x),
                  durations=durations)
-    reports = subset_importance(ds, tc=60.0, model_kind="tree", seed=2)
+    reports = subset_importance(ds, tc=60.0, model="tree", seed=2)
     for tag in ("all", "A", "B"):
         assert row(reports[tag], "zero")["rank"] == 2

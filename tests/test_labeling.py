@@ -155,9 +155,9 @@ def test_ldo_hdo_sweep():
     schema = FeatureSchema(columns=(FeatureColumn("leak", "numeric"),))
     ds = Dataset(schema=schema, rows=tuple((float(d),) for d in durations),
                  durations=durations)
-    rows = ldo_hdo_sweep(ds, "tree", ldo_thresholds=[0, 1, 150], tc=45.0, cv=3)
+    rows = ldo_hdo_sweep(ds, "tree", thresholds=[0, 1, 150], tc=45.0, cv=3)
     assert rows[0]["remaining_fraction"] == 1.0
     assert rows[1]["remaining_fraction"] == pytest.approx(0.85)
     assert rows[2]["flagged"]  # removes well over half the data
     with pytest.raises(ValueError):
-        ldo_hdo_sweep(ds, "tree", ldo_thresholds=[5, 1])
+        ldo_hdo_sweep(ds, "tree", thresholds=[5, 1])

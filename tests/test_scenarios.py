@@ -11,7 +11,6 @@ from incdur.metrics import rmse
 from incdur.models import TreeParams, fit_model
 from incdur.scenarios import (
     SCENARIO_NAMES,
-    FusionConfig,
     ScenarioError,
     fit_fusion,
     fit_pipeline,
@@ -64,7 +63,7 @@ def test_duration_equal_to_tc_is_short_term_everywhere(monkeypatch):
         return fit_model(kind, X, y, *args, **kwargs)
 
     monkeypatch.setattr("incdur.scenarios.fit_model", spy)
-    fit_pipeline(ds, TREE_CONFIG, tc=45.0)
+    fit_pipeline(ds, TREE_KINDS[:3], tc=45.0)
     _, regressor_a_y, regressor_b_y = trained
     assert 45.0 in regressor_a_y and 45.0 not in regressor_b_y
 
@@ -167,15 +166,12 @@ def test_qtf_long_tail_top_group_worst():
 # Pipeline
 # ---------------------------------------------------------------------------
 
-TREE_CONFIG = FusionConfig(
-    classifier_kind="tree", regressor_a_kind="tree", regressor_b_kind="tree",
-    regressor_all_kind="tree", meta_kind="linear",
-)
+TREE_KINDS = ("tree",) * 4
 
 
 def test_pipeline_routes_class0_to_regressor_a():
     ds = leaked_dataset(n=200, seed=11)
-    model = fit_pipeline(ds, TREE_CONFIG, tc=45.0)
+    model = fit_pipeline(ds, TREE_KINDS[:3], tc=45.0)
     values = model.encoder.transform(ds)
     cls = model.classifier.predict(values)
     out = model.predict(ds)
@@ -188,14 +184,14 @@ def test_pipeline_routes_class0_to_regressor_a():
 def test_pipeline_refuses_empty_subset():
     ds = leaked_dataset(n=50, seed=12, low=1.0, high=20.0)
     with pytest.raises(ScenarioError):
-        fit_pipeline(ds, TREE_CONFIG, tc=10_000.0)
+        fit_pipeline(ds, TREE_KINDS[:3], tc=10_000.0)
 
 
 def test_pipeline_with_oracle_classifier_mixes_subset_errors():
     # the leaked feature makes the classifier and both regressors near
     # perfect, so the composite error collapses towards zero
     ds = leaked_dataset(n=300, seed=13)
-    model = fit_pipeline(ds, TREE_CONFIG, tc=45.0)
+    model = fit_pipeline(ds, TREE_KINDS[:3], tc=45.0)
     pred = model.predict(ds)
     assert rmse(ds.durations, pred) < 0.1 * ds.durations.std()
 
@@ -208,14 +204,12 @@ def test_pipeline_fits_only_the_three_models_it_keeps(monkeypatch):
         return fit_model(kind, *args, **kwargs)
 
     monkeypatch.setattr("incdur.scenarios.fit_model", spy)
-    config = FusionConfig(
-        classifier_kind="tree", regressor_a_kind="linear", regressor_b_kind="tree",
-        regressor_all_kind="random-forest", meta_kind="linear",
-    )
-    fit_pipeline(leaked_dataset(n=120, seed=14), config, tc=45.0)
+    bases = ("tree", "linear", "tree", "random-forest")
+    fit_pipeline(leaked_dataset(n=120, seed=14), bases[:3], tc=45.0)
     assert kinds == ["tree", "linear", "tree"]
     kinds.clear()
-    fit_fusion(leaked_dataset(n=120, seed=14), config, tc=45.0, folds=2)
+    fit_fusion(leaked_dataset(n=120, seed=14), bases, tc=45.0, folds=2,
+               meta="linear")
     # three folds' worth of four bases (two out-of-fold, one full) and the meta
     assert kinds.count("random-forest") == 3 and len(kinds) == 13
 
@@ -227,7 +221,7 @@ def test_pipeline_fits_only_the_three_models_it_keeps(monkeypatch):
 
 def test_fusion_meta_features_have_four_columns():
     ds = leaked_dataset(n=200, seed=14)
-    model = fit_fusion(ds, TREE_CONFIG, tc=45.0)
+    model = fit_fusion(ds, TREE_KINDS, tc=45.0)
     assert model.meta.inner.coefs.shape[0] == 4
 
 
@@ -238,7 +232,7 @@ def test_fusion_leaves_out_a_meta_column_constant_out_of_fold():
         PlantedEffect("x1", "numeric", slope=1.5),
         PlantedEffect("f", "boolean", multiplier=2.0),
     )))
-    model = fit_fusion(ds, FusionConfig(classifier_kind="random-forest"), tc=40,
+    model = fit_fusion(ds, ("random-forest", "gbt", "gbt", "gbt"), tc=40,
                        folds=3)
     assert model.meta_columns.tolist() == [False, True, True, True]
     assert model.meta.n_features == 3
@@ -253,7 +247,7 @@ def test_fusion_not_much_worse_than_single_model():
                                        mu=np.log(40), sigma=0.9))
         test = synthesize(SynthConfig(n=300, seed=120 + seed,
                                       mu=np.log(40), sigma=0.9))
-        fusion = fit_fusion(train, TREE_CONFIG, tc=45.0, seed=seed)
+        fusion = fit_fusion(train, TREE_KINDS, tc=45.0, seed=seed)
         single = fusion.regressor_all
         test_values = fusion.encoder.transform(test)
         fusion_rmse = rmse(test.durations, fusion.predict(test))
@@ -266,7 +260,7 @@ def test_fusion_exploits_perfect_meta_column():
     # when one meta column already solves the task, the linear meta-model
     # recovers it: fusion error stays within 1% of that column's error
     ds = leaked_dataset(n=400, seed=16)
-    model = fit_fusion(ds, TREE_CONFIG, tc=45.0)
+    model = fit_fusion(ds, TREE_KINDS, tc=45.0)
     values = model.encoder.transform(ds)
     reg_all_rmse = rmse(ds.durations, model.regressor_all.predict(values))
     fusion_rmse = rmse(ds.durations, model.predict(ds))

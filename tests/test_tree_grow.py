@@ -9,6 +9,8 @@ pack (``PackedTrees.from_nodes``) to equal ``roots``, ``feature``,
 features, bit-identical thresholds and leaf values.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -322,6 +324,21 @@ def test_midpoint_rounding_onto_the_lower_value_matches_reference():
         assert same_trees(
             grow_gini_tree(X, labels, 3, 4, leaf), ref_gini_tree(X, labels, 3, 4, leaf)
         ), seed
+
+
+def test_infinite_cells_split_into_a_leaf_without_warnings():
+    # -inf and +inf have no midpoint: the only cut between distinct values
+    # makes a leaf, where it used to warn and then fail to broadcast
+    X = np.array([[-np.inf], [-np.inf], [np.inf], [np.inf], [np.nan]])
+    y = np.array([0.0, 0.0, 10.0, 10.0, 5.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert grow_mse_tree(X, y, 2).is_leaf
+        for kind in ("tree", "gbt", "gbt-reg", "random-forest"):
+            pred = fit_model(kind, X, y, task="regression").predict(X)
+            assert np.isfinite(pred).all() and np.ptp(pred) == 0.0, kind
+            labels = fit_model(kind, X, y > 5, task="classification").predict(X)
+            assert labels.tolist() == [False] * 5, kind
 
 
 def test_gini_many_classes_and_pure_children_match_reference():

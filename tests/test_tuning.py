@@ -245,6 +245,23 @@ def test_ieo_f1_search_survives_one_class_training_folds():
     assert result.validation_predictions.tolist() == [0] * 10
 
 
+@pytest.mark.parametrize("tc, warned", [(45, True), (20, False)])
+def test_ieo_f1_warns_when_the_search_part_holds_one_class(tc, warned):
+    # the 50-row case above: at tc=45 the sequential 80% search part holds
+    # class 0 alone, at tc=20 both classes
+    rng = np.random.default_rng(0)
+    durations = rng.uniform(5.0, 40.0, size=50)
+    durations[-3:] = (80.0, 90.0, 100.0)
+    ds = Dataset(schema=FeatureSchema(columns=(FeatureColumn("x", "numeric"),)),
+                 rows=tuple((v,) for v in rng.normal(size=50).tolist()),
+                 durations=durations)
+    result = run_ieo(ds, "gbt", folds=5, iterations=2, metric="f1", tc=tc)
+    assert result.warnings == ((
+        "ieo search part holds only class 0 (short-term at tc=45.0): every "
+        "draw scores the same f1, so the search cannot rank them",
+    ) if warned else ())
+
+
 def test_ieo_log1p_constant_duration_round_trip():
     ds = make_data(n=100, seed=11)
     const = ds.subset(np.arange(len(ds)))
