@@ -3,11 +3,13 @@
 One JSON config per run: a single dataset source (csv or synth), a
 mandatory seed, and per-subcommand blocks. Each block holds the keyword
 arguments of the library call its subcommand makes, each key named as its
-parameter; the block is type- and range-checked up front, and a key it
-leaves out takes the default of that function's signature. Every experiment
-writes CSV tables plus a run manifest listing all emitted files; reruns with
-the same config and seed produce identical numeric outputs regardless of
---workers.
+parameter, and a key it leaves out takes the default of that function's
+signature. Every config object, a subcommand block or a dataset object, is
+checked up front by one ``_check`` against a spec of its keys; an unknown
+key or a value of the wrong type or range exits with status 2 and names
+the field. Every experiment writes CSV tables plus a run manifest listing
+all emitted files and warnings; reruns with the same config and seed
+produce identical numeric outputs regardless of --workers.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 
 from . import __version__
 from .dataset import (
@@ -48,31 +50,16 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field path."""
 
 
-def _get(cfg: dict, path: str, kind=None, required=True, default=None, at=""):
-    """``cfg`` at the dotted ``path``; ``at`` prefixes ``path`` in error
-    messages (the path of a list entry ``cfg``, with a trailing dot)."""
+def _get(cfg: dict, path: str):
+    """``cfg`` at the dotted ``path``, which must be there."""
     cur = cfg
     walked = []
     for part in path.split("."):
         walked.append(part)
         if not isinstance(cur, dict) or part not in cur:
-            if required:
-                raise ConfigError(f"missing config field: {at}{'.'.join(walked)}")
-            return default
+            raise ConfigError(f"missing config field: {'.'.join(walked)}")
         cur = cur[part]
-    if kind is not None and not isinstance(cur, kind):
-        raise ConfigError(f"config field {at}{path} must be {kind.__name__}")
     return cur
-
-
-def _object(value, path: str, keys) -> dict:
-    """``value`` as a config object with no keys outside ``keys``."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"config field {path} must be dict")
-    for key in value:
-        if key not in keys:
-            raise ConfigError(f"unknown config field: {path}.{key}")
-    return value
 
 
 def _number_ok(value, kind, low) -> bool:
@@ -84,65 +71,71 @@ def _number_ok(value, kind, low) -> bool:
     return low < value and abs(value) <= sys.float_info.max
 
 
-def _numbers(obj: dict, path: str, spec) -> dict:
-    """A copy of the config object ``obj`` at ``path`` with its number
-    fields checked, float fields as float and list fields as tuples.
+def _conform(value, one):
+    """``value`` as the spec ``one`` asks for it (see ``_check``); raises
+    ``ValueError`` when it does not fit."""
+    if isinstance(one, list):
+        if isinstance(value, list):
+            return tuple(_conform(v, one[0]) for v in value)
+    elif isinstance(one, type):
+        if isinstance(value, one):
+            return value
+    elif isinstance(one[0], type):
+        if _number_ok(value, *one):
+            return one[0](value)
+    elif value in one:
+        return value
+    raise ValueError
 
-    ``spec`` maps a key to (int, low), an integer >= low, or (float, low), a
-    finite number > low; a spec in a one-item list asks for a list of them.
-    Absent keys are not checked.
+
+def _what(one) -> str:
+    """The values the spec ``one`` accepts, for an error message."""
+    if isinstance(one, list):
+        return f"a list, each {_what(one[0])}"
+    if isinstance(one, type):
+        return one.__name__
+    if not isinstance(one[0], type):
+        return f"one of: {', '.join(one)}"
+    kind, low = one
+    if kind is int:
+        return f"an integer >= {low}"
+    return "a finite number" + (f" > {low}" if low > -math.inf else "")
+
+
+def _check(obj, path: str, /, **spec) -> dict:
+    """The config object ``obj`` at ``path``, checked against ``spec``.
+
+    ``spec`` maps each key the object may hold to what its value must be:
+    (int, low), an integer >= low; (float, low), a finite number > low; a
+    tuple of strings, one of them; a type, a value of that type; any of
+    these in a one-item list, a list of them. Keys are checked in spec
+    order, then any other key is rejected; absent keys are not checked.
+    Returns a copy with numbers as ``int`` or ``float`` and lists as tuples.
     """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config field {path} must be dict")
     out = dict(obj)
     for key, one in spec.items():
-        if key not in obj:
-            continue
-        value = obj[key]
-        many = isinstance(one, list)
-        kind, low = one[0] if many else one
-        items = value if many and isinstance(value, list) else [value]
-        if (many and not isinstance(value, list)) or not all(
-            _number_ok(v, kind, low) for v in items
-        ):
-            what = f"an integer >= {low}" if kind is int else "a finite number"
-            if kind is float and low > -math.inf:
-                what += f" > {low}"
-            raise ConfigError(
-                f"config field {path + '.' if path else ''}{key} must be "
-                + (f"a list, each {what}" if many else what)
-            )
-        out[key] = tuple(map(kind, items)) if many else kind(value)
+        if key in obj:
+            try:
+                out[key] = _conform(obj[key], one)
+            except ValueError:
+                raise ConfigError(
+                    f"config field {path}.{key} must be {_what(one)}"
+                ) from None
+    for key in obj:
+        if key not in spec:
+            raise ConfigError(f"unknown config field: {path}.{key}")
     return out
 
 
-def _block(cfg: dict, name: str, one_of=None, list_of=None, numbers=None) -> dict:
-    """The config block ``name`` ({} when absent), checked before any work,
-    as keyword arguments.
-
-    ``one_of`` maps a key to the values it may take; ``list_of`` maps a key
-    to the values its list items may take. ``numbers`` is a ``_numbers``
-    spec. Keys in none of them are rejected.
-    """
-    one_of, list_of, numbers = one_of or {}, list_of or {}, numbers or {}
-    block = _object(
-        _get(cfg, name, kind=dict, required=False, default={}), name,
-        (*one_of, *list_of, *numbers),
-    )
-    block = _numbers(block, name, numbers)
-    for key, allowed in one_of.items():
-        if key in block and block[key] not in allowed:
-            raise ConfigError(
-                f"config field {name}.{key} must be one of: {', '.join(allowed)}"
-            )
-    for key, allowed in list_of.items():
-        value = block.get(key, [])
-        if not isinstance(value, list) or any(v not in allowed for v in value):
-            raise ConfigError(
-                f"config field {name}.{key} must be a list of: {', '.join(allowed)}"
-            )
-    return block
+def _block(cfg: dict, name: str, /, **spec) -> dict:
+    """The subcommand block ``name`` ({} when absent), checked before any
+    work, as the keyword arguments of the subcommand's library call."""
+    return _check(cfg.get(name, {}), name, **spec)
 
 
-def _make(cls, path: str, **kwargs):
+def _make(cls, path: str, kwargs: dict):
     """The config object ``cls(**kwargs)`` at ``path``; a missing required
     field or a ``DatasetError`` becomes a ``ConfigError`` naming the field."""
     for f in fields(cls):
@@ -172,69 +165,68 @@ def _load_config(path: str) -> dict:
 ANY = (float, -math.inf)  # any finite number
 TC = {"tc": (float, 0)}
 TRANSFORM = {"target_transform": TARGET_TRANSFORMS}
-SYNTH_NUMBERS = {"n": (int, 1), "seed": (int, 0), "mu": ANY, "sigma": (float, 0),
-                 "corrupt_fraction": ANY, "corrupt_multiplier": ANY}
-EFFECT_NUMBERS = {"low": ANY, "high": ANY, "slope": ANY, "true_rate": ANY,
-                  "multiplier": ANY, "multipliers": [ANY], "min_base_duration": ANY}
-SYNTH_KEYS = (*SYNTH_NUMBERS, "effects")
-EFFECT_KEYS = (*EFFECT_NUMBERS, "name", "kind", "levels")
-CSV_KEYS = ("path", "columns", "target_column", "column_map")
+SYNTH = {"n": (int, 1), "seed": (int, 0), "mu": ANY, "sigma": (float, 0),
+         "corrupt_fraction": ANY, "corrupt_multiplier": ANY, "effects": list}
+#: the keys of a planted effect of each kind, past name, kind and
+#: min_base_duration
+EFFECT = {
+    "numeric": {"low": ANY, "high": ANY, "slope": ANY},
+    "boolean": {"true_rate": ANY, "multiplier": ANY},
+    "categorical": {"levels": [str], "multipliers": [ANY]},
+}
 
 
 def _build_dataset(cfg: dict, seed: int) -> Dataset:
-    source = _object(_get(cfg, "dataset"), "dataset", ("csv", "synth"))
-    has_csv = "csv" in source
-    has_synth = "synth" in source
-    if has_csv == has_synth:
+    source = _check(_get(cfg, "dataset"), "dataset", csv=dict, synth=dict)
+    if ("csv" in source) == ("synth" in source):
         raise ConfigError("dataset must declare exactly one of: csv, synth")
 
-    if has_synth:
+    if "synth" in source:
         path = "dataset.synth"
-        block = _numbers(_object(_get(cfg, path), path, SYNTH_KEYS), path,
-                         SYNTH_NUMBERS)
-        effects = []
-        for i, e in enumerate(block.get("effects", [])):
+        block = _check(source["synth"], path, **SYNTH)
+        effects, kinds = [], tuple(EFFECT)
+        for i, e in enumerate(block.get("effects", ())):
             at = f"{path}.effects[{i}]"
-            e = _numbers(_object(e, at, EFFECT_KEYS), at, EFFECT_NUMBERS)
-            _get(e, "name", kind=str, at=f"{at}.")
-            effects.append(_make(PlantedEffect, at, **e))
+            kind = e.get("kind", "numeric") if isinstance(e, dict) else None
+            e = _check(e, at, name=str, kind=kinds, min_base_duration=ANY,
+                       **(EFFECT[kind] if kind in kinds else {}))
+            effects.append(_make(PlantedEffect, at, e))
         return synthesize(
-            _make(SynthConfig, path,
-                  **{"seed": seed, **block, "effects": tuple(effects)})
+            _make(SynthConfig, path, {"seed": seed, **block, "effects": tuple(effects)})
         )
 
-    block = _object(_get(cfg, "dataset.csv"), "dataset.csv", CSV_KEYS)
-    columns = _get(cfg, "dataset.csv.columns", kind=list)
-    if not columns:
-        raise ConfigError("dataset.csv.columns must be non-empty")
-    schema_columns = []
-    for i, c in enumerate(columns):
-        at = f"dataset.csv.columns[{i}]"
-        _get(_object(c, at, ("name", "kind")), "name", kind=str, at=f"{at}.")
-        schema_columns.append(_make(FeatureColumn, at, **c))
-    schema = _make(FeatureSchema, "dataset.csv", columns=tuple(schema_columns),
-                   **{k: v for k, v in block.items() if k == "target_column"})
+    path = "dataset.csv"
+    block = _check(source["csv"], path, path=str, columns=list, target_column=str,
+                   column_map=object)
+    columns = []
+    for i, c in enumerate(block.get("columns", ())):
+        at = f"{path}.columns[{i}]"
+        columns.append(_make(FeatureColumn, at, _check(c, at, name=str, kind=str)))
+    schema = _make(FeatureSchema, path, {
+        "columns": tuple(columns),
+        **{k: v for k, v in block.items() if k == "target_column"},
+    })
     column_map = block.get("column_map")
     if isinstance(column_map, str):
         try:
             with open(column_map, encoding="utf-8") as fh:
                 column_map = json.load(fh)
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8 JSON
-            raise ConfigError(f"config field dataset.csv.column_map: {exc}") from None
+            raise ConfigError(f"config field {path}.column_map: {exc}") from None
     if column_map is not None and not (
         isinstance(column_map, dict)
         and all(isinstance(v, str) for v in column_map.values())
     ):
         raise ConfigError(
-            "config field dataset.csv.column_map must map names to CSV column "
+            f"config field {path}.column_map must map names to CSV column "
             "names, inline or in a JSON file"
         )
     try:
-        return load_csv(_get(cfg, "dataset.csv.path", kind=str), schema, column_map)
+        return load_csv(_get(cfg, "dataset.csv.path"), schema, column_map)
     except DatasetError as exc:
         if exc.field is None:  # the file's content, not the config, is at fault
             raise
-        raise ConfigError(f"config field dataset.csv.{exc.field}: {exc}") from None
+        raise ConfigError(f"config field {path}.{exc.field}: {exc}") from None
 
 
 def _write_csv(path: str, rows: list[dict], fieldnames: list[str]):
@@ -265,11 +257,9 @@ def _write_json_atomic(path: str, payload: dict):
 
 
 def _cmd_profile(cfg, dataset, out, seed, workers):
-    block = _block(cfg, "profile", numbers={"n_bins": (int, 1)})
-    report = profile(dataset, **block)
+    report = profile(dataset, **_block(cfg, "profile", n_bins=(int, 1)))
     path = os.path.join(out, "profile.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
+    _write_json_atomic(path, asdict(report))
     return [path], []
 
 
@@ -285,10 +275,8 @@ def _cmd_synth(cfg, dataset, out, seed, workers):
 
 
 def _cmd_sweep(cfg, dataset, out, seed, workers):
-    block = _block(
-        cfg, "sweep", list_of={"models": MODEL_KINDS},
-        numbers={"tc_values": [(float, 0)], "cv": (int, 2)},
-    )
+    block = _block(cfg, "sweep", models=[MODEL_KINDS], tc_values=[(float, 0)],
+                   cv=(int, 2))
     rows = threshold_sweep(dataset, seed=seed, workers=workers, **block)
     path = os.path.join(out, "sweep.csv")
     _write_csv(
@@ -304,9 +292,7 @@ def _cmd_sweep(cfg, dataset, out, seed, workers):
 
 
 def _cmd_multiclass(cfg, dataset, out, seed, workers):
-    block = _block(
-        cfg, "multiclass", one_of={"model": MODEL_KINDS}, numbers={"cv": (int, 2)},
-    )
+    block = _block(cfg, "multiclass", model=MODEL_KINDS, cv=(int, 2))
     rows = quantile_grid(dataset, seed=seed, workers=workers, **block)
     path = os.path.join(out, "multiclass_grid.csv")
     _write_csv(path, rows, ["q1", "q2", "t1", "t2", "model", "evaluable", "f1_macro"])
@@ -318,10 +304,8 @@ def _cmd_multiclass(cfg, dataset, out, seed, workers):
 
 
 def _cmd_ldo_sweep(cfg, dataset, out, seed, workers):
-    block = _block(
-        cfg, "ldo_sweep", one_of={"model": MODEL_KINDS},
-        numbers={"thresholds": [ANY], **TC, "cv": (int, 2)},
-    )
+    block = _block(cfg, "ldo_sweep", model=MODEL_KINDS, thresholds=[ANY], **TC,
+                   cv=(int, 2))
     rows = ldo_hdo_sweep(dataset, seed=seed, **block)
     path = os.path.join(out, "ldo_sweep.csv")
     _write_csv(
@@ -336,11 +320,8 @@ def _cmd_ldo_sweep(cfg, dataset, out, seed, workers):
 
 
 def _cmd_scenarios(cfg, dataset, out, seed, workers):
-    block = _block(
-        cfg, "scenarios", one_of=TRANSFORM,
-        list_of={"models": MODEL_KINDS, "names": SCENARIO_NAMES},
-        numbers={**TC, "folds": (int, 2)},
-    )
+    block = _block(cfg, "scenarios", models=[MODEL_KINDS], names=[SCENARIO_NAMES],
+                   **TC, folds=(int, 2), **TRANSFORM)
     rows = scenario_table(dataset, seed=seed, workers=workers, **block)
     path = os.path.join(out, "scenarios.csv")
     _write_csv(
@@ -351,11 +332,8 @@ def _cmd_scenarios(cfg, dataset, out, seed, workers):
 
 
 def _cmd_ieo(cfg, dataset, out, seed, workers):
-    block = _block(
-        cfg, "ieo",
-        one_of={"model": MODEL_KINDS, "mode": MODES, "metric": METRICS, **TRANSFORM},
-        numbers={"iterations": (int, 1), "folds": (int, 2), **TC},
-    )
+    block = _block(cfg, "ieo", model=MODEL_KINDS, mode=MODES, metric=METRICS,
+                   iterations=(int, 1), folds=(int, 2), **TC, **TRANSFORM)
     if ("tc" in block) != (block.get("metric") == "f1"):
         raise ConfigError("config field ieo.tc goes with metric f1 and only with it")
     result = run_ieo(dataset, seed=seed, workers=workers, **block)
@@ -390,11 +368,9 @@ def _cmd_ieo(cfg, dataset, out, seed, workers):
 
 
 def _cmd_fusion(cfg, dataset, out, seed, workers):
-    kinds = ("classifier", "regressor_a", "regressor_b", "regressor_all", "meta")
-    block = _block(
-        cfg, "fusion", one_of={**dict.fromkeys(kinds, MODEL_KINDS), **TRANSFORM},
-        numbers={**TC, "folds": (int, 2)},
-    )
+    block = _block(cfg, "fusion", classifier=MODEL_KINDS, regressor_a=MODEL_KINDS,
+                   regressor_b=MODEL_KINDS, regressor_all=MODEL_KINDS,
+                   meta=MODEL_KINDS, **TC, folds=(int, 2), **TRANSFORM)
     rows = fusion_table(dataset, seed=seed, **block)
     path = os.path.join(out, "fusion.csv")
     _write_csv(path, rows, ["model", "rmse", "mape", "mape_excluded_zeros", "n_test"])
@@ -402,11 +378,8 @@ def _cmd_fusion(cfg, dataset, out, seed, workers):
 
 
 def _cmd_importance(cfg, dataset, out, seed, workers):
-    block = _block(
-        cfg, "importance",
-        one_of={"model": MODEL_KINDS, "metric": ERROR_METRICS, **TRANSFORM},
-        numbers={"n_repeats": (int, 1), **TC},
-    )
+    block = _block(cfg, "importance", model=MODEL_KINDS, metric=ERROR_METRICS,
+                   n_repeats=(int, 1), **TC, **TRANSFORM)
     reports = subset_importance(dataset, seed=seed, **block)
     rows = [{**r, "subset": tag} for tag in SUBSET_TAGS for r in reports[tag].rows]
     path = os.path.join(out, "importance.csv")
@@ -419,11 +392,8 @@ def _cmd_importance(cfg, dataset, out, seed, workers):
 
 
 def _cmd_timing(cfg, dataset, out, seed, workers):
-    block = _block(
-        cfg, "timing", one_of={"metric": ERROR_METRICS, **TRANSFORM},
-        list_of={"models": MODEL_KINDS},
-        numbers={"iteration_counts": [(int, 1)], "folds": (int, 2)},
-    )
+    block = _block(cfg, "timing", models=[MODEL_KINDS], iteration_counts=[(int, 1)],
+                   folds=(int, 2), metric=ERROR_METRICS, **TRANSFORM)
     rows = iteration_curve(dataset, seed=seed, workers=workers, **block)
     path = os.path.join(out, "timing.csv")
     _write_csv(path, rows, ["model", "iterations", "best_metric", "wall_clock_s"])
@@ -455,6 +425,10 @@ def run(subcommand: str, cfg: dict, out_dir: str, seed: int, workers: int) -> di
     start = time.perf_counter()
     files, warnings = _HANDLERS[subcommand](cfg, dataset, out_dir, seed, workers)
     stages[subcommand] = time.perf_counter() - start
+    dropped = dataset.load_report.get("n_dropped", 0)
+    if dropped:
+        warnings = [f"dataset.csv: dropped {dropped} record{'s' * (dropped > 1)} "
+                    "whose duration is not a non-negative number", *warnings]
 
     manifest = {
         "subcommand": subcommand,
@@ -489,7 +463,8 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         seed = args.seed if args.seed is not None else _get(cfg, "seed")
-        seed = _numbers({"seed": seed}, "", {"seed": (int, 0)})["seed"]
+        if not _number_ok(seed, int, 0):
+            raise ConfigError("config field seed must be an integer >= 0")
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
         run(args.subcommand, cfg, args.out, seed, args.workers)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -213,10 +212,13 @@ def load_csv(path, schema: FeatureSchema, column_map: dict | None = None) -> Dat
     """Load an RFC-4180 CSV into a Dataset.
 
     ``column_map`` maps schema names (and the target name) to CSV header
-    names; identity by default. Rows whose target does not parse as a
-    non-negative number are dropped and counted in ``load_report``. In the
-    rows kept, an empty feature cell is missing (``None``), and a cell that
-    does not parse as its column's kind raises ``DatasetError``.
+    names; identity by default. A column the header lacks raises
+    ``DatasetError`` whose ``field`` is the argument that named it
+    (``column_map``, ``columns`` or ``target_column``). Rows whose target
+    does not parse as a non-negative number are dropped and counted in
+    ``load_report``. In the rows kept, an empty feature cell is missing
+    (``None``), and a cell that does not parse as its column's kind raises
+    ``DatasetError``.
     """
     column_map = dict(column_map or {})
     wanted = list(schema.names) + [schema.target_column]
@@ -233,7 +235,10 @@ def load_csv(path, schema: FeatureSchema, column_map: dict | None = None) -> Dat
         for name, csv_name in mapped.items():
             if csv_name not in header:
                 raise DatasetError(
-                    f"mapped column {csv_name!r} (for {name!r}) missing from header"
+                    f"mapped column {csv_name!r} (for {name!r}) missing from header",
+                    "column_map" if name in column_map
+                    else "target_column" if name == schema.target_column
+                    else "columns",
                 )
         rows = []
         durations = []
@@ -430,19 +435,6 @@ class ProfileReport:
     n: int
     mean_duration: float
     zero_shifted: int
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "mean_duration": self.mean_duration,
-                "zero_shifted": self.zero_shifted,
-                "ecdf": [list(p) for p in self.ecdf],
-                "log_histogram": self.log_histogram,
-                "fitted": list(self.fitted),
-            },
-            indent=2,
-        )
 
 
 def ecdf_at(durations, t: float) -> float:

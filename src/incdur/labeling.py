@@ -85,7 +85,7 @@ def mutcd_labels(durations) -> np.ndarray:
 
 def _sweep_cell(values, labels, kind, cv, seed, tc):
     counts = np.bincount(labels, minlength=2)
-    if counts.min() < 2:
+    if counts.min() < 2 or labels.shape[0] < cv:
         return {"tc": tc, "model": kind, "evaluable": False}
     pred = cross_val_predict(
         kind, values, labels, cv, task="classification",
@@ -115,9 +115,9 @@ def threshold_sweep(
 ) -> list[dict]:
     """Binary classification metrics per (threshold, model) cell.
 
-    Cells with fewer than 2 records in a class are marked unevaluable
-    rather than failing the sweep. Row order is fixed: ascending tc, then
-    model order as given.
+    Cells with fewer than 2 records in a class, or fewer records than
+    ``cv`` folds, are marked unevaluable rather than failing the sweep. Row
+    order is fixed: ascending tc, then model order as given.
     """
     values = encode(dataset)
 
@@ -137,7 +137,7 @@ def _grid_cell(values, durations, q1, q2, kind, cv, seed):
     t1 = float(np.quantile(durations, q1))
     t2 = float(np.quantile(durations, q2))
     cell = {"q1": q1, "q2": q2, "t1": t1, "t2": t2, "model": kind}
-    if not 0 < t1 < t2:
+    if not 0 < t1 < t2 or durations.shape[0] < cv:
         cell["evaluable"] = False
         return cell
     labels = multiclass_labels(durations, MultiClassThresholds(t1, t2))
@@ -162,7 +162,8 @@ def quantile_grid(
     """3-class F1-macro over a grid of (q1, q2) duration-quantile splits.
 
     Cells with q1 >= q2 are skipped; degenerate thresholds (t1 == t2 on
-    heavily tied data) are flagged unevaluable.
+    heavily tied data) and fewer records than ``cv`` folds are flagged
+    unevaluable.
     """
     values = encode(dataset)
     cells = [(float(q1), float(q2)) for q1 in q1_range for q2 in q2_range if q1 < q2]

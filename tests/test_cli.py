@@ -269,9 +269,41 @@ def _csv(**change):
         ({"csv": _csv(column_map={"x1": 5})}, "dataset.csv.column_map"),
         ({"csv": _csv(path="missing.csv")}, "dataset.csv.path"),
         ({"csv": _csv(path=".")}, "dataset.csv.path"),
+        # value types of the string and list fields
+        ({"csv": _csv(target_column=5)}, "dataset.csv.target_column"),
+        ({"csv": _csv(path=5)}, "dataset.csv.path"),
+        ({"csv": _csv(columns={"name": "x1"})}, "dataset.csv.columns"),
+        ({"csv": _csv(columns=[{"name": 5}])}, "dataset.csv.columns[0].name"),
+        ({"synth": _synth(effects={"a": 1})}, "dataset.synth.effects"),
+        ({"synth": _synth(effects=[{"name": 5}])}, "dataset.synth.effects[0].name"),
+        ({"synth": _synth(effects=[{"name": "c", "kind": "categorical",
+                                    "levels": [1, 2]}])},
+         "dataset.synth.effects[0].levels"),
+        ({"synth": _synth(effects=[{"name": "c", "kind": "categorical",
+                                    "levels": "ab"}])},
+         "dataset.synth.effects[0].levels"),
+        # a header that lacks a column the config names (table.csv: x1, duration)
+        ({"csv": _csv(path="table.csv", column_map={"x1": "X"})},
+         "dataset.csv.column_map"),
+        ({"csv": _csv(path="table.csv", columns=[{"name": "x2"}])},
+         "dataset.csv.columns"),
+        ({"csv": _csv(path="table.csv", target_column="minutes")},
+         "dataset.csv.target_column"),
+        # effect keys that the effect's kind does not use
+        ({"synth": _synth(effects=[{"name": "b", "kind": "boolean", "slope": 9}])},
+         "dataset.synth.effects[0].slope"),
+        ({"synth": _synth(effects=[{"name": "x1", "levels": ["a"]}])},
+         "dataset.synth.effects[0].levels"),
+        ({"synth": _synth(effects=[{"name": "c", "kind": "categorical",
+                                    "levels": ["a"], "multiplier": 2.0}])},
+         "dataset.synth.effects[0].multiplier"),
+        ({"synth": _synth(effects=[{"name": "x1", "slope": 1.0, "kind": "numerc"}])},
+         "dataset.synth.effects[0].kind"),
     ],
 )
-def test_dataset_keys_are_checked(tmp_path, capsys, dataset, field):
+def test_dataset_keys_are_checked(tmp_path, monkeypatch, capsys, dataset, field):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "table.csv").write_text("x1,duration\n1,10\n2,20\n")
     cfg = {**BASE_CONFIG, "dataset": dataset}
     _exits_2_naming(tmp_path, capsys, "synth", cfg, field)
 
@@ -325,9 +357,9 @@ def test_block_keys_reach_parameters_of_the_same_name(tmp_path, monkeypatch,
     accepted, bound = [], {}
     check_block = cli._block
 
-    def spy_block(cfg, block_name, one_of=None, list_of=None, numbers=None):
-        accepted.extend([*(one_of or {}), *(list_of or {}), *(numbers or {})])
-        return check_block(cfg, block_name, one_of, list_of, numbers)
+    def spy_block(cfg, block_name, /, **spec):
+        accepted.extend(spec)
+        return check_block(cfg, block_name, **spec)
 
     signature = inspect.signature(getattr(cli, call))
 
@@ -434,6 +466,21 @@ def test_csv_dataset_round_trip(tmp_path):
     assert main(["sweep", "--config", str(p2), "--out", str(out2)]) == 0
     lines = (out2 / "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 2
+
+
+def test_dropped_csv_records_are_reported(tmp_path):
+    lines = ["x1,duration"] + [f"{i},{10 * i}" for i in range(1, 6)] + ["6,abc"]
+    (tmp_path / "table.csv").write_text("\n".join(lines) + "\n")
+    cfg = {**BASE_CONFIG, "dataset": {"csv": _csv(path=str(tmp_path / "table.csv"))}}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["synth", "--config", str(p), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["warnings"] == [
+        "dataset.csv: dropped 1 record whose duration is not a non-negative number"
+    ]
+    assert len((out / "dataset.csv").read_text().splitlines()) == 1 + 5
 
 
 @pytest.mark.parametrize("tc, warned", [(45, True), (20, False)])

@@ -107,6 +107,20 @@ def test_threshold_sweep_unevaluable_cell_flagged():
     assert rows[0]["evaluable"] is False
 
 
+def test_sweep_cells_with_fewer_rows_than_folds_are_unevaluable():
+    durations = np.array([1.0, 2, 3, 4, 5, 6, 20, 30, 60, 90])
+    schema = FeatureSchema(columns=(FeatureColumn("leak", "numeric"),))
+    ds = Dataset(schema=schema, rows=tuple((float(d),) for d in durations),
+                 durations=durations)
+    # at threshold 10, four rows remain: two in each class, fewer than 5 folds
+    rows = ldo_hdo_sweep(ds, "tree", thresholds=[0, 10], tc=45.0, cv=5)
+    assert [r["evaluable"] for r in rows] == [True, False]
+    (row,) = threshold_sweep(ds, ["tree"], tc_values=(10,), cv=12)
+    assert row["evaluable"] is False
+    (cell,) = quantile_grid(ds, "tree", q1_range=(0.3,), q2_range=(0.6,), cv=12)
+    assert cell["evaluable"] is False
+
+
 def long_tail_dataset(seed=0):
     """50 records, short but for the last three (80, 90 and 100 minutes):
     at tc=45 the fifth of five sequential folds trains on one class."""
