@@ -7,9 +7,12 @@ parameter, and a key it leaves out takes the default of that function's
 signature. Every config object, a subcommand block or a dataset object, is
 checked up front by one ``_check`` against a spec of its keys; an unknown
 key or a value of the wrong type or range exits with status 2 and names
-the field. Every experiment writes CSV tables plus a run manifest listing
-all emitted files and warnings; reruns with the same config and seed
-produce identical numeric outputs regardless of --workers.
+the field. Each subcommand's handler returns its files as payloads, and
+``run`` writes them, then a run manifest listing all emitted files and
+warnings, through one ``_write``: every file is replaced whole or not at
+all, with the permissions the umask gives a plain ``open``. Reruns with
+the same config and seed produce identical numeric outputs regardless of
+--workers.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from dataclasses import MISSING, asdict, fields
 
@@ -229,21 +231,23 @@ def _build_dataset(cfg: dict, seed: int) -> Dataset:
         raise ConfigError(f"config field {path}.{exc.field}: {exc}") from None
 
 
-def _write_csv(path: str, rows: list[dict], fieldnames: list[str]):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-
-
-def _write_json_atomic(path: str, payload: dict):
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def _write(path: str, payload):
+    """Write ``payload`` to ``path``: a ``(rows, columns)`` pair as CSV,
+    anything else as JSON. The file is written whole or not at all: it goes
+    to a temporary name, which replaces ``path`` only once it is complete,
+    so a failed write leaves the old file. The new file gets the mode a
+    plain ``open`` gives it under the umask."""
+    tmp = f"{path}.tmp"
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            if isinstance(payload, tuple):
+                rows, columns = payload
+                writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
+                writer.writeheader()
+                writer.writerows(rows)
+            else:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -252,92 +256,76 @@ def _write_json_atomic(path: str, payload: dict):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (written file names, warnings)
+# Subcommand handlers: each returns ({file name: payload}, warnings), the
+# payload as ``_write`` takes it
 # ---------------------------------------------------------------------------
 
 
-def _cmd_profile(cfg, dataset, out, seed, workers):
+def _cmd_profile(cfg, dataset, seed, workers):
     report = profile(dataset, **_block(cfg, "profile", n_bins=(int, 1)))
-    path = os.path.join(out, "profile.json")
-    _write_json_atomic(path, asdict(report))
-    return [path], []
+    return {"profile.json": asdict(report)}, []
 
 
-def _cmd_synth(cfg, dataset, out, seed, workers):
-    path = os.path.join(out, "dataset.csv")
+def _cmd_synth(cfg, dataset, seed, workers):
     names = list(dataset.schema.names)
     rows = [
         {**dict(zip(names, r)), dataset.schema.target_column: d}
         for r, d in zip(dataset.rows, dataset.durations.tolist())
     ]
-    _write_csv(path, rows, names + [dataset.schema.target_column])
-    return [path], []
+    return {"dataset.csv": (rows, names + [dataset.schema.target_column])}, []
 
 
-def _cmd_sweep(cfg, dataset, out, seed, workers):
+def _cmd_sweep(cfg, dataset, seed, workers):
     block = _block(cfg, "sweep", models=[MODEL_KINDS], tc_values=[(float, 0)],
                    cv=(int, 2))
     rows = threshold_sweep(dataset, seed=seed, workers=workers, **block)
-    path = os.path.join(out, "sweep.csv")
-    _write_csv(
-        path, rows,
-        ["tc", "model", "evaluable", "precision", "recall", "accuracy", "f1",
-         "meets_f1_gate", "class_balance"],
-    )
+    columns = ["tc", "model", "evaluable", "precision", "recall", "accuracy", "f1",
+               "meets_f1_gate", "class_balance"]
     warnings = [
         f"unevaluable sweep cell: tc={r['tc']} model={r['model']}"
         for r in rows if not r["evaluable"]
     ]
-    return [path], warnings
+    return {"sweep.csv": (rows, columns)}, warnings
 
 
-def _cmd_multiclass(cfg, dataset, out, seed, workers):
+def _cmd_multiclass(cfg, dataset, seed, workers):
     block = _block(cfg, "multiclass", model=MODEL_KINDS, cv=(int, 2))
     rows = quantile_grid(dataset, seed=seed, workers=workers, **block)
-    path = os.path.join(out, "multiclass_grid.csv")
-    _write_csv(path, rows, ["q1", "q2", "t1", "t2", "model", "evaluable", "f1_macro"])
+    columns = ["q1", "q2", "t1", "t2", "model", "evaluable", "f1_macro"]
     warnings = [
         f"unevaluable grid cell: q1={r['q1']} q2={r['q2']}"
         for r in rows if not r["evaluable"]
     ]
-    return [path], warnings
+    return {"multiclass_grid.csv": (rows, columns)}, warnings
 
 
-def _cmd_ldo_sweep(cfg, dataset, out, seed, workers):
+def _cmd_ldo_sweep(cfg, dataset, seed, workers):
     block = _block(cfg, "ldo_sweep", model=MODEL_KINDS, thresholds=[ANY], **TC,
                    cv=(int, 2))
     rows = ldo_hdo_sweep(dataset, seed=seed, **block)
-    path = os.path.join(out, "ldo_sweep.csv")
-    _write_csv(
-        path, rows,
-        ["ldo_threshold", "remaining_fraction", "flagged", "evaluable", "f1"],
-    )
+    columns = ["ldo_threshold", "remaining_fraction", "flagged", "evaluable", "f1"]
     warnings = [
         f"ldo threshold {r['ldo_threshold']} removes over half the data"
         for r in rows if r["flagged"]
     ]
-    return [path], warnings
+    return {"ldo_sweep.csv": (rows, columns)}, warnings
 
 
-def _cmd_scenarios(cfg, dataset, out, seed, workers):
+def _cmd_scenarios(cfg, dataset, seed, workers):
     block = _block(cfg, "scenarios", models=[MODEL_KINDS], names=[SCENARIO_NAMES],
                    **TC, folds=(int, 2), **TRANSFORM)
     rows = scenario_table(dataset, seed=seed, workers=workers, **block)
-    path = os.path.join(out, "scenarios.csv")
-    _write_csv(
-        path, rows,
-        ["scenario", "model", "tc", "mape", "rmse", "mape_excluded_zeros", "n_test"],
-    )
-    return [path], []
+    columns = ["scenario", "model", "tc", "mape", "rmse", "mape_excluded_zeros",
+               "n_test"]
+    return {"scenarios.csv": (rows, columns)}, []
 
 
-def _cmd_ieo(cfg, dataset, out, seed, workers):
+def _cmd_ieo(cfg, dataset, seed, workers):
     block = _block(cfg, "ieo", model=MODEL_KINDS, mode=MODES, metric=METRICS,
                    iterations=(int, 1), folds=(int, 2), **TC, **TRANSFORM)
     if ("tc" in block) != (block.get("metric") == "f1"):
         raise ConfigError("config field ieo.tc goes with metric f1 and only with it")
     result = run_ieo(dataset, seed=seed, workers=workers, **block)
-    trace_path = os.path.join(out, "ieo_trace.csv")
     trace_rows = [
         {
             **{k: v for k, v in row.items()
@@ -347,57 +335,48 @@ def _cmd_ieo(cfg, dataset, out, seed, workers):
         }
         for row in result.trace
     ]
-    _write_csv(
-        trace_path, trace_rows,
-        ["draw_index", "metric_value", "failed", "orm_method", "orm_percent",
-         "removed_extra", "removed_per_fold", "model_params"],
-    )
-    summary_path = os.path.join(out, "ieo_summary.json")
-    _write_json_atomic(
-        summary_path,
-        {
-            "model_kind": result.model_kind,
-            "mode": result.mode,
-            "metric": result.metric,
-            "best_draw": result.best,
-            "validation_metric": result.validation_metric,
-            "n_validation": int(result.validation_indices.shape[0]),
-        },
-    )
-    return [trace_path, summary_path], list(result.warnings)
+    trace_columns = ["draw_index", "metric_value", "failed", "orm_method",
+                     "orm_percent", "removed_extra", "removed_per_fold",
+                     "model_params"]
+    summary = {
+        "model_kind": result.model_kind,
+        "mode": result.mode,
+        "metric": result.metric,
+        "best_draw": result.best,
+        "validation_metric": result.validation_metric,
+        "n_validation": int(result.validation_indices.shape[0]),
+    }
+    return {"ieo_trace.csv": (trace_rows, trace_columns),
+            "ieo_summary.json": summary}, list(result.warnings)
 
 
-def _cmd_fusion(cfg, dataset, out, seed, workers):
+def _cmd_fusion(cfg, dataset, seed, workers):
     block = _block(cfg, "fusion", classifier=MODEL_KINDS, regressor_a=MODEL_KINDS,
                    regressor_b=MODEL_KINDS, regressor_all=MODEL_KINDS,
                    meta=MODEL_KINDS, **TC, folds=(int, 2), **TRANSFORM)
     rows = fusion_table(dataset, seed=seed, **block)
-    path = os.path.join(out, "fusion.csv")
-    _write_csv(path, rows, ["model", "rmse", "mape", "mape_excluded_zeros", "n_test"])
-    return [path], []
+    columns = ["model", "rmse", "mape", "mape_excluded_zeros", "n_test"]
+    return {"fusion.csv": (rows, columns)}, []
 
 
-def _cmd_importance(cfg, dataset, out, seed, workers):
+def _cmd_importance(cfg, dataset, seed, workers):
     block = _block(cfg, "importance", model=MODEL_KINDS, metric=ERROR_METRICS,
                    n_repeats=(int, 1), **TC, **TRANSFORM)
     reports = subset_importance(dataset, seed=seed, **block)
     rows = [{**r, "subset": tag} for tag in SUBSET_TAGS for r in reports[tag].rows]
-    path = os.path.join(out, "importance.csv")
-    _write_csv(path, rows, ["subset", "name", "score", "rank"])
     warnings = [
         f"importance subset {tag} has fewer than {MIN_SUBSET_SIZE} records"
         for tag in SUBSET_TAGS if reports[tag].notes["flagged_small"]
     ]
-    return [path], warnings
+    return {"importance.csv": (rows, ["subset", "name", "score", "rank"])}, warnings
 
 
-def _cmd_timing(cfg, dataset, out, seed, workers):
+def _cmd_timing(cfg, dataset, seed, workers):
     block = _block(cfg, "timing", models=[MODEL_KINDS], iteration_counts=[(int, 1)],
                    folds=(int, 2), metric=ERROR_METRICS, **TRANSFORM)
     rows = iteration_curve(dataset, seed=seed, workers=workers, **block)
-    path = os.path.join(out, "timing.csv")
-    _write_csv(path, rows, ["model", "iterations", "best_metric", "wall_clock_s"])
-    return [path], []
+    columns = ["model", "iterations", "best_metric", "wall_clock_s"]
+    return {"timing.csv": (rows, columns)}, []
 
 
 _HANDLERS = {
@@ -423,7 +402,9 @@ def run(subcommand: str, cfg: dict, out_dir: str, seed: int, workers: int) -> di
     stages["load"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    files, warnings = _HANDLERS[subcommand](cfg, dataset, out_dir, seed, workers)
+    files, warnings = _HANDLERS[subcommand](cfg, dataset, seed, workers)
+    for name, payload in files.items():
+        _write(os.path.join(out_dir, name), payload)
     stages[subcommand] = time.perf_counter() - start
     dropped = dataset.load_report.get("n_dropped", 0)
     if dropped:
@@ -439,11 +420,10 @@ def run(subcommand: str, cfg: dict, out_dir: str, seed: int, workers: int) -> di
             json.dumps(cfg, sort_keys=True).encode()
         ).hexdigest(),
         "stage_seconds": stages,
-        "files": [os.path.basename(f) for f in files],
+        "files": list(files),
         "warnings": warnings,
     }
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    _write_json_atomic(manifest_path, manifest)
+    _write(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
 
 

@@ -139,21 +139,15 @@ def permutation_importance(
                             notes={"baseline": baseline, "metric": metric})
 
 
-def _coalition_value(predict, record, background, mask) -> float:
-    """Mean prediction with masked-off features replaced by each
-    background row in turn."""
-    rows = np.repeat(record[None, :], background.shape[0], axis=0)
-    hidden = ~mask
-    rows[:, hidden] = background[:, hidden]
-    return float(np.mean(predict(rows)))
-
-
 def _shapley_exhaustive(predict, record, background, m):
     cache = {}
 
     def value(mask_key, mask):
+        """Mean prediction with the masked-off features taken from each
+        background row in turn."""
         if mask_key not in cache:
-            cache[mask_key] = _coalition_value(predict, record, background, mask)
+            rows = np.where(mask, record, background)
+            cache[mask_key] = float(np.mean(predict(rows)))
         return cache[mask_key]
 
     contributions = np.zeros(m)
@@ -208,13 +202,9 @@ def shapley_sampling(
     for _ in range(n_samples):
         perm = rng.permutation(m)
         bg = background[int(rng.integers(0, background.shape[0]))]
-        rows = np.empty((m + 1, m))
-        current = bg.copy()
-        rows[0] = current
-        for step, j in enumerate(perm, start=1):
-            current = current.copy()
-            current[j] = record[j]
-            rows[step] = current
+        # row s takes the record's values at the first s features of perm
+        mask = np.argsort(perm) < np.arange(m + 1)[:, None]
+        rows = np.where(mask, record, bg)
         preds = predict(rows)
         contributions[perm] += np.diff(preds)
     return contributions / n_samples

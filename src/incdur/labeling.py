@@ -201,9 +201,7 @@ def ldo_hdo_sweep(
             "flagged": remaining < 0.5,
         }
         if keep.shape[0] >= 4:
-            sub = dataset.subset(keep)
-            cell = _sweep_cell(encode(sub), binary_labels(sub.durations, tc),
-                               model, cv, seed, tc)
+            (cell,) = threshold_sweep(dataset.subset(keep), (model,), (tc,), cv, seed)
             row["f1"] = cell.get("f1")
             row["evaluable"] = cell["evaluable"]
         else:

@@ -29,7 +29,6 @@ from .base import (
     TrainedModel,
     TreeParams,
     as_values,
-    params_to_dict,
     prepare_targets,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "ModelError",
     "TrainedModel",
     "make_params",
-    "params_to_dict",
     "fit_model",
 ]
 

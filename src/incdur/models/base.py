@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,10 +99,6 @@ class LinearParams:
             raise ModelError("ridge must be >= 0")
 
 
-def params_to_dict(params) -> dict:
-    return {f.name: getattr(params, f.name) for f in fields(params)}
-
-
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
 
@@ -116,6 +112,13 @@ def sigmoid_proba(scores):
     total = p.sum(axis=1, keepdims=True)
     total[total == 0] = 1.0
     return p / total
+
+
+def vote_shares(labels, n_classes, axis):
+    """Each class's share of the integer class ``labels`` along ``axis``,
+    with the classes on a new last axis."""
+    votes = np.sum(labels[..., None] == np.arange(n_classes), axis=axis)
+    return votes / labels.shape[axis]
 
 
 class OneClass:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ForestParams
+from .base import ForestParams, vote_shares
 from .tree import TreeModel, grow_gini_tree, grow_mse_tree
 
 
@@ -15,8 +15,7 @@ def _mean(leaf):
 def _votes(leaf):
     """Vote shares: each tree votes for its leaf's majority class, ties to
     the lower class index (the smaller label, since classes are sorted)."""
-    picked = np.argmax(leaf, axis=2)[..., None]
-    return np.sum(picked == np.arange(leaf.shape[2]), axis=0) / leaf.shape[0]
+    return vote_shares(np.argmax(leaf, axis=2), leaf.shape[2], axis=0)
 
 
 def fit(values, targets, n_classes, params: ForestParams, seed):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import KnnParams, ModelError
+from .base import KnnParams, ModelError, vote_shares
 
 BLOCK_CELLS = 1 << 16  # (query, train) cells in one distance block
 
@@ -130,10 +130,7 @@ class KnnModel:
         near = self.targets[nb]
         if not self.n_classes:
             return near.mean(axis=1)
-        votes = np.zeros((values.shape[0], self.n_classes))
-        for c in range(self.n_classes):
-            votes[:, c] = (near == c).sum(axis=1)
-        return votes / self.k
+        return vote_shares(near, self.n_classes, axis=1)
 
 
 def fit(values, targets, n_classes, params: KnnParams, seed):

@@ -85,11 +85,9 @@ def fit(values, targets, n_classes, params: LinearParams, seed):
                 "singular normal equations; use ridge > 0 for rank-deficient X"
             ) from None
         return LinearRegressor(beta[0], beta[1:])
-    if n_classes == 2:
-        w = _fit_logistic_binary(values, targets.astype(float), params.ridge)
-        return LogisticClassifier([w[0]], [w[1:]])
+    classes = [1] if n_classes == 2 else range(n_classes)
     rows = [
         _fit_logistic_binary(values, (targets == c).astype(float), params.ridge)
-        for c in range(n_classes)
+        for c in classes
     ]
     return LogisticClassifier([w[0] for w in rows], [w[1:] for w in rows])

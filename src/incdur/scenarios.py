@@ -84,21 +84,29 @@ def run_scenario(
     A scenario whose source is its target or all records cross-validates
     over the source and scores the test records in the target; a
     cross-subset scenario (AtoB, BtoA) fits once on the full source subset
-    and predicts the target.
+    and predicts the target. A cross-validated source must hold at least
+    ``folds`` records, and every subset the scenario uses at least one.
     """
     if name not in SCENARIOS:
         raise ScenarioError(f"unknown scenario {name!r}")
     durations = dataset.durations
     rows = dict(zip(("All", "A", "B"), subset_rows(durations, tc)))
     source, target = SCENARIOS[name]
+    cross_validated = source in (target, "All")
     for subset in (source, target):
-        if rows[subset].shape[0] == 0:
+        count = rows[subset].shape[0]
+        if cross_validated and subset == source and count < folds:
+            raise ScenarioError(
+                f"scenario {name} cross-validates subset {subset}, which holds "
+                f"{count} records, fewer than its {folds} folds"
+            )
+        if count == 0:
             raise ScenarioError(
                 f"scenario {name} requires a non-empty subset {subset}"
             )
     train = rows[source]
     values = _encode_on(dataset, train)
-    if source in (target, "All"):
+    if cross_validated:
         oof = cross_val_predict(
             model,
             values[train],
@@ -281,12 +289,17 @@ def fit_fusion(
     training record never saw it, so the meta-regressor is not trained on
     in-sample base predictions. A meta column that is constant out of fold
     (say, every record classed long-term) is left out, since the meta
-    model's intercept already holds a constant column."""
+    model's intercept already holds a constant column. The dataset must
+    hold at least ``folds`` records."""
+    n = len(dataset)
+    if n < folds:
+        raise ScenarioError(
+            f"fusion holds {n} training records, fewer than its {folds} folds"
+        )
     encoder = Encoder.fit(dataset)
     values = encoder.transform(dataset)
     durations = dataset.durations
     labels = binary_labels(durations, tc)
-    n = len(dataset)
 
     meta_x = np.empty((n, 4))
     for k in range(folds):

@@ -11,7 +11,8 @@ its concatenated out-of-fold predictions.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .cv import cross_val_predict, derive_seed, holdout_split
 from .dataset import Dataset, encode
 from .labeling import binary_labels
 from .metrics import metric_value
-from .models import ModelError, fit_model, make_params, params_to_dict
+from .models import ModelError, fit_model, make_params
 from .outliers import (MAX_ORM_PERCENT, OrmError, OrmParams, remove_top_percent,
                        score_with)
 
@@ -37,6 +38,15 @@ __all__ = [
 MODES = ("none", "intra", "extra")
 METRICS = ("mape", "rmse", "f1")
 
+#: The ranges both boosting kinds draw; gbt-reg adds its regularisers.
+_BOOST_SPACE = {
+    "n_rounds": ("int", 20, 200),
+    "learning_rate": ("log", 0.01, 0.3),
+    "max_depth": ("int", 2, 6),
+    "subsample": ("float", 0.5, 1.0),
+    "colsample": ("float", 0.5, 1.0),
+}
+
 #: Range kinds: ("int", lo, hi) inclusive, ("float", lo, hi) uniform,
 #: ("log", lo, hi) log-uniform for scale-like parameters.
 DEFAULT_MODEL_SPACE = {
@@ -44,22 +54,10 @@ DEFAULT_MODEL_SPACE = {
         "max_depth": ("int", 2, 10),
         "min_samples_leaf": ("int", 1, 10),
     },
-    "gbt": {
-        "n_rounds": ("int", 20, 200),
-        "learning_rate": ("log", 0.01, 0.3),
-        "max_depth": ("int", 2, 6),
-        "subsample": ("float", 0.5, 1.0),
-        "colsample": ("float", 0.5, 1.0),
-    },
-    "gbt-reg": {
-        "n_rounds": ("int", 20, 200),
-        "learning_rate": ("log", 0.01, 0.3),
-        "max_depth": ("int", 2, 6),
-        "subsample": ("float", 0.5, 1.0),
-        "colsample": ("float", 0.5, 1.0),
-        "reg_lambda": ("log", 0.01, 10.0),
-        "gamma": ("float", 0.0, 1.0),
-    },
+    "gbt": _BOOST_SPACE,
+    # sample_draw sorts the names, so key order moves no draw
+    "gbt-reg": {**_BOOST_SPACE, "reg_lambda": ("log", 0.01, 10.0),
+                "gamma": ("float", 0.0, 1.0)},
     "random-forest": {
         "n_trees": ("int", 20, 150),
         "max_depth": ("int", 3, 12),
@@ -285,7 +283,7 @@ def run_ieo(
         draw = sample_draw(space, model, mode, folds, seed, it)
         entry = {
             "draw_index": it,
-            "model_params": params_to_dict(draw.model_params),
+            "model_params": asdict(draw.model_params),
             "orm_method": draw.orm_params.method,
             "orm_percent": draw.orm_params.percent_removed,
         }
@@ -305,7 +303,11 @@ def run_ieo(
     evaluated = parallel_map(eval_one, range(iterations), workers)
     ok = [e for e in evaluated if not e[3]["failed"]]
     if not ok:
-        raise TuningError("all draws failed")
+        reasons = Counter(e[3]["error"] for e in evaluated)  # in draw order
+        raise TuningError("all draws failed: " + "; ".join(
+            f"{reason} ({count} draw{'s' * (count > 1)})"
+            for reason, count in reasons.items()
+        ))
     # min keeps the first of equal keys: ties go to the lower draw_index
     sign = -1 if metric == "f1" else 1
     best_draw, oof_indices, oof_predictions, best_row = min(

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -76,6 +77,33 @@ def test_every_subcommand_writes_manifest(subcommand, config_path, tmp_path):
         assert (out / name).exists()
     assert manifest["seed"] == 11
     assert manifest["subcommand"] == subcommand
+
+
+@pytest.mark.parametrize("subcommand", ["profile", "ieo"])  # JSON; CSV and JSON
+def test_written_files_have_the_mode_of_a_plain_open(subcommand, config_path,
+                                                      tmp_path):
+    out = tmp_path / subcommand
+    assert run_cli(subcommand, config_path, out) == 0
+    with open(out / "plain", "w"):
+        pass
+    plain = stat.S_IMODE(os.stat(out / "plain").st_mode)
+    for name in EXPECTED_FILES[subcommand] + ["manifest.json"]:
+        assert stat.S_IMODE(os.stat(out / name).st_mode) == plain, name
+
+
+def test_a_failed_write_leaves_the_old_file_and_no_temporary(tmp_path):
+    path = tmp_path / "table.csv"
+    cli._write(str(path), ([{"a": 1, "b": 2}], ["a", "b"]))
+    before = path.read_bytes()
+
+    def rows():
+        yield {"a": 3, "b": 4}
+        raise RuntimeError("row failed")
+
+    with pytest.raises(RuntimeError, match="row failed"):
+        cli._write(str(path), (rows(), ["a", "b"]))
+    assert path.read_bytes() == before == b"a,b\r\n1,2\r\n"
+    assert os.listdir(tmp_path) == ["table.csv"]
 
 
 def test_sweep_rows_match_thresholds_times_models(config_path, tmp_path):

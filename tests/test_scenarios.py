@@ -14,6 +14,7 @@ from incdur.scenarios import (
     ScenarioError,
     fit_fusion,
     fit_pipeline,
+    fusion_table,
     quantiled_time_folding,
     run_scenario,
     scenario_table,
@@ -118,6 +119,14 @@ def test_scenario_requires_nonempty_subsets():
         run_tree(ds, "AtoB")
     with pytest.raises(ScenarioError):
         run_tree(ds, "BtoB")
+
+
+def test_cross_validated_scenario_needs_a_record_per_fold():
+    ds = leaked_dataset(n=60, seed=9)
+    tc = float(np.sort(ds.durations)[-9])  # 8 long-term records
+    with pytest.raises(ScenarioError, match="BtoB cross-validates subset B, "
+                       "which holds 8 records, fewer than its 10 folds"):
+        scenario_table(ds, ["tree"], tc=tc)
 
 
 def test_scenario_table_shape_and_worker_invariance():
@@ -237,6 +246,13 @@ def test_fusion_leaves_out_a_meta_column_constant_out_of_fold():
     assert model.meta_columns.tolist() == [False, True, True, True]
     assert model.meta.n_features == 3
     assert np.isfinite(model.predict(ds)).all()
+
+
+def test_fusion_needs_a_training_record_per_fold():
+    # the holdout split trains on 24 of the 30 records
+    with pytest.raises(ScenarioError, match="fusion holds 24 training records, "
+                       "fewer than its 40 folds"):
+        fusion_table(leaked_dataset(n=30, seed=17), folds=40)
 
 
 def test_fusion_not_much_worse_than_single_model():

@@ -1,5 +1,7 @@
 """Fold construction, random draws, and the intra/extra joint optimisation."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -296,8 +298,8 @@ def test_iteration_curve_monotone_and_timed():
 
 
 def test_iteration_curve_default_schedule():
-    assert tuple(range(25, 251, 25)) == (25, 50, 75, 100, 125, 150, 175,
-                                         200, 225, 250)
+    default = inspect.signature(iteration_curve).parameters["iteration_counts"].default
+    assert default == (25, 50, 75, 100, 125, 150, 175, 200, 225, 250)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +330,30 @@ def test_ieo_documented_errors_fail_the_draw(monkeypatch, exc):
     assert [r["failed"] for r in result.trace] == [True, False, False]
     assert result.trace[0]["error"] == str(exc)
     assert all("error" not in r for r in result.trace[1:])
+
+
+def test_ieo_all_draws_failed_names_each_reason_once(monkeypatch):
+    import incdur.cv as cv
+
+    reasons = iter(["second reason", "first reason", "second reason"])
+
+    def fit_model(*args, **kwargs):  # each draw fails at its first fit
+        raise ModelError(next(reasons))
+
+    monkeypatch.setattr(cv, "fit_model", fit_model)
+    with pytest.raises(TuningError) as info:
+        run_ieo(make_data(n=200, seed=12), "tree", folds=4, iterations=3, seed=2,
+                space=fixed_space())
+    assert str(info.value) == (
+        "all draws failed: second reason (2 draws); first reason (1 draw)"
+    )
+
+
+def test_ieo_with_more_folds_than_search_records_says_so():
+    # the search part holds 24 of the 30 records, fewer than 30 folds
+    with pytest.raises(TuningError, match=r"all draws failed: outlier removal "
+                       r"left fewer records than folds \(3 draws\)$"):
+        run_ieo(make_data(n=30, seed=13), "tree", folds=30, iterations=3)
 
 
 def test_ieo_plain_value_error_propagates(monkeypatch):
