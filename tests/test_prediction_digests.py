@@ -4,7 +4,8 @@ For each kind and task, the sha256 of ``predict`` and, for classifiers,
 ``predict_proba`` on a query batch, its first row and zero rows. This pins
 the paths the golden CLI configs never fit: gbt, knn and linear classifiers,
 one-vs-rest boosting, GOSS, row/column-subsampled and column-only subsampled
-boosting.
+boosting. The pipeline and fusion cases pin the composite models, each
+on a mixed-column table with a categorical effect.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from incdur.dataset import PlantedEffect, SynthConfig, synthesize
 from incdur.models import (
     BoostParams,
     ForestParams,
@@ -20,6 +22,7 @@ from incdur.models import (
     TreeParams,
     fit_model,
 )
+from incdur.scenarios import fit_fusion, fit_pipeline
 
 PARAMS = {
     "tree": ("tree", TreeParams(max_depth=4)),
@@ -162,3 +165,59 @@ def _digest(name, task_name):
 @pytest.mark.parametrize("name", list(PARAMS))
 def test_predictions_match_pinned_digests(name, task_name):
     assert _digest(name, task_name) == DIGESTS[name, task_name]
+
+
+#: case label: (base kinds: classifier, regressor A, B and all, target
+#: transform). The categorical's indicators sum to the linear model's
+#: intercept column, so its ridge-free solve is rank-deficient and rounding
+#: picks the offset; table seed 22 is one that solves.
+COMPOSITE_KINDS = {
+    "tree": (("tree",) * 4, "none"),
+    "mixed-log1p": (("random-forest", "gbt-reg", "linear", "gbt"), "log1p"),
+}
+
+#: sha256 of the composite model's predictions (numpy 2.4.6)
+COMPOSITE_DIGESTS = {
+    ("pipeline", "tree"):
+        "1f86916b45a6d6dd10692c146fd33db0c311dddf0f1225c1b1afa165f4cd30f5",
+    ("pipeline", "mixed-log1p"):
+        "41b2ab537c091c628202874887187a91c0d4af7772fe242dcce8bad707773855",
+    ("fusion", "tree"):
+        "f2c26e3ec1ab4843c48786f51c958d8d4bbae52673698b7b29b8b8caf28debc8",
+    ("fusion", "mixed-log1p"):
+        "16ceb0a30274e7916eed715d9939cfc89a6d1f4f0b678fe014722dd5b3f1ce10",
+}
+
+
+def _composite_digest(composite, case):
+    kinds, transform = COMPOSITE_KINDS[case]
+    ds = synthesize(SynthConfig(n=240, seed=22, mu=3.6, sigma=0.8, effects=(
+        PlantedEffect("x", "numeric", slope=1.2),
+        PlantedEffect("flag", "boolean", multiplier=1.8),
+        PlantedEffect("road", "categorical", levels=("a", "b", "c", "d"),
+                      multipliers=(1.0, 1.6, 0.7, 2.4)),
+    )))
+    train, query = np.arange(200), np.arange(200, 240)
+    if composite == "pipeline":
+        model = fit_pipeline(ds.subset(train), kinds[:3], tc=45.0, seed=3,
+                             target_transform=transform)
+    else:
+        model = fit_fusion(ds.subset(train), kinds, tc=45.0, folds=4, seed=3,
+                           target_transform=transform)
+    h = hashlib.sha256()
+    for rows in (query, query[:1]):
+        out = np.ascontiguousarray(model.predict(ds.subset(rows)))
+        h.update(f"{out.shape} {out.dtype}".encode())
+        h.update(out.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.skipif(
+    np.__version__ != "2.4.6",
+    reason="prediction digests are pinned for numpy 2.4.6, the version CI "
+           "installs; other numpy versions may round differently",
+)
+@pytest.mark.parametrize("case", list(COMPOSITE_KINDS))
+@pytest.mark.parametrize("composite", ["pipeline", "fusion"])
+def test_composite_predictions_match_pinned_digests(composite, case):
+    assert _composite_digest(composite, case) == COMPOSITE_DIGESTS[composite, case]
