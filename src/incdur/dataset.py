@@ -203,9 +203,11 @@ def _median(values) -> float:
     return float(np.mean(ordered[(n - 1) // 2:n // 2 + 1]))
 
 
-def encode(dataset: Dataset) -> np.ndarray:
-    """Fit an encoder on ``dataset`` and return its encoded matrix."""
-    return Encoder.fit(dataset).transform(dataset)
+def encode(dataset: Dataset, rows=None) -> np.ndarray:
+    """Encode every record with an encoder fitted on the records ``rows``
+    (all by default); a categorical level unseen there encodes as missing."""
+    fitted_on = dataset if rows is None else dataset.subset(rows)
+    return Encoder.fit(fitted_on).transform(dataset)
 
 
 def load_csv(path, schema: FeatureSchema, column_map: dict | None = None) -> Dataset:

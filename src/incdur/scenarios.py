@@ -8,9 +8,9 @@ evaluates on subset Y; same-population scenarios use cross-validation
 instead, since train and test must stay disjoint. The pipeline routes each
 record to a subset regressor by a classifier's label; fusion extends it
 with an all-data regressor and a meta-regressor over the four base outputs.
-``fit_pipeline`` and ``fit_fusion`` take the base kinds as one tuple:
-classifier, regressor A, regressor B and, for fusion, the all-data
-regressor.
+``fit_pipeline`` and ``fit_fusion`` take the base kinds as one tuple
+(classifier, regressor A, regressor B and, for fusion, the all-data
+regressor), then an encoded matrix and its durations, as ``fit_model`` does.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .cv import cross_val_predict, derive_seed, fold_indexes, holdout_split
-from .dataset import Dataset, Encoder, encode
+from .dataset import Dataset, encode
 from .labeling import DEFAULT_TC, binary_labels, subset_rows
 from .metrics import mape_excluding_zero, rmse
 from .models import TrainedModel, fit_model
@@ -54,12 +54,6 @@ SCENARIO_NAMES = tuple(SCENARIOS)
 
 class ScenarioError(ValueError):
     pass
-
-
-def _encode_on(dataset: Dataset, fit_indices: np.ndarray) -> np.ndarray:
-    """Encode all rows with an encoder fitted on the training population,
-    so categorical levels unseen in training map to the missing indicator."""
-    return Encoder.fit(dataset.subset(fit_indices)).transform(dataset)
 
 
 def _errors(actual, predictions) -> dict:
@@ -105,7 +99,7 @@ def run_scenario(
                 f"scenario {name} requires a non-empty subset {subset}"
             )
     train = rows[source]
-    values = _encode_on(dataset, train)
+    values = encode(dataset, train)
     if cross_validated:
         oof = cross_val_predict(
             model,
@@ -204,13 +198,11 @@ def quantiled_time_folding(
 class PipelineModel:
     """Classifier routes each record to the subset-specialised regressor."""
 
-    encoder: Encoder
     classifier: TrainedModel
     regressor_a: TrainedModel
     regressor_b: TrainedModel
 
-    def predict(self, dataset: Dataset) -> np.ndarray:
-        values = self.encoder.transform(dataset)
+    def predict(self, values: np.ndarray) -> np.ndarray:
         out = self.regressor_a.predict(values)
         long_term = self.classifier.predict(values) == 1
         if long_term.any():
@@ -228,10 +220,10 @@ class FusionModel(PipelineModel):
     meta: TrainedModel
     meta_columns: np.ndarray  # bool, one per base model
 
-    def predict(self, dataset: Dataset) -> np.ndarray:
+    def predict(self, values: np.ndarray) -> np.ndarray:
         bases = (self.classifier, self.regressor_a, self.regressor_b,
                  self.regressor_all)
-        meta_x = _meta_features(bases, self.encoder.transform(dataset))
+        meta_x = _meta_features(bases, values)
         return self.meta.predict(np.ascontiguousarray(meta_x[:, self.meta_columns]))
 
 
@@ -258,17 +250,16 @@ def _fit_bases(kinds, values, durations, labels, rows, seed, target_transform):
 
 
 def fit_pipeline(
-    dataset: Dataset,
     kinds,
+    values: np.ndarray,
+    durations: np.ndarray,
     tc: float = DEFAULT_TC,
     seed: int = 0,
     target_transform: str = "none",
 ) -> PipelineModel:
-    encoder = Encoder.fit(dataset)
-    bases = _fit_bases(kinds, encoder.transform(dataset), dataset.durations,
-                       binary_labels(dataset.durations, tc),
-                       np.arange(len(dataset)), seed, target_transform)
-    return PipelineModel(encoder, *bases)
+    bases = _fit_bases(kinds, values, durations, binary_labels(durations, tc),
+                       np.arange(len(durations)), seed, target_transform)
+    return PipelineModel(*bases)
 
 
 def _meta_features(bases, values) -> np.ndarray:
@@ -277,8 +268,9 @@ def _meta_features(bases, values) -> np.ndarray:
 
 
 def fit_fusion(
-    dataset: Dataset,
     kinds,
+    values: np.ndarray,
+    durations: np.ndarray,
     tc: float = DEFAULT_TC,
     folds: int = 5,
     seed: int = 0,
@@ -289,16 +281,13 @@ def fit_fusion(
     training record never saw it, so the meta-regressor is not trained on
     in-sample base predictions. A meta column that is constant out of fold
     (say, every record classed long-term) is left out, since the meta
-    model's intercept already holds a constant column. The dataset must
-    hold at least ``folds`` records."""
-    n = len(dataset)
+    model's intercept already holds a constant column. There must be at
+    least ``folds`` records."""
+    n = len(durations)
     if n < folds:
         raise ScenarioError(
             f"fusion holds {n} training records, fewer than its {folds} folds"
         )
-    encoder = Encoder.fit(dataset)
-    values = encoder.transform(dataset)
-    durations = dataset.durations
     labels = binary_labels(durations, tc)
 
     meta_x = np.empty((n, 4))
@@ -316,7 +305,7 @@ def fit_fusion(
     )
     bases = _fit_bases(kinds, values, durations, labels, np.arange(n), seed,
                        target_transform)
-    return FusionModel(encoder, *bases, meta_model, columns)
+    return FusionModel(*bases, meta_model, columns)
 
 
 def fusion_table(
@@ -333,22 +322,18 @@ def fusion_table(
 ) -> list[dict]:
     """Fusion, pipeline and one all-data regressor, fitted on the training
     part of a holdout split and scored on its test part: one row each."""
-    train_idx, test_idx = holdout_split(len(dataset))
-    train, test = dataset.subset(train_idx), dataset.subset(test_idx)
+    train, test = holdout_split(len(dataset))
+    values, durations = encode(dataset, train), dataset.durations
+    x, y = values[train], durations[train]
     kinds = (classifier, regressor_a, regressor_b, regressor_all)
-    fusion = fit_fusion(train, kinds, tc, folds, seed=derive_seed(seed, 1),
-                        meta=meta, target_transform=target_transform)
-    pipeline = fit_pipeline(train, kinds[:3], tc, seed=derive_seed(seed, 2),
-                            target_transform=target_transform)
-    single = fit_model(
-        regressor_all, fusion.encoder.transform(train), train.durations,
-        task="regression", target_transform=target_transform,
-        seed=derive_seed(seed, 3),
-    )
-    predictions = {
-        "fusion": fusion.predict(test),
-        "pipeline": pipeline.predict(test),
-        "single": single.predict(fusion.encoder.transform(test)),
+    models = {
+        "fusion": fit_fusion(kinds, x, y, tc, folds, seed=derive_seed(seed, 1),
+                             meta=meta, target_transform=target_transform),
+        "pipeline": fit_pipeline(kinds[:3], x, y, tc, seed=derive_seed(seed, 2),
+                                 target_transform=target_transform),
+        "single": fit_model(regressor_all, x, y, task="regression",
+                            target_transform=target_transform,
+                            seed=derive_seed(seed, 3)),
     }
-    return [{"model": name, **_errors(test.durations, pred)}
-            for name, pred in predictions.items()]
+    return [{"model": name, **_errors(durations[test], model.predict(values[test]))}
+            for name, model in models.items()]

@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from incdur.dataset import PlantedEffect, SynthConfig, synthesize
+from incdur.dataset import PlantedEffect, SynthConfig, encode, synthesize
 from incdur.models import (
     BoostParams,
     ForestParams,
@@ -198,15 +198,17 @@ def _composite_digest(composite, case):
                       multipliers=(1.0, 1.6, 0.7, 2.4)),
     )))
     train, query = np.arange(200), np.arange(200, 240)
+    values = encode(ds, train)
+    X, y = values[train], ds.durations[train]
     if composite == "pipeline":
-        model = fit_pipeline(ds.subset(train), kinds[:3], tc=45.0, seed=3,
+        model = fit_pipeline(kinds[:3], X, y, tc=45.0, seed=3,
                              target_transform=transform)
     else:
-        model = fit_fusion(ds.subset(train), kinds, tc=45.0, folds=4, seed=3,
+        model = fit_fusion(kinds, X, y, tc=45.0, folds=4, seed=3,
                            target_transform=transform)
     h = hashlib.sha256()
     for rows in (query, query[:1]):
-        out = np.ascontiguousarray(model.predict(ds.subset(rows)))
+        out = np.ascontiguousarray(model.predict(values[rows]))
         h.update(f"{out.shape} {out.dtype}".encode())
         h.update(out.tobytes())
     return h.hexdigest()

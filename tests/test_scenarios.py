@@ -1,10 +1,12 @@
 """Extrapolation scenarios, quantiled time-folding, pipeline and fusion."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from incdur.dataset import (Dataset, FeatureColumn, FeatureSchema, PlantedEffect,
-                            SynthConfig, synthesize)
+from incdur.dataset import (Dataset, Encoder, FeatureColumn, FeatureSchema,
+                            PlantedEffect, SynthConfig, encode, synthesize)
 from incdur.importance import subset_importance
 from incdur.labeling import binary_labels
 from incdur.metrics import rmse
@@ -64,7 +66,7 @@ def test_duration_equal_to_tc_is_short_term_everywhere(monkeypatch):
         return fit_model(kind, X, y, *args, **kwargs)
 
     monkeypatch.setattr("incdur.scenarios.fit_model", spy)
-    fit_pipeline(ds, TREE_KINDS[:3], tc=45.0)
+    fit_pipeline(TREE_KINDS[:3], encode(ds), ds.durations, tc=45.0)
     _, regressor_a_y, regressor_b_y = trained
     assert 45.0 in regressor_a_y and 45.0 not in regressor_b_y
 
@@ -180,10 +182,10 @@ TREE_KINDS = ("tree",) * 4
 
 def test_pipeline_routes_class0_to_regressor_a():
     ds = leaked_dataset(n=200, seed=11)
-    model = fit_pipeline(ds, TREE_KINDS[:3], tc=45.0)
-    values = model.encoder.transform(ds)
+    values = encode(ds)
+    model = fit_pipeline(TREE_KINDS[:3], values, ds.durations, tc=45.0)
     cls = model.classifier.predict(values)
-    out = model.predict(ds)
+    out = model.predict(values)
     reg_a = model.regressor_a.predict(values)
     reg_b = model.regressor_b.predict(values)
     assert np.array_equal(out[cls == 0], reg_a[cls == 0])
@@ -193,15 +195,16 @@ def test_pipeline_routes_class0_to_regressor_a():
 def test_pipeline_refuses_empty_subset():
     ds = leaked_dataset(n=50, seed=12, low=1.0, high=20.0)
     with pytest.raises(ScenarioError):
-        fit_pipeline(ds, TREE_KINDS[:3], tc=10_000.0)
+        fit_pipeline(TREE_KINDS[:3], encode(ds), ds.durations, tc=10_000.0)
 
 
 def test_pipeline_with_oracle_classifier_mixes_subset_errors():
     # the leaked feature makes the classifier and both regressors near
     # perfect, so the composite error collapses towards zero
     ds = leaked_dataset(n=300, seed=13)
-    model = fit_pipeline(ds, TREE_KINDS[:3], tc=45.0)
-    pred = model.predict(ds)
+    values = encode(ds)
+    model = fit_pipeline(TREE_KINDS[:3], values, ds.durations, tc=45.0)
+    pred = model.predict(values)
     assert rmse(ds.durations, pred) < 0.1 * ds.durations.std()
 
 
@@ -214,11 +217,11 @@ def test_pipeline_fits_only_the_three_models_it_keeps(monkeypatch):
 
     monkeypatch.setattr("incdur.scenarios.fit_model", spy)
     bases = ("tree", "linear", "tree", "random-forest")
-    fit_pipeline(leaked_dataset(n=120, seed=14), bases[:3], tc=45.0)
+    ds = leaked_dataset(n=120, seed=14)
+    fit_pipeline(bases[:3], encode(ds), ds.durations, tc=45.0)
     assert kinds == ["tree", "linear", "tree"]
     kinds.clear()
-    fit_fusion(leaked_dataset(n=120, seed=14), bases, tc=45.0, folds=2,
-               meta="linear")
+    fit_fusion(bases, encode(ds), ds.durations, tc=45.0, folds=2, meta="linear")
     # three folds' worth of four bases (two out-of-fold, one full) and the meta
     assert kinds.count("random-forest") == 3 and len(kinds) == 13
 
@@ -230,7 +233,7 @@ def test_pipeline_fits_only_the_three_models_it_keeps(monkeypatch):
 
 def test_fusion_meta_features_have_four_columns():
     ds = leaked_dataset(n=200, seed=14)
-    model = fit_fusion(ds, TREE_KINDS, tc=45.0)
+    model = fit_fusion(TREE_KINDS, encode(ds), ds.durations, tc=45.0)
     assert model.meta.inner.coefs.shape[0] == 4
 
 
@@ -241,11 +244,12 @@ def test_fusion_leaves_out_a_meta_column_constant_out_of_fold():
         PlantedEffect("x1", "numeric", slope=1.5),
         PlantedEffect("f", "boolean", multiplier=2.0),
     )))
-    model = fit_fusion(ds, ("random-forest", "gbt", "gbt", "gbt"), tc=40,
-                       folds=3)
+    values = encode(ds)
+    model = fit_fusion(("random-forest", "gbt", "gbt", "gbt"), values,
+                       ds.durations, tc=40, folds=3)
     assert model.meta_columns.tolist() == [False, True, True, True]
     assert model.meta.n_features == 3
-    assert np.isfinite(model.predict(ds)).all()
+    assert np.isfinite(model.predict(values)).all()
 
 
 def test_fusion_needs_a_training_record_per_fold():
@@ -253,6 +257,25 @@ def test_fusion_needs_a_training_record_per_fold():
     with pytest.raises(ScenarioError, match="fusion holds 24 training records, "
                        "fewer than its 40 folds"):
         fusion_table(leaked_dataset(n=30, seed=17), folds=40)
+
+
+def test_fusion_table_fits_and_applies_one_encoder(monkeypatch):
+    calls = Counter()
+    fit, transform = Encoder.fit.__func__, Encoder.transform
+
+    def counted_fit(cls, dataset):
+        calls["fit"] += 1
+        return fit(cls, dataset)
+
+    def counted_transform(self, dataset):
+        calls["transform"] += 1
+        return transform(self, dataset)
+
+    monkeypatch.setattr(Encoder, "fit", classmethod(counted_fit))
+    monkeypatch.setattr(Encoder, "transform", counted_transform)
+    fusion_table(leaked_dataset(n=120, seed=18), "tree", "tree", "tree", "tree",
+                 folds=2)
+    assert calls == {"fit": 1, "transform": 1}
 
 
 def test_fusion_not_much_worse_than_single_model():
@@ -263,10 +286,12 @@ def test_fusion_not_much_worse_than_single_model():
                                        mu=np.log(40), sigma=0.9))
         test = synthesize(SynthConfig(n=300, seed=120 + seed,
                                       mu=np.log(40), sigma=0.9))
-        fusion = fit_fusion(train, TREE_KINDS, tc=45.0, seed=seed)
+        encoder = Encoder.fit(train)
+        fusion = fit_fusion(TREE_KINDS, encoder.transform(train),
+                            train.durations, tc=45.0, seed=seed)
         single = fusion.regressor_all
-        test_values = fusion.encoder.transform(test)
-        fusion_rmse = rmse(test.durations, fusion.predict(test))
+        test_values = encoder.transform(test)
+        fusion_rmse = rmse(test.durations, fusion.predict(test_values))
         single_rmse = rmse(test.durations, single.predict(test_values))
         per_seed.append(fusion_rmse <= single_rmse * 1.10)
     assert sum(per_seed) >= 3
@@ -276,8 +301,8 @@ def test_fusion_exploits_perfect_meta_column():
     # when one meta column already solves the task, the linear meta-model
     # recovers it: fusion error stays within 1% of that column's error
     ds = leaked_dataset(n=400, seed=16)
-    model = fit_fusion(ds, TREE_KINDS, tc=45.0)
-    values = model.encoder.transform(ds)
+    values = encode(ds)
+    model = fit_fusion(TREE_KINDS, values, ds.durations, tc=45.0)
     reg_all_rmse = rmse(ds.durations, model.regressor_all.predict(values))
-    fusion_rmse = rmse(ds.durations, model.predict(ds))
+    fusion_rmse = rmse(ds.durations, model.predict(values))
     assert fusion_rmse <= reg_all_rmse + 0.01 * max(reg_all_rmse, 1.0)
