@@ -170,8 +170,9 @@ def sample_draw(
 
 
 def _apply_orm(orm_matrix, indices, orm_params, seed):
-    """Indices kept after removing the configured percent of outliers."""
-    if orm_params.percent_removed <= 0 or indices.shape[0] < 3:
+    """Indices kept after removing the configured percent of outliers.
+    A draw whose percent floors to no record scores nothing."""
+    if int(orm_params.percent_removed * indices.shape[0]) == 0:
         return indices, 0
     scores = score_with(orm_params, orm_matrix[indices], seed=seed)
     kept_local = remove_top_percent(scores, orm_params.percent_removed)
@@ -191,7 +192,8 @@ def _evaluate_draw(draw, values, y, orm_matrix, train_part, model, task,
             derive_seed(seed, draw.draw_index, 9001),
         )
     if kept.shape[0] < folds:
-        raise DrawFailed("outlier removal left fewer records than folds")
+        raise DrawFailed(f"outlier removal left {kept.shape[0]} records, "
+                         f"fewer than {folds} folds")
 
     removed_per_fold = []
 
@@ -268,6 +270,9 @@ def run_ieo(
     y = binary_labels(durations, tc) if task == "classification" else durations
 
     train_part, valid_part = holdout_split(n)
+    if train_part.shape[0] < folds:
+        raise TuningError(f"ieo search part holds {train_part.shape[0]} records, "
+                          f"fewer than its {folds} folds")
     warnings = []
     classes = set(y[train_part].tolist()) if task == "classification" else ()
     if len(classes) == 1:

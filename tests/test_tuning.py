@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from incdur.cv import cross_val_predict, derive_seed, fold_indexes
-from incdur.dataset import (Dataset, FeatureColumn, FeatureSchema, SynthConfig,
-                            encode, synthesize)
+from incdur.dataset import (Dataset, FeatureColumn, FeatureSchema, PlantedEffect,
+                            SynthConfig, encode, synthesize)
 from incdur.metrics import mape_excluding_zero
 from incdur.models import ModelError, fit_model
-from incdur.outliers import MAX_ORM_PERCENT, OrmError
+from incdur.outliers import MAX_ORM_PERCENT, OrmError, score_with
 from incdur.tuning import (
     HyperSpace,
     TuningError,
@@ -351,9 +351,38 @@ def test_ieo_all_draws_failed_names_each_reason_once(monkeypatch):
 
 def test_ieo_with_more_folds_than_search_records_says_so():
     # the search part holds 24 of the 30 records, fewer than 30 folds
-    with pytest.raises(TuningError, match=r"all draws failed: outlier removal "
-                       r"left fewer records than folds \(3 draws\)$"):
+    with pytest.raises(TuningError, match=r"^ieo search part holds 24 records, "
+                       r"fewer than its 30 folds$"):
         run_ieo(make_data(n=30, seed=13), "tree", folds=30, iterations=3)
+
+
+def one_per_fold_data():
+    """25 records, so the search part holds 20: one per fold at 20 folds."""
+    return synthesize(SynthConfig(n=25, seed=13, mu=3.5, sigma=0.8, effects=(
+        PlantedEffect("x", "numeric", slope=1.0),)))
+
+
+def test_ieo_extra_removal_below_the_fold_count_names_the_counts():
+    trace = run_ieo(one_per_fold_data(), "tree", folds=20, mode="extra",
+                    iterations=12).trace
+    # draw 9 removes 5% of 20 records by Isolation Forest
+    assert trace[9]["error"] == "outlier removal left 19 records, fewer than 20 folds"
+
+
+def test_ieo_draw_that_removes_no_record_scores_no_outliers(monkeypatch):
+    scored = []
+
+    def spy(orm_params, X, seed=0):
+        scored.append(X.shape[0])
+        return score_with(orm_params, X, seed=seed)
+
+    monkeypatch.setattr("incdur.tuning.score_with", spy)
+    trace = run_ieo(one_per_fold_data(), "tree", folds=20, mode="extra",
+                    iterations=12).trace
+    # 1-4% of 20 records floors to none: such a LOF draw with k >= 20 used
+    # to fail; only the two 5% draws (3 and 9) remove a record
+    assert scored == [20, 20]
+    assert [e["draw_index"] for e in trace if e["failed"]] == [3, 9]
 
 
 def test_ieo_plain_value_error_propagates(monkeypatch):
