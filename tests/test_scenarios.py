@@ -218,10 +218,11 @@ def test_pipeline_fits_only_the_three_models_it_keeps(monkeypatch):
     monkeypatch.setattr("incdur.scenarios.fit_model", spy)
     bases = ("tree", "linear", "tree", "random-forest")
     ds = leaked_dataset(n=120, seed=14)
-    fit_pipeline(bases[:3], encode(ds), ds.durations, tc=45.0)
+    values = encode(ds)
+    fit_pipeline(bases[:3], values, ds.durations, tc=45.0)
     assert kinds == ["tree", "linear", "tree"]
     kinds.clear()
-    fit_fusion(bases, encode(ds), ds.durations, tc=45.0, folds=2, meta="linear")
+    fit_fusion(bases, values, ds.durations, tc=45.0, folds=2, meta="linear")
     # three folds' worth of four bases (two out-of-fold, one full) and the meta
     assert kinds.count("random-forest") == 3 and len(kinds) == 13
 
