@@ -589,6 +589,8 @@ GOLDEN_CONFIG = {
 
 #: sha256 of each metric file GOLDEN_CONFIG writes (numpy 2.4.6).
 GOLDEN_DIGESTS = {
+    "synth": {"dataset.csv":
+        "cf0ae5e7cdaa0f0f866c92c9bd6ef5982af4b73dfac245360ff8e2e613014a97"},
     "sweep": {"sweep.csv":
         "4db0e0c1e19e9e3b9cd2b9f154b3e41b351846a73cf170b44a34c84c07121ddb"},
     "multiclass": {"multiclass_grid.csv":
