@@ -375,7 +375,7 @@ def _cmd_timing(cfg, dataset, seed, workers):
     block = _block(cfg, "timing", models=[MODEL_KINDS], iteration_counts=[(int, 1)],
                    folds=(int, 2), metric=ERROR_METRICS, **TRANSFORM)
     rows = iteration_curve(dataset, seed=seed, workers=workers, **block)
-    columns = ["model", "iterations", "best_metric", "wall_clock_s"]
+    columns = ["model", "iterations", "best_metric"]
     return {"timing.csv": (rows, columns)}, []
 
 

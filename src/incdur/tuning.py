@@ -10,7 +10,6 @@ its concatenated out-of-fold predictions.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
@@ -206,8 +205,6 @@ def _evaluate_draw(draw, values, y, orm_matrix, train_part, model, task,
                 derive_seed(seed, draw.draw_index, k),
             )
         removed_per_fold.append(removed)
-        if train.shape[0] < 2:
-            raise DrawFailed("fold left with < 2 training records")
         return train
 
     oof = cross_val_predict(
@@ -359,24 +356,23 @@ def iteration_curve(
     target_transform: str = "none",
     workers: int = 1,
 ) -> list[dict]:
-    """Best random-search metric as a function of iteration budget, with
-    wall-clock per evaluation point."""
+    """Best random-search metric at each iteration budget. Draw i depends
+    only on (seed, i), so each model runs one search at the largest budget,
+    and budget c reads the lowest metric among its first c draws: a c-draw
+    search's best, or inf when those draws all failed."""
+    counts = [int(count) for count in iteration_counts]
+    if not counts:
+        return []
+    if min(counts) < 1:
+        raise TuningError("iterations must be >= 1")
     rows = []
     for kind in models:
-        for count in iteration_counts:
-            start = time.perf_counter()
-            result = run_ieo(
-                dataset, kind, folds=folds, iterations=int(count), seed=seed,
-                target_transform=target_transform, space=space, metric=metric,
-                workers=workers,
-            )
-            elapsed = time.perf_counter() - start
-            rows.append(
-                {
-                    "model": kind,
-                    "iterations": int(count),
-                    "best_metric": result.best["metric_value"],
-                    "wall_clock_s": elapsed,
-                }
-            )
+        result = run_ieo(
+            dataset, kind, folds=folds, iterations=max(counts), seed=seed,
+            target_transform=target_transform, space=space, metric=metric,
+            workers=workers,
+        )
+        best = np.minimum.accumulate([e["metric_value"] for e in result.trace])
+        rows.extend({"model": kind, "iterations": count,
+                     "best_metric": float(best[count - 1])} for count in counts)
     return rows

@@ -114,7 +114,7 @@ def test_sweep_rows_match_thresholds_times_models(config_path, tmp_path):
 
 
 def test_worker_count_does_not_change_metric_csvs(config_path, tmp_path):
-    for subcommand in ("sweep", "scenarios", "ieo"):
+    for subcommand in ("sweep", "multiclass", "scenarios", "ieo", "timing"):
         a = tmp_path / f"{subcommand}_w1"
         b = tmp_path / f"{subcommand}_w8"
         assert run_cli(subcommand, config_path, a, ("--workers", "1")) == 0
@@ -585,6 +585,7 @@ GOLDEN_CONFIG = {
     "importance": {"model": "random-forest", "tc": 45, "n_repeats": 2},
     # three draws: one IF and two LOF, each removing rows in every fold
     "ieo": {"model": "tree", "mode": "intra", "iterations": 3, "folds": 4},
+    "timing": {"models": ["tree", "knn"], "iteration_counts": [1, 3, 5], "folds": 3},
 }
 
 #: sha256 of each metric file GOLDEN_CONFIG writes (numpy 2.4.6).
@@ -609,6 +610,8 @@ GOLDEN_DIGESTS = {
         "ieo_summary.json":
             "a643f02f3520f8797151b077296f4b95df9dc7b6b5b2d0828877c979741b7cd1",
     },
+    "timing": {"timing.csv":
+        "6046f20bb03c7d827dfa4add620e6f40ce9fa4f48c7e10d0ea3034edb82c5e90"},
 }
 
 

@@ -287,14 +287,69 @@ def test_ieo_corruption_intra_if_not_worse_than_none():
     assert np.median(intra_scores) <= np.median(none_scores)
 
 
-def test_iteration_curve_monotone_and_timed():
+def test_iteration_curve_monotone():
     ds = make_data(n=150, seed=12)
     rows = iteration_curve(ds, ["tree"], iteration_counts=(2, 4, 6), folds=4,
                            seed=3, space=fixed_space())
     assert [r["iterations"] for r in rows] == [2, 4, 6]
     best = [r["best_metric"] for r in rows]
     assert best[0] >= best[1] >= best[2]
-    assert all(r["wall_clock_s"] > 0 for r in rows)
+
+
+def golden_sized_data():
+    """The golden CLI config's table: 120 records, three planted effects."""
+    return synthesize(SynthConfig(n=120, seed=5, mu=3.7, sigma=0.8, effects=(
+        PlantedEffect("x1", "numeric", slope=1.0),
+        PlantedEffect("flag", "boolean", multiplier=2.0),
+        PlantedEffect("zone", "categorical", levels=("n", "s", "e"),
+                      multipliers=(1.0, 1.5, 0.7)),
+    )))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_iteration_curve_equals_a_search_per_budget(workers):
+    ds = golden_sized_data()
+    rows = iteration_curve(ds, ("tree", "knn"), (1, 3, 5), folds=3, seed=5,
+                           workers=workers)
+    # the reference: one search per budget, each from draw 0
+    assert rows == [
+        {"model": kind, "iterations": count, "best_metric": run_ieo(
+            ds, kind, folds=3, iterations=count, seed=5).best["metric_value"]}
+        for kind in ("tree", "knn") for count in (1, 3, 5)
+    ]
+
+
+def test_iteration_curve_runs_one_search_per_model(monkeypatch):
+    import incdur.tuning as tuning
+
+    calls = []
+
+    def counted(dataset, model, **kwargs):
+        calls.append((model, kwargs["iterations"]))
+        return run_ieo(dataset, model, **kwargs)
+
+    monkeypatch.setattr(tuning, "run_ieo", counted)
+    ds = make_data(n=60, seed=4)
+    # budgets in any order, repeated, each read from the one search
+    rows = iteration_curve(ds, ("tree", "linear"), (3, 1, 5, 3), folds=3)
+    assert calls == [("tree", 5), ("linear", 5)]
+    assert [r["iterations"] for r in rows] == [3, 1, 5, 3] * 2
+    assert iteration_curve(ds, ("tree",), ()) == []
+    assert len(calls) == 2
+    for counts in [(0,), (3, 0)]:
+        with pytest.raises(TuningError, match="iterations must be >= 1"):
+            iteration_curve(ds, ("tree",), counts, folds=3)
+    assert len(calls) == 2
+
+
+def test_iteration_curve_budget_of_failed_draws_reads_inf():
+    # knn draws 0-7 ask for more neighbours than a fold's 11 training rows
+    ds = synthesize(SynthConfig(n=20, seed=2, mu=3.5, sigma=0.8, effects=(
+        PlantedEffect("x", "numeric", slope=1.0),)))
+    rows = iteration_curve(ds, ("knn",), (2, 10), folds=3, seed=0)
+    assert rows[0] == {"model": "knn", "iterations": 2, "best_metric": float("inf")}
+    assert rows[1]["best_metric"] == run_ieo(
+        ds, "knn", folds=3, iterations=10, seed=0).best["metric_value"] < float("inf")
 
 
 def test_iteration_curve_default_schedule():
