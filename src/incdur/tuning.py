@@ -76,7 +76,7 @@ class TuningError(ValueError):
 
 
 class DrawFailed(RuntimeError):
-    """A draw left a fold untrainable; scored as infinitely bad, not fatal."""
+    """Removal left fewer records than folds: the draw fails, not the run."""
 
 
 @dataclass(frozen=True)
