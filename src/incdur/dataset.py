@@ -26,15 +26,6 @@ __all__ = [
 MISSING_LEVEL = "missing"
 
 
-def fit_distributions() -> dict:
-    """Distributions fitted during profiling, all positive-support and fitted
-    in log/scale space with the location pinned at zero."""
-    from scipy import stats  # imported on use: it takes over a second to load
-
-    return {"log-normal": stats.lognorm, "log-logistic": stats.fisk,
-            "weibull": stats.weibull_min}
-
-
 class DatasetError(ValueError):
     """Raised for schema violations and unusable inputs; ``field`` names the
     config object field at fault, when there is one."""
@@ -439,6 +430,45 @@ class ProfileReport:
     zero_shifted: int
 
 
+#: Each profiled family of x as a location-scale family of z = log x (Lawless,
+#: "Statistical Models and Methods for Lifetime Data", 2003): the standard
+#: log-density g(u) with g' and g'', and the shape parameter for scale s.
+LOG_DENSITIES = {
+    "log-normal": (lambda u: (-0.5 * u * u - 0.5 * math.log(2 * math.pi), -u,
+                              np.full_like(u, -1.0)), lambda s: s),
+    "log-logistic": (lambda u: (-np.abs(u) - 2 * np.log1p(np.exp(-np.abs(u))),
+                                -np.tanh(u / 2), (np.tanh(u / 2) ** 2 - 1) / 2),
+                     lambda s: 1 / s),
+    "weibull": (lambda u: (u - np.exp(u), 1 - np.exp(u), -np.exp(u)),
+                lambda s: 1 / s),
+}
+NEWTON_STEPS = 100
+
+
+def _fit_log_location_scale(log_density, z):
+    """Maximum-likelihood (mu, s, log-likelihood of x = e^z) by Newton in
+    (1 / s, (mu - mean z) / s), where the log-likelihood is concave, started
+    from the mean and standard deviation of z."""
+    if z.min() == z.max():
+        raise FloatingPointError("no spread: every (zero-shifted) duration is equal")
+    zc = z - z.mean()
+    theta, step = np.array([1 / zc.std(), 0.0]), np.full(2, np.inf)
+    for _ in range(NEWTON_STEPS):
+        a, b = theta
+        g, g1, g2 = log_density(a * zc - b)
+        if np.max(np.abs(step)) < 1e-10 * a:
+            loglik = float(np.sum(g) + z.size * np.log(a) - np.sum(z))
+            if not math.isfinite(loglik):
+                raise FloatingPointError("non-finite log-likelihood")
+            return float(z.mean() + b / a), float(1 / a), loglik
+        cross = -np.sum(g2 * zc)
+        step = np.linalg.solve(
+            [[np.sum(g2 * zc * zc) - z.size / a**2, cross], [cross, np.sum(g2)]],
+            [np.sum(g1 * zc) + z.size / a, -np.sum(g1)])
+        theta -= step
+    raise FloatingPointError(f"no convergence in {NEWTON_STEPS} Newton steps")
+
+
 def ecdf_at(durations, t: float) -> float:
     durations = np.asarray(durations, dtype=float)
     return float(np.sum(durations <= t)) / durations.shape[0]
@@ -467,22 +497,16 @@ def profile(dataset: Dataset, n_bins: int = 30) -> ProfileReport:
     zero_shifted = int(np.sum(d == 0))
     fitted: list[dict] = []
     if d.size >= 10:
-        shifted = np.where(d == 0, 0.5, d)
-        for name, dist in fit_distributions().items():
+        z = np.log(np.where(d == 0, 0.5, d))
+        for name, (log_density, shape) in LOG_DENSITIES.items():
             entry = {"distribution": name}
             try:
-                params = dist.fit(shifted, floc=0)
-                loglik = float(np.sum(dist.logpdf(shifted, *params)))
-                if not math.isfinite(loglik):
-                    raise FloatingPointError("non-finite log-likelihood")
-                k = len(params) - 1  # loc was fixed
-                entry.update(
-                    params=[float(p) for p in params],
-                    log_likelihood=loglik,
-                    aic=2.0 * k - 2.0 * loglik,
-                    failed=False,
-                )
-            except Exception as exc:  # fit divergence: flag, keep the others
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    mu, s, loglik = _fit_log_location_scale(log_density, z)
+                    entry.update(params=[shape(s), 0.0, float(np.exp(mu))],
+                                 log_likelihood=loglik, aic=4.0 - 2.0 * loglik,
+                                 failed=False)  # k = 2: loc is pinned at 0
+            except (FloatingPointError, np.linalg.LinAlgError) as exc:
                 entry.update(failed=True, error=str(exc), aic=math.inf)
             fitted.append(entry)
         fitted.sort(key=lambda e: e["aic"])

@@ -543,12 +543,18 @@ def test_ieo_f1_warns_when_the_search_part_holds_one_class(tmp_path, tc, warned)
         assert manifest["warnings"] == []
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes over a second to import; only `profile` needs it
+def test_profile_run_loads_no_scipy(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(BASE_CONFIG))
     src = os.path.dirname(os.path.dirname(incdur.__file__))
-    code = "import sys, incdur.cli; assert 'scipy.stats' not in sys.modules"
-    env = dict(os.environ, PYTHONPATH=src)
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    code = (
+        "import sys; from incdur.cli import main; "
+        f"assert main(['profile', '--config', {str(p)!r}, '--out', {str(tmp_path / 'p')!r}]) == 0; "
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]; "
+        "assert not loaded, loaded"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))
 
 
 def test_cli_runs_leave_numpy_ma_unloaded(tmp_path):

@@ -254,6 +254,100 @@ def test_profile_zero_shift_reported():
     assert any(not f["failed"] for f in rep.fitted)
 
 
+def _profile_of(durations):
+    return profile(Dataset(
+        schema=schema(FeatureColumn("x", "numeric")),
+        rows=tuple((0.0,) for _ in range(durations.size)),
+        durations=durations,
+    ))
+
+
+def _pinned_tables():
+    yield "log-normal", np.exp(np.random.default_rng(0).normal(3.0, 0.8, 2000))
+    u = np.random.default_rng(1).uniform(size=2000)
+    yield "weibull", 50.0 * (-np.log1p(-u)) ** (1 / 1.5)
+    # integer minutes: 42 distinct values and 38 zeros
+    yield "rounded", np.floor(np.exp(np.random.default_rng(2).normal(1.5, 1.0, 500)))
+
+
+#: scipy 1.17.1's maximum-likelihood fits, in AIC order:
+#: ``dist.fit(x, floc=0, optimizer=tight)`` and ``dist.logpdf(x, *params)``
+#: for lognorm, fisk and weibull_min, where ``tight`` is ``optimize.fmin`` with
+#: ``xtol=1e-12, ftol=1e-14``. With its default tolerances, fmin stops short on
+#: the rounded table: fisk's shape reads 1.5234541, 1.5e-5 off, at a
+#: log-likelihood 9.7e-8 lower.
+SCIPY_FITS = {
+    "log-normal": [
+        ("log-normal", [0.8001579874365367, 0.0, 19.64022052679794],
+         -8347.143956007983),
+        ("log-logistic", [2.1836750815358865, 0.0, 19.668283124727587],
+         -8366.400713058405),
+        ("weibull", [1.2760283380836581, 0.0, 29.25689089799863],
+         -8484.73977865259),
+    ],
+    "weibull": [
+        ("weibull", [1.5155329034542708, 0.0, 50.2159032410273],
+         -9391.308678816182),
+        ("log-logistic", [2.194858252459193, 0.0, 36.91689013511704],
+         -9506.424271624574),
+        ("log-normal", [0.8349052215774685, 0.0, 34.39490651870495],
+         -9552.819905275715),
+    ],
+    "rounded": [
+        ("log-normal", [1.1222659719285104, 0.0, 3.593553345940893],
+         -1406.7149333896723),
+        ("log-logistic", [1.5234316775658525, 0.0, 3.584629918386014],
+         -1418.1354226432072),
+        ("weibull", [0.8870872393529086, 0.0, 6.328837922414327],
+         -1450.5113855592479),
+    ],
+}
+
+
+@pytest.mark.parametrize("table", sorted(SCIPY_FITS))
+def test_profile_fits_match_pinned_scipy_fits(table):
+    durations = dict(_pinned_tables())[table]
+    rep = _profile_of(durations)
+    assert [f["distribution"] for f in rep.fitted] == [
+        name for name, _, _ in SCIPY_FITS[table]]
+    for fit, (_, params, loglik) in zip(rep.fitted, SCIPY_FITS[table]):
+        assert not fit["failed"]
+        assert fit["params"] == pytest.approx(params, rel=1e-5)
+        assert fit["log_likelihood"] >= loglik - 1e-9
+        assert fit["aic"] == 2 * 2 - 2 * fit["log_likelihood"]
+
+
+#: g'(u) of each family's standard log-density in z = log x
+SCORES = {
+    "log-normal": lambda u: -u,
+    "log-logistic": lambda u: 1 - 2 / (1 + np.exp(-u)),
+    "weibull": lambda u: 1 - np.exp(u),
+}
+
+
+@pytest.mark.parametrize("table", sorted(SCIPY_FITS))
+def test_profile_fits_solve_the_score_equations(table):
+    durations = dict(_pinned_tables())[table]
+    z = np.log(np.where(durations == 0, 0.5, durations))
+    for fit in _profile_of(durations).fitted:
+        shape, _, scale = fit["params"]
+        s = shape if fit["distribution"] == "log-normal" else 1 / shape
+        u = (z - np.log(scale)) / s
+        g1 = SCORES[fit["distribution"]](u)
+        # d/d mu and d/d log s of sum g(u) - n log s - sum z
+        grad = [-np.sum(g1) / s, -np.sum(u * g1) - z.size]
+        assert np.max(np.abs(grad)) < 1e-8 * z.size, fit["distribution"]
+
+
+def test_profile_durations_without_spread_fail_every_fit():
+    rep = _profile_of(np.full(20, 30.0))
+    assert rep.ecdf == ((30.0, 1.0),)
+    assert [f["failed"] for f in rep.fitted] == [True] * 3
+    assert {f["error"] for f in rep.fitted} == {
+        "no spread: every (zero-shifted) duration is equal"}
+    assert all(f["aic"] == np.inf for f in rep.fitted)
+
+
 def test_ecdf_at():
     d = [10.0, 20.0, 30.0, 40.0]
     assert ecdf_at(d, 20.0) == 0.5
@@ -264,14 +358,12 @@ def test_ecdf_at():
 def test_distribution_recovery_across_seeds():
     # each generator family should win its own AIC contest in >= 95/100 seeds;
     # a 20-seed spot check per family keeps runtime low
-    from scipy import stats
-
     wins = {"log-normal": 0, "weibull": 0}
     for seed in range(20):
         rng = np.random.default_rng(seed)
         ln = np.exp(rng.normal(3.0, 0.8, size=10_000))
-        wb = stats.weibull_min.rvs(1.5, scale=50.0, size=10_000,
-                                   random_state=rng)
+        # Weibull(1.5, scale 50) by its inverse CDF
+        wb = 50.0 * (-np.log1p(-rng.uniform(size=10_000))) ** (1 / 1.5)
         for name, sample in (("log-normal", ln), ("weibull", wb)):
             ds = Dataset(
                 schema=schema(FeatureColumn("x", "numeric")),
