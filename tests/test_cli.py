@@ -598,6 +598,8 @@ GOLDEN_CONFIG = {
 GOLDEN_DIGESTS = {
     "synth": {"dataset.csv":
         "cf0ae5e7cdaa0f0f866c92c9bd6ef5982af4b73dfac245360ff8e2e613014a97"},
+    "profile": {"profile.json":
+        "edc57b6fcda5a4dbee134d5a9d3e75a7c6bb57e6ed8c7774645c3311c190e987"},
     "sweep": {"sweep.csv":
         "4db0e0c1e19e9e3b9cd2b9f154b3e41b351846a73cf170b44a34c84c07121ddb"},
     "multiclass": {"multiclass_grid.csv":
