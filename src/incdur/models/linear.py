@@ -1,5 +1,6 @@
-"""Linear least squares with ridge, and logistic regression via gradient
-descent (converged at gradient norm < 1e-6 or 10,000 iterations)."""
+"""Linear least squares with ridge (minimum-norm when unpenalised and
+rank-deficient), and logistic regression via gradient descent (converged at
+gradient norm < 1e-6 or 10,000 iterations)."""
 
 from __future__ import annotations
 
@@ -79,11 +80,12 @@ def fit(values, targets, n_classes, params: LinearParams, seed):
             penalty[0, 0] = 0.0  # intercept unpenalised
             gram = gram + penalty
         try:
-            beta = np.linalg.solve(gram, aug.T @ targets)
-        except np.linalg.LinAlgError:
-            raise ModelError(
-                "singular normal equations; use ridge > 0 for rank-deficient X"
-            ) from None
+            if params.ridge > 0 or np.linalg.matrix_rank(aug) == m + 1:
+                beta = np.linalg.solve(gram, aug.T @ targets)
+            else:  # e.g. one-hot levels that sum to the intercept column
+                beta = np.linalg.lstsq(aug, targets, rcond=None)[0]
+        except np.linalg.LinAlgError as exc:
+            raise ModelError(f"linear least squares failed: {exc}") from None
         return LinearRegressor(beta[0], beta[1:])
     classes = [1] if n_classes == 2 else range(n_classes)
     rows = [

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from incdur.dataset import PlantedEffect, SynthConfig, encode, synthesize
 from incdur.metrics import rmse
 from incdur.models import (
     BoostParams,
@@ -311,13 +312,37 @@ def test_linear_orthogonal_target_gives_intercept_mean():
     assert model.inner.intercept == pytest.approx(5.0, abs=1e-9)
 
 
-def test_linear_singular_requires_ridge():
+def test_linear_singular_fits_minimum_norm():
     X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     y = np.array([1.0, 2.0, 3.0])
-    with pytest.raises(ModelError):
-        fit_model("linear", X, y, LinearParams(ridge=0.0))
+    model = fit_model("linear", X, y, LinearParams(ridge=0.0))
+    beta = np.linalg.pinv(np.hstack([np.ones((3, 1)), X])) @ y
+    assert np.allclose([model.inner.intercept, *model.inner.coefs], beta,
+                       rtol=0, atol=1e-12)
+    assert np.allclose(model.inner.coefs, [0.5, 0.5], rtol=0, atol=1e-12)
+    assert np.allclose(model.predict(X), y, rtol=0, atol=1e-12)
     model = fit_model("linear", X, y, LinearParams(ridge=1e-6))
     assert np.allclose(model.predict(X), y, atol=1e-3)
+
+
+@pytest.mark.parametrize("seed", [21, 22, 23, 24])
+def test_linear_one_hot_table_fits_minimum_norm(seed):
+    # the indicators sum to the intercept column, so the ridge-free normal
+    # equations are singular; rounding used to raise (seed 21) or offset the
+    # intercept by hundreds (seeds 22-24)
+    ds = synthesize(SynthConfig(n=240, seed=seed, mu=3.6, sigma=0.8, effects=(
+        PlantedEffect("x", "numeric", slope=1.0),
+        PlantedEffect("flag", "boolean", multiplier=2.0),
+        PlantedEffect("road", "categorical", levels=("a", "b", "c", "d"),
+                      multipliers=(1.0, 1.5, 0.7, 1.2)),
+    )))
+    X, y = encode(ds), ds.durations
+    model = fit_model("linear", X, y, LinearParams(ridge=0.0))
+    aug = np.hstack([np.ones((y.size, 1)), X])
+    beta = np.linalg.pinv(aug) @ y
+    assert np.allclose([model.inner.intercept, *model.inner.coefs], beta,
+                       rtol=0, atol=1e-9)
+    assert np.allclose(model.predict(X), aug @ beta, rtol=0, atol=1e-9)
 
 
 def test_linear_matches_lstsq_oracle():

@@ -169,8 +169,8 @@ def test_predictions_match_pinned_digests(name, task_name):
 
 #: case label: (base kinds: classifier, regressor A, B and all, target
 #: transform). The categorical's indicators sum to the linear model's
-#: intercept column, so its ridge-free solve is rank-deficient and rounding
-#: picks the offset; table seed 22 is one that solves.
+#: intercept column, so its ridge-free fit is the minimum-norm least-squares
+#: solution.
 COMPOSITE_KINDS = {
     "tree": (("tree",) * 4, "none"),
     "mixed-log1p": (("random-forest", "gbt-reg", "linear", "gbt"), "log1p"),
@@ -181,11 +181,11 @@ COMPOSITE_DIGESTS = {
     ("pipeline", "tree"):
         "1f86916b45a6d6dd10692c146fd33db0c311dddf0f1225c1b1afa165f4cd30f5",
     ("pipeline", "mixed-log1p"):
-        "41b2ab537c091c628202874887187a91c0d4af7772fe242dcce8bad707773855",
+        "53a2afbfd94d690dfc088c0de104d607a742dd6a0d68c1fdb9f9284232553dde",
     ("fusion", "tree"):
         "f2c26e3ec1ab4843c48786f51c958d8d4bbae52673698b7b29b8b8caf28debc8",
     ("fusion", "mixed-log1p"):
-        "16ceb0a30274e7916eed715d9939cfc89a6d1f4f0b678fe014722dd5b3f1ce10",
+        "51ee71af6735c7780f249f9cb9e0f66f09b860e0e9bcb875e7970af6dbf6dc49",
 }
 
 
