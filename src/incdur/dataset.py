@@ -448,7 +448,8 @@ NEWTON_STEPS = 100
 def _fit_log_location_scale(log_density, z):
     """Maximum-likelihood (mu, s, log-likelihood of x = e^z) by Newton in
     (1 / s, (mu - mean z) / s), where the log-likelihood is concave, started
-    from the mean and standard deviation of z."""
+    from the mean and standard deviation of z. Run it where overflow raises,
+    so that the log-likelihood is finite."""
     if z.min() == z.max():
         raise FloatingPointError("no spread: every (zero-shifted) duration is equal")
     zc = z - z.mean()
@@ -458,8 +459,6 @@ def _fit_log_location_scale(log_density, z):
         g, g1, g2 = log_density(a * zc - b)
         if np.max(np.abs(step)) < 1e-10 * a:
             loglik = float(np.sum(g) + z.size * np.log(a) - np.sum(z))
-            if not math.isfinite(loglik):
-                raise FloatingPointError("non-finite log-likelihood")
             return float(z.mean() + b / a), float(1 / a), loglik
         cross = -np.sum(g2 * zc)
         step = np.linalg.solve(
