@@ -268,6 +268,11 @@ def _pinned_tables():
     yield "weibull", 50.0 * (-np.log1p(-u)) ** (1 / 1.5)
     # integer minutes: 42 distinct values and 38 zeros
     yield "rounded", np.floor(np.exp(np.random.default_rng(2).normal(1.5, 1.0, 500)))
+    # 5 of 205 records x1000: a Newton in (mu, log s) from the moments of
+    # log x overflows on the log-logistic
+    rng = np.random.default_rng(3)
+    yield "outliers", np.concatenate([np.exp(rng.normal(3.0, 0.5, 200)),
+                                      1000 * np.exp(rng.normal(3.0, 0.5, 5))])
 
 
 #: scipy 1.17.1's maximum-likelihood fits, in AIC order:
@@ -300,6 +305,14 @@ SCIPY_FITS = {
          -1418.1354226432072),
         ("weibull", [0.8870872393529086, 0.0, 6.328837922414327],
          -1450.5113855592479),
+    ],
+    "outliers": [
+        ("log-logistic", [2.4621368765780245, 0.0, 21.15102770529718],
+         -900.3254571078269),
+        ("log-normal", [1.1832002984642436, 0.0, 24.351013117504394],
+         -979.8456489654607),
+        ("weibull", [0.43729772903391806, 0.0, 53.06115613890657],
+         -1098.864222902383),
     ],
 }
 
