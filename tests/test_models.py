@@ -328,8 +328,8 @@ def test_linear_singular_fits_minimum_norm():
 @pytest.mark.parametrize("seed", [21, 22, 23, 24])
 def test_linear_one_hot_table_fits_minimum_norm(seed):
     # the indicators sum to the intercept column, so the ridge-free normal
-    # equations are singular; rounding used to raise (seed 21) or offset the
-    # intercept by hundreds (seeds 22-24)
+    # equations are singular: solving them raises at seed 21 and offsets the
+    # intercept by hundreds at seeds 22-24
     ds = synthesize(SynthConfig(n=240, seed=seed, mu=3.6, sigma=0.8, effects=(
         PlantedEffect("x", "numeric", slope=1.0),
         PlantedEffect("flag", "boolean", multiplier=2.0),
