@@ -17,6 +17,7 @@ import numpy as np
 from .base import BoostParams, _sigmoid, sigmoid_proba
 from .tree import (
     Node,
+    PackedTrees,
     TreeModel,
     _candidate_features,
     grow_mse_tree,
@@ -166,10 +167,11 @@ def fit(values, targets, n_classes, params: BoostParams, seed, second_order=Fals
 
     if n_classes == 0:
         base = float(np.mean(targets))
-        trees = boost(targets, base, _squared_error)
-        return TreeModel(trees, partial(ordered_sum, start=base, scale=rate))
+        packed = PackedTrees.from_nodes(boost(targets, base, _squared_error))
+        return TreeModel(packed, partial(ordered_sum, start=base, scale=rate))
     classes = [1] if n_classes == 2 else range(n_classes)
     labels = [(targets == c).astype(float) for c in classes]
     bases = [_log_odds(y01) for y01 in labels]
     trees = [t for y01, base in zip(labels, bases) for t in boost(y01, base, _log_loss)]
-    return TreeModel(trees, partial(_class_proba, bases=bases, rate=rate))
+    packed = PackedTrees.from_nodes(trees)
+    return TreeModel(packed, partial(_class_proba, bases=bases, rate=rate))

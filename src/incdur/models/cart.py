@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .base import TreeParams
-from .tree import TreeModel, grow_gini_tree, grow_mse_tree
+from .tree import PackedTrees, TreeModel, grow_gini_tree, grow_mse_tree
 
 
 def _leaf_value(leaf):
@@ -20,8 +20,8 @@ def fit(values, targets, n_classes, params: TreeParams, seed):
     """Greedy binary CART minimising MSE (regression, ``n_classes`` 0) or Gini."""
     if n_classes == 0:
         tree = grow_mse_tree(values, targets, params.max_depth, params.min_samples_leaf)
-        return TreeModel([tree], _leaf_value)
+        return TreeModel(PackedTrees.from_nodes([tree]), _leaf_value)
     tree = grow_gini_tree(
         values, targets, n_classes, params.max_depth, params.min_samples_leaf
     )
-    return TreeModel([tree], _distribution)
+    return TreeModel(PackedTrees.from_nodes([tree]), _distribution)

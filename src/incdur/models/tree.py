@@ -1,16 +1,15 @@
-"""CART trees from one presorted grower, and one flat-array walk.
+"""CART and boosted trees from one presorted grower, and one flat-array walk.
 
-``_grow`` grows pre-order from every feature's stable argsort, taken once per
-fit (boosting takes it once for all its rounds and filters it to each
-round's rows and columns; a forest takes it once for all its trees, and
-each tree radix-sorts its rows' places in it) and filtered to each child's
-rows.
+``_grow`` grows CART and boosting trees pre-order from every feature's
+stable argsort, taken once per fit (boosting takes it once for all its
+rounds and filters it to each round's rows and columns) and filtered to
+each child's rows.
 Given a ``fitted`` array, the grower writes each leaf's value into its rows'
 slots: the tree's predictions on its training rows, with no walk. Each node
 computes its statistics once, for the stop rule, the split score and the
 leaf: (y, sum y) for squared error, class counts for Gini, (G, H) for
 second-order boosting trees. A criterion callback turns the sorted orders of
-all candidate features into cumulative sums along axis 1 at once: (sum y,
+all features into cumulative sums along axis 1 at once: (sum y,
 sum y^2), the left counts of every class but the last (the last is the left
 count minus the others, exact since counts are integers), or (sum g, sum h).
 A split's left child holds the split feature's sorted rows below
@@ -21,15 +20,19 @@ ascending rows is the node's own stable sort, and a cumsum along axis 1 adds
 in the same order as a 1-D cumsum. Split-gain ties break toward the lower
 feature index, then the lower threshold.
 
-Every tree learner returns one ``TreeModel``: its ``Node`` trees, packed
-once into ``PackedTrees``, and the learner's ``combine`` step, which turns a
-row chunk's leaf payloads into predictions. Isolation Forest grows its trees
-straight into ``PackedTrees``. The packed trees, flat arrays with global node
-ids and self-looping leaves, are walked together one depth level per step
-with ``np.take``, in row chunks that ``reduce`` combines. Rows go left when
-``x < threshold``, so NaN goes right. A walk may take a subset of the trees,
-so permutation importance re-walks a chunk only through the trees that split
-on a shuffled column, and combines it as ``reduce`` does.
+Every tree learner returns one ``TreeModel``: its ``PackedTrees`` and the
+learner's ``combine`` step, which turns a row chunk's leaf payloads into
+predictions. Random forests (``forest.fit``, which grows its trees together,
+batched) and Isolation Forest grow their trees straight into
+``PackedTrees``. CART and boosting still build ``Node`` trees and pack them
+once (``PackedTrees.from_nodes``), only because the benchmark tracer counts
+nodes from them. The packed trees, flat arrays with global node ids, each
+tree's nodes pre-order with the left subtree first, and self-looping leaves,
+are walked together one depth level per step with ``np.take``, in row chunks
+that ``reduce`` combines. Rows go left when ``x < threshold``, so NaN goes
+right. A walk may take a subset of the trees, so permutation importance
+re-walks a chunk only through the trees that split on a shuffled column,
+and combines it as ``reduce`` does.
 """
 
 from __future__ import annotations
@@ -71,8 +74,8 @@ def _candidate_features(m, feature_fraction, rng):
     return np.sort(rng.choice(m, size=k, replace=False))
 
 
-def _grow(X, max_depth, min_leaf, feature_fraction, rng, stats, leaf, score,
-          min_gain, stop=None, presort=None, fitted=None):
+def _grow(X, max_depth, min_leaf, stats, leaf, score, min_gain, stop=None,
+          presort=None, fitted=None):
     """Grow one tree, pre-order, over columns sorted once.
 
     ``stats(idx)`` summarises a node's rows (ids ascending) once; ``stop``,
@@ -102,13 +105,8 @@ def _grow(X, max_depth, min_leaf, feature_fraction, rng, stats, leaf, score,
         s = stats(idx)
         if depth >= max_depth or n < 2 * min_leaf or (stop is not None and stop(s)):
             return make_leaf(idx, s)
-        feats = _candidate_features(m, feature_fraction, rng)
-        if feats.shape[0] == m:
-            rows, xs = order, XT.take(order + starts)
-        else:
-            rows = order[feats]
-            xs = X[rows, feats[:, None]]
-        scores, parent = score(s, rows)
+        xs = XT.take(order + starts)
+        scores, parent = score(s, order)
         lo, hi = min_leaf - 1, n - min_leaf  # both children keep min_leaf rows
         distinct = xs[:, lo:hi] < xs[:, lo + 1:hi + 1]
         scores = np.where(distinct, scores[:, lo:hi], -np.inf)
@@ -127,24 +125,22 @@ def _grow(X, max_depth, min_leaf, feature_fraction, rng, stats, leaf, score,
         k = int(xs[f].searchsorted(thr))
         if k == 0 or k == n or thr != thr:
             return make_leaf(idx, s)
-        j = int(feats[f])
         left = right = None  # children at max_depth are leaves: no orders
         if depth + 1 < max_depth:
-            go_left = XT[j].take(order) < thr  # each row of order: the same ids
+            go_left = XT[f].take(order) < thr  # each row of order: the same ids
             left = order[go_left].reshape(m, -1)
             right = order[~go_left].reshape(m, -1)
         return Node(
-            feature=j,
+            feature=f,
             threshold=thr,
-            left=build(np.sort(rows[f, :k]), left, depth + 1),
-            right=build(np.sort(rows[f, k:]), right, depth + 1),
+            left=build(np.sort(order[f, :k]), left, depth + 1),
+            right=build(np.sort(order[f, k:]), right, depth + 1),
         )
 
     return build(np.arange(n_rows), presort, 0)
 
 
-def grow_mse_tree(X, y, max_depth, min_samples_leaf=1, feature_fraction=None,
-                  rng=None, presort=None, fitted=None):
+def grow_mse_tree(X, y, max_depth, min_samples_leaf=1, presort=None, fitted=None):
     """Greedy regression tree; leaves hold target means."""
 
     def stats(idx):
@@ -177,16 +173,13 @@ def grow_mse_tree(X, y, max_depth, min_samples_leaf=1, feature_fraction=None,
         return np.negative(sse, out=sse), -sse_parent
 
     return _grow(
-        X, max_depth, min_samples_leaf, feature_fraction, rng,
+        X, max_depth, min_samples_leaf,
         stats=stats, leaf=lambda s: float(s[1] / s[0].shape[0]), score=score,
         min_gain=1e-12, presort=presort, fitted=fitted,
     )
 
 
-def grow_gini_tree(
-    X, y_idx, n_classes, max_depth, min_samples_leaf=1, feature_fraction=None,
-    rng=None, presort=None,
-):
+def grow_gini_tree(X, y_idx, n_classes, max_depth, min_samples_leaf=1, presort=None):
     """Greedy classification tree; leaves hold class-count distributions."""
     # 0/1 columns of every class but the last, whose count is the rest
     member = [(y_idx == c).astype(float) for c in range(n_classes - 1)]
@@ -209,7 +202,7 @@ def grow_gini_tree(
         return gini, float((counts**2).sum() / n)
 
     return _grow(
-        X, max_depth, min_samples_leaf, feature_fraction, rng,
+        X, max_depth, min_samples_leaf,
         stats=lambda idx: np.bincount(y_idx[idx], minlength=n_classes),
         leaf=lambda counts: counts.astype(float), score=score, min_gain=1e-12,
         stop=lambda counts: np.count_nonzero(counts) <= 1, presort=presort,
@@ -225,8 +218,6 @@ def grow_second_order_tree(
     gamma,
     min_samples_leaf=1,
     min_child_weight=0.0,
-    feature_fraction=None,
-    rng=None,
     presort=None,
     fitted=None,
 ):
@@ -247,7 +238,7 @@ def grow_second_order_tree(
         return np.where(heavy, gain, -np.inf), 0.0
 
     return _grow(
-        X, max_depth, min_samples_leaf, feature_fraction, rng,
+        X, max_depth, min_samples_leaf,
         stats=lambda idx: (float(g[idx].sum()), float(h[idx].sum())),
         leaf=lambda s: -s[0] / (s[1] + reg_lambda), score=score, min_gain=0.0,
         presort=presort, fitted=fitted,
@@ -276,7 +267,7 @@ class PackedTrees:
 
     @classmethod
     def from_nodes(cls, trees):
-        """Pack linked ``Node`` trees, pre-order."""
+        """Pack linked ``Node`` trees, pre-order, left subtree first."""
         feature, threshold, child, value, depths = [], [], [], [], []
 
         def add(node, depth):  # returns the node's global id
@@ -287,8 +278,8 @@ class PackedTrees:
             value.append(node.value)
             depths.append(depth)
             if node.left is not None:
-                child[2 * i] = add(node.right, depth + 1)
                 child[2 * i + 1] = add(node.left, depth + 1)
+                child[2 * i] = add(node.right, depth + 1)
                 value[i] = 0.0 * value[child[2 * i + 1]]  # zeros, leaf-shaped
             return i
 
@@ -335,14 +326,13 @@ class PackedTrees:
 
 
 class TreeModel:
-    """A fitted tree learner: ``Node`` trees, packed once, and ``combine``,
-    which maps a row chunk's leaf payloads (trees, rows[, width]) to the
-    chunk's regression values or class probabilities."""
+    """A fitted tree learner: its ``PackedTrees`` and ``combine``, which maps
+    a row chunk's leaf payloads (trees, rows[, width]) to the chunk's
+    regression values or class probabilities."""
 
-    def __init__(self, trees, combine):
-        self.trees = list(trees)
+    def __init__(self, packed, combine):
+        self.packed = packed
         self.combine = combine
-        self.packed = PackedTrees.from_nodes(self.trees)
 
     def predict_values(self, values):
         return self.packed.reduce(values, self.combine)

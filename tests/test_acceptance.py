@@ -42,7 +42,6 @@ from incdur.models import (
     fit_model,
 )
 from incdur.models.linear import logistic_loss, logistic_loss_grad
-from incdur.models.tree import leaf_values, predict_tree
 from incdur.outliers import OrmParams, isolation_forest_scores, lof_scores
 from incdur.scenarios import run_scenario
 from incdur.sf import load_sf_extract
@@ -203,8 +202,9 @@ def test_criterion_4_first_order_training_rmse_non_increasing():
                                                    max_depth=3))
         score = np.full(X.shape[0], np.mean(y))  # add one tree at a time
         errors = [rmse(y, score)]
-        for tree in model.inner.trees:
-            score = score + 0.1 * predict_tree(tree, X)
+        ((_, per_tree),) = model.inner.packed.leaves(X)  # (trees, rows)
+        for tree_values in per_tree:
+            score = score + 0.1 * tree_values
             errors.append(rmse(y, score))
         assert errors[-1] == rmse(y, model.predict(X))
         assert all(b <= a + TOL for a, b in zip(errors, errors[1:]))
@@ -216,8 +216,7 @@ def test_criterion_4_second_order_leaf_weights_vanish_at_huge_lambda():
     y = rng.normal(size=100)
     model = fit_model("gbt-reg", X, y,
                       BoostParams(n_rounds=5, max_depth=3, reg_lambda=1e9))
-    for tree in model.inner.trees:
-        assert np.max(np.abs(leaf_values(tree))) < 1e-6
+    assert np.max(np.abs(model.inner.packed.value)) < 1e-6  # splits hold 0
 
 
 def test_criterion_4_logistic_gradient_matches_finite_differences():

@@ -1,25 +1,30 @@
-"""The presorted grower against a frozen per-node-argsort reference.
+"""The presorted growers against a frozen per-node-argsort reference.
 
 ``_ref_*`` below keep the earlier split scans and recursion: each node
 re-sorts every candidate feature of its own rows and scans one feature at a
 time. The grower in ``models.tree`` sorts each feature once per fit and
-filters those orders down the tree; every test here asks for trees that
-pack (``PackedTrees.from_nodes``) to equal ``roots``, ``feature``,
-``threshold``, ``child`` and ``value`` arrays: the same shape, split
-features, bit-identical thresholds and leaf values.
+filters those orders down the tree; the forest grower in ``models.forest``
+grows all its trees together, one node of each per pass, straight into
+``PackedTrees``, and ``ref_forest_fit`` keeps the per-tree forest loop it
+replaced, driving the reference growers. Every test here asks for trees
+whose packed ``roots``, ``feature``, ``threshold``, ``child`` and ``value``
+arrays are equal (``PackedTrees.from_nodes`` packs ``Node`` trees): the same
+shape, split features, bit-identical thresholds and leaf values.
 """
 
+import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
-from incdur.models import BoostParams, ForestParams, fit_model
+from incdur.models import KINDS, BoostParams, ForestParams, fit_model
 from incdur.models import boosting, forest
 from incdur.models.tree import (
     Node,
     PackedTrees,
-    _candidate_features,
+    TreeModel,
     grow_gini_tree,
     grow_mse_tree,
     grow_second_order_tree,
@@ -116,11 +121,18 @@ def _ref_split_second_order(X, g, h, reg_lambda, gamma, min_leaf, min_child_weig
     return best
 
 
+def _ref_candidates(m, feature_fraction, rng):
+    if feature_fraction is None or feature_fraction >= 1.0 or rng is None:
+        return np.arange(m)
+    k = max(1, int(round(feature_fraction * m)))
+    return np.sort(rng.choice(m, size=k, replace=False))
+
+
 def _ref_build(X, max_depth, min_leaf, feature_fraction, rng, leaf, find, pure=None):
     def build(idx, depth):
         if depth >= max_depth or idx.shape[0] < 2 * min_leaf or (pure and pure(idx)):
             return Node(value=leaf(idx))
-        feats = _candidate_features(X.shape[1], feature_fraction, rng)
+        feats = _ref_candidates(X.shape[1], feature_fraction, rng)
         found = find(idx, feats)
         if found is None:
             return Node(value=leaf(idx))
@@ -191,31 +203,30 @@ def _case(seed):
     m = int(rng.integers(1, 7))
     X = _matrix(rng, n, m)
     kw = dict(max_depth=int(rng.integers(0, 9)), min_samples_leaf=int(rng.integers(1, 6)))
-    if rng.random() < 0.5:
-        kw.update(feature_fraction=float(rng.uniform(0.2, 1.0)), rng_seed=int(seed))
     return rng, X, kw
 
 
+def _packed(trees):
+    """``PackedTrees`` as they are, or ``Node`` trees (one or a list) packed."""
+    if isinstance(trees, PackedTrees):
+        return trees
+    return PackedTrees.from_nodes(trees if isinstance(trees, list) else [trees])
+
+
 def same_trees(a, b):
-    """Exact tree check: ``a`` and ``b`` (a ``Node`` or a list of them) pack to
-    equal ``roots``, ``feature``, ``threshold``, ``child`` and ``value``."""
-    pa, pb = (PackedTrees.from_nodes(t if isinstance(t, list) else [t]) for t in (a, b))
-    return all(
+    """Exact tree check: ``a`` and ``b`` (``PackedTrees``, a ``Node`` or a list
+    of them) have equal ``roots``, ``feature``, ``threshold``, ``child`` and
+    ``value`` arrays, and the same depth."""
+    pa, pb = _packed(a), _packed(b)
+    return pa.depth == pb.depth and all(
         np.array_equal(getattr(pa, k), getattr(pb, k))
         for k in ("roots", "feature", "threshold", "child", "value")
     )
 
 
 def _both(grow, ref, args, kw):
-    """Both growers grow the same tree and leave the feature-draw rngs in the
-    same state."""
-    seed = kw.pop("rng_seed", None)
-    trees, states = [], []
-    for fn in (grow, ref):
-        rng = None if seed is None else np.random.default_rng(seed)
-        trees.append(fn(*args, **kw, rng=rng))
-        states.append(None if rng is None else rng.bit_generator.state)
-    return same_trees(*trees) and states[0] == states[1]
+    """Both growers grow the same tree."""
+    return same_trees(grow(*args, **kw), ref(*args, **kw))
 
 
 SEEDS = range(300)
@@ -361,12 +372,8 @@ def test_gini_many_classes_and_pure_children_match_reference():
 
 def test_grown_leaf_values_equal_the_walk_on_training_rows():
     # an all-row boosting round takes its training scores from ``fitted``
-    cases = []
-    for seed in SEEDS:  # ties, NaN cells, depth 0-8, min_samples_leaf 1-5
-        rng, X, kw = _case(seed)
-        draw_seed = kw.pop("rng_seed", None)
-        kw["rng"] = None if draw_seed is None else np.random.default_rng(draw_seed)
-        cases.append((rng, X, kw))
+    # ties, NaN cells, depth 0-8, min_samples_leaf 1-5
+    cases = [_case(seed) for seed in SEEDS]
     for seed in range(100):
         rng = np.random.default_rng(seed)
         X = _adjacent_doubles(rng, int(rng.choice([4, 12, 40])), int(rng.integers(1, 4)))
@@ -431,22 +438,51 @@ def _ignoring_presort(ref):
     return grow
 
 
+def ref_forest_fit(values, targets, n_classes, params, seed):
+    """The per-tree forest loop, frozen: each tree grows alone, by the
+    reference growers, on its sample rows, with its own feature-draw rng; the
+    forest rng draws each tree's rows and then its seed, tree after tree."""
+    rng = np.random.default_rng(seed)
+    n, m = values.shape
+    frac = params.feature_fraction
+    if frac is None:
+        frac = max(1.0 / m, np.sqrt(m) / m)
+    if n_classes:
+        grow = partial(ref_gini_tree, n_classes=n_classes)
+    else:
+        grow = ref_mse_tree
+    trees = []
+    for _ in range(params.n_trees):
+        size = max(2, int(params.bootstrap_fraction * n))
+        if params.bootstrap:
+            rows = np.sort(rng.integers(0, n, size=size))
+        else:
+            rows = np.sort(rng.permutation(n)[:size]) if size < n else np.arange(n)
+        tree_rng = np.random.default_rng(rng.integers(0, 2**63))
+        trees.append(grow(
+            values[rows], targets[rows], max_depth=params.max_depth,
+            min_samples_leaf=params.min_samples_leaf, feature_fraction=frac,
+            rng=tree_rng,
+        ))
+    return TreeModel(PackedTrees.from_nodes(trees),
+                     forest._votes if n_classes else forest._mean)
+
+
 def _fitted(model, X):
-    """The fit's trees and its outputs on ``X``: ``predict``, and
+    """The fit's packed trees and its outputs on ``X``: ``predict``, and
     ``predict_proba`` for a classifier. A booster's outputs also check its
     base score and learning rate."""
     outputs = [model.predict(X)]
     if model.task == "classification":
         outputs.append(model.predict_proba(X))
-    return model.inner.trees, outputs
+    return model.inner.packed, outputs
 
 
 def _fit_both(monkeypatch, kind, X, y, params, task):
     """The fit grows the same trees and gives the same outputs with the
-    reference growers patched in."""
+    reference growers patched in (the frozen per-tree loop for a forest)."""
     got_trees, got = _fitted(fit_model(kind, X, y, params, task=task, seed=5), X)
-    monkeypatch.setattr(forest, "grow_mse_tree", _ignoring_presort(ref_mse_tree))
-    monkeypatch.setattr(forest, "grow_gini_tree", _ignoring_presort(ref_gini_tree))
+    monkeypatch.setitem(KINDS, "random-forest", (ForestParams, ref_forest_fit))
     monkeypatch.setattr(boosting, "grow_mse_tree", _ignoring_presort(ref_mse_tree))
     monkeypatch.setattr(
         boosting, "grow_second_order_tree", _ignoring_presort(ref_second_order_tree)
@@ -526,3 +562,91 @@ def test_forest_presort_matches_reference_growers_on_16_bit_places(monkeypatch, 
     X[rng.random(size=X.shape) < 0.05] = np.nan
     y = np.nan_to_num(X[:, 0]) + rng.normal(size=300)
     assert _fit_both(monkeypatch, "random-forest", X, y, params, "regression")
+
+
+def _forest_case(seed):
+    """A table, prepared targets, their class count (0: regression) and
+    forest params, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([2, 3, 9, 40, 120, 300]))
+    m = int(rng.integers(1, 9))
+    X = _matrix(rng, n, m)
+    if rng.random() < 0.2:  # infinite cells
+        X[rng.random(size=(n, m)) < 0.05] = rng.choice([-np.inf, np.inf])
+    n_classes = int(rng.choice([0, 0, 2, 3, 9]))
+    if n_classes:
+        y = rng.integers(0, n_classes, size=n)
+        y[:2] = [0, 1]  # at least two classes
+    else:
+        y = rng.normal(size=n) * 10.0 ** rng.integers(-2, 4)
+        if rng.random() < 0.3:  # tied targets
+            y = np.round(y)
+    r = rng.random()
+    frac = None if r < 0.3 else 1.0 if r < 0.4 else float(rng.uniform(0.2, 1.0))
+    params = ForestParams(
+        n_trees=int(rng.integers(1, 31)) if n < 300 else 4,
+        max_depth=int(rng.integers(1, 13)),
+        min_samples_leaf=int(rng.choice([1, 1, 2, 5, n])),
+        bootstrap=bool(rng.random() < 0.7),
+        bootstrap_fraction=float(rng.choice([1.0, 1.0, 0.6])),
+        feature_fraction=frac,
+    )
+    return rng, X, y, n_classes, params
+
+
+def test_forest_grows_the_trees_of_the_per_tree_loop():
+    seen = set()
+    for seed in range(150):
+        rng, X, y, n_classes, params = _forest_case(seed)
+        got = forest.fit(X, y, n_classes, params, seed)
+        want = ref_forest_fit(X, y, n_classes, params, seed)
+        assert same_trees(got.packed, want.packed), seed
+        Q = np.concatenate([X, _matrix(rng, 20, X.shape[1])])
+        assert np.array_equal(got.predict_values(Q), want.predict_values(Q)), seed
+        n, m = X.shape
+        frac = params.feature_fraction
+        seen.update({
+            f"classes {n_classes}": True,
+            f"bootstrap {params.bootstrap}": True,
+            "fraction < 1": params.bootstrap_fraction < 1.0,
+            f"features {'all' if frac is None or frac >= 1.0 else 'drawn'}": True,
+            "default features": frac is None,
+            "k rounds to m, still drawn": frac is not None and frac < 1.0
+            and round(frac * m) == m > 1,
+            "nan": bool(np.isnan(X).any()),
+            "inf": bool(np.isinf(X).any()),
+            "16-bit places": n > 256,
+            "root leaf": params.min_samples_leaf == n > 2,
+            "one tree": params.n_trees == 1,
+            "depth 1": params.max_depth == 1,
+            "depth 12": params.max_depth == 12,
+            "split": got.packed.depth > 0,
+        }.items())
+    names = {name for name, hit in seen if hit}
+    assert names >= {
+        "classes 0", "classes 2", "classes 3", "classes 9", "bootstrap True",
+        "bootstrap False", "fraction < 1", "features all", "features drawn",
+        "default features", "k rounds to m, still drawn", "nan", "inf",
+        "16-bit places", "root leaf", "one tree", "depth 1", "depth 12", "split",
+    }, sorted(names)
+
+
+def test_forest_fit_peak_memory_stays_below_the_per_tree_loop():
+    # the parent per-tree grower, which held every tree as linked ``Node``
+    # objects and then packed them, peaked at 3.50 MB (regression) and
+    # 2.50 MB (three classes) on this fit, as ``tracemalloc`` counts; more
+    # trees in flight, or their scans, must not take more
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(160, 12))
+    y = X[:, 0] * 2.0 + rng.normal(size=160)
+    for task, labels, bound in (("regression", y, 3.50e6),
+                                ("classification", np.digitize(y, [-1.0, 1.0]), 2.50e6)):
+        fit_model("random-forest", X, labels, ForestParams(n_trees=2), task=task)  # warm
+        params = ForestParams(n_trees=100)
+        tracemalloc.start()
+        try:
+            fit_model("random-forest", X, labels, params, task=task, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (task, peak)

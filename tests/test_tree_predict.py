@@ -2,10 +2,12 @@
 
 Every tree ensemble and Isolation Forest predict through
 ``PackedTrees.leaves``; each test here compares its output bit for bit
-(``np.array_equal``) with a reference that walks the linked ``Node`` trees
-one row at a time in plain Python and combines the trees in the same order.
-Isolation Forest grows straight into flat arrays, so its reference also
-keeps the recursive ``Node`` builder it replaced.
+(``np.array_equal``) with a reference that walks linked ``Node`` trees one
+row at a time in plain Python and combines the trees in the same order. A
+fitted model holds only its packed arrays, so ``_nodes`` reads its trees
+back into ``Node`` form, one node at a time. Isolation Forest grows straight
+into flat arrays, so its reference also keeps the recursive ``Node`` builder
+it replaced.
 """
 
 import math
@@ -22,6 +24,21 @@ from incdur.models import (
 from incdur.models.boosting import _sigmoid
 from incdur.models.tree import Node, PackedTrees, predict_tree
 from incdur.outliers import OrmParams, _avg_path_length, isolation_forest_scores
+
+
+def _nodes(packed):
+    """Each packed tree as a linked ``Node`` tree: node ``i`` goes to
+    ``child[2 * i + 1]`` (left) and ``child[2 * i]`` (right), or is a leaf
+    whose children are itself."""
+
+    def node(i):
+        right, left = packed.child[2 * i], packed.child[2 * i + 1]
+        if left == i:
+            return Node(value=packed.value[i])
+        return Node(feature=int(packed.feature[i]), threshold=float(packed.threshold[i]),
+                    left=node(left), right=node(right))
+
+    return [node(root) for root in packed.roots.tolist()]
 
 
 def _walk(node, row):
@@ -97,7 +114,7 @@ GBT_PARAMS = [
 def test_gbt_regression_matches_node_walk(kind, params):
     X, y = _data(0)
     model = fit_model(kind, X, y, params, seed=3)
-    trees = model.inner.trees
+    trees = _nodes(model.inner.packed)
     assert len(trees) == params.n_rounds
     for Q in _queries(0):
         ref = _booster_ref(trees, np.mean(y), params.learning_rate, Q)
@@ -114,7 +131,7 @@ def test_gbt_classification_matches_node_walk(kind, n_classes):
     params = BoostParams(n_rounds=15, max_depth=3, colsample=0.6)
     model = fit_model(kind, X, labels, params, task="classification", seed=5)
     classes = [1] if n_classes == 2 else range(n_classes)
-    trees, rounds = model.inner.trees, params.n_rounds
+    trees, rounds = _nodes(model.inner.packed), params.n_rounds
     assert len(trees) == rounds * len(classes)
     # each class's rounds follow the previous class's
     per_class = [trees[i * rounds:(i + 1) * rounds] for i in range(len(classes))]
@@ -138,7 +155,7 @@ def test_gbt_colsample_remaps_features_to_global_columns():
     used = {int(f) for f in model.inner.packed.feature}
     assert max(used) > 2  # a 3-column subset has local ids 0..2 only
     Q = _queries(2, m=8)[2]
-    ref = _booster_ref(model.inner.trees, np.mean(y), 0.1, Q)
+    ref = _booster_ref(_nodes(model.inner.packed), np.mean(y), 0.1, Q)
     assert np.array_equal(model.predict(Q), ref)
 
 
@@ -146,8 +163,9 @@ def test_random_forest_regression_matches_node_walk():
     X, y = _data(3)
     model = fit_model("random-forest", X, y, ForestParams(n_trees=30, max_depth=5),
                       seed=2)
+    trees = _nodes(model.inner.packed)
     for Q in _queries(3):
-        assert np.array_equal(model.predict(Q), _forest_reg_ref(model.inner.trees, Q))
+        assert np.array_equal(model.predict(Q), _forest_reg_ref(trees, Q))
 
 
 def test_random_forest_classification_matches_node_walk():
@@ -158,7 +176,7 @@ def test_random_forest_classification_matches_node_walk():
         task="classification", seed=2,
     )
     for Q in _queries(4):
-        ref = _forest_clf_ref(model.inner.trees, 3, Q)
+        ref = _forest_clf_ref(_nodes(model.inner.packed), 3, Q)
         assert np.array_equal(model.predict_proba(Q), ref)
 
 
@@ -168,8 +186,8 @@ def test_cart_regression_and_classification_match_node_walk():
     clf = fit_model("tree", X, _labels(y, 3), TreeParams(max_depth=4),
                     task="classification")
     for Q in _queries(5):
-        assert np.array_equal(reg.predict(Q), _tree_ref(reg.inner.trees[0], Q))
-        dist = _tree_ref(clf.inner.trees[0], Q).reshape(Q.shape[0], 3)
+        assert np.array_equal(reg.predict(Q), _tree_ref(_nodes(reg.inner.packed)[0], Q))
+        dist = _tree_ref(_nodes(clf.inner.packed)[0], Q).reshape(Q.shape[0], 3)
         ref = dist / dist.sum(axis=1, keepdims=True)
         assert np.array_equal(clf.predict_proba(Q), ref)
 
@@ -191,7 +209,7 @@ def test_nan_goes_right():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0.0, 0.0, 5.0, 5.0])
     model = fit_model("tree", X, y, TreeParams(max_depth=1))
-    assert model.inner.trees[0].right.value == 5.0
+    assert _nodes(model.inner.packed)[0].right.value == 5.0
     assert np.array_equal(model.predict(np.array([[np.nan]])), [5.0])
 
 
@@ -203,19 +221,20 @@ def test_chunk_boundary(monkeypatch):
     # 7 trees x 5 rows per chunk: 60 rows cross eleven chunk boundaries
     monkeypatch.setattr(PackedTrees, "CHUNK_CELLS", 35)
     assert np.array_equal(model.predict(Q), whole)
-    ref = _booster_ref(model.inner.trees, np.mean(y), 0.1, Q)
+    ref = _booster_ref(_nodes(model.inner.packed), np.mean(y), 0.1, Q)
     assert np.array_equal(model.predict(Q), ref)
-    tree = model.inner.trees[0]
+    tree = _nodes(model.inner.packed)[0]
     assert np.array_equal(predict_tree(tree, Q), _tree_ref(tree, Q))
     forest = fit_model("random-forest", X, y, ForestParams(n_trees=7, max_depth=4),
                        seed=0)
-    assert np.array_equal(forest.predict(Q), _forest_reg_ref(forest.inner.trees, Q))
+    ref = _forest_reg_ref(_nodes(forest.inner.packed), Q)
+    assert np.array_equal(forest.predict(Q), ref)
     labels = _labels(y, 3)
     forest = fit_model(
         "random-forest", X, labels, ForestParams(n_trees=7, max_depth=4),
         task="classification", seed=0,
     )
-    ref = _forest_clf_ref(forest.inner.trees, 3, Q)
+    ref = _forest_clf_ref(_nodes(forest.inner.packed), 3, Q)
     assert np.array_equal(forest.predict_proba(Q), ref)
 
 
