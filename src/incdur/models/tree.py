@@ -80,7 +80,7 @@ def _grow(X, max_depth, min_leaf, stats, leaf, score, min_gain, stop=None,
 
     ``stats(idx)`` summarises a node's rows (ids ascending) once; ``stop``,
     ``leaf`` and ``score`` take that summary. ``score(s, rows)`` also gets,
-    for each candidate feature, the node's row ids sorted by that feature,
+    for each feature, the node's row ids sorted by that feature,
     shape (features, n). It returns (scores of shape (features, n - 1),
     parent score): the split after sorted position i scores ``scores[:, i]``,
     and its gain is that minus the parent score. ``presort`` is
