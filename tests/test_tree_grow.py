@@ -632,10 +632,11 @@ def test_forest_grows_the_trees_of_the_per_tree_loop():
 
 
 def test_forest_fit_peak_memory_stays_below_the_per_tree_loop():
-    # the parent per-tree grower, which held every tree as linked ``Node``
-    # objects and then packed them, peaked at 3.50 MB (regression) and
-    # 2.50 MB (three classes) on this fit, as ``tracemalloc`` counts; more
-    # trees in flight, or their scans, must not take more
+    # the per-tree forest loop that the batched grower replaced held every
+    # tree as linked ``Node`` objects and then packed them: on this fit it
+    # peaked at 3.50 MB (regression) and 2.50 MB (three classes) as
+    # ``tracemalloc`` counts, with numpy 2.4; more trees in flight, or
+    # larger scans, must not take more
     rng = np.random.default_rng(0)
     X = rng.normal(size=(160, 12))
     y = X[:, 0] * 2.0 + rng.normal(size=160)
