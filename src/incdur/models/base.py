@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,6 +134,89 @@ def as_values(X) -> np.ndarray:
     """``X`` as a float matrix; a 1-D ``X`` is one row."""
     values = np.asarray(X, dtype=float)
     return values.reshape(1, -1) if values.ndim == 1 else values
+
+
+DRAW_BLOCK = 16  # raw words a replay reads at a time
+
+
+class RawDraws:
+    """Replays three calls of one PCG64 ``Generator`` from its raw 64-bit
+    words, bit for bit: ``integers(k)`` for 1 < k < 2**32 (``bounded``),
+    ``random()`` and ``np.sort(choice(m, k, replace=False))``
+    (``sorted_choice``), with numpy's own methods.
+
+    numpy bounds an integer by Lemire's method on 32-bit halves of words
+    (the low half, then the high half, held over in the bit generator's
+    ``has_uint32`` / ``uinteger`` buffer); a double is a whole word's top 53
+    bits. Words come ``DRAW_BLOCK`` at a time from ``random_raw``, so the
+    generator runs ahead: call ``sync`` before anything else draws from it.
+    """
+
+    def __init__(self, rng):
+        self.bits = rng.bit_generator
+        self.state = self.bits.state
+        self.has, self.half = self.state["has_uint32"], self.state["uinteger"]
+        self.read = 0
+        self.block = iter(())
+        self.next = self.block.__next__
+
+    def _refill(self):
+        self.block = iter(self.bits.random_raw(DRAW_BLOCK).tolist())
+        self.next = self.block.__next__
+        self.read += DRAW_BLOCK
+        return self.next()
+
+    def bounded(self, k):
+        """``rng.integers(k)``: the high half of a 32-bit draw times k, drawn
+        again while the low half falls below 2**32 mod k (which is below k,
+        so a low half of at least k needs no modulo)."""
+        while True:
+            if self.has:
+                self.has = 0
+                x = self.half * k
+            else:
+                try:
+                    word = self.next()
+                except StopIteration:
+                    word = self._refill()
+                self.has, self.half = 1, word >> 32
+                x = (word & 0xFFFFFFFF) * k
+            if x & 0xFFFFFFFF >= k or x & 0xFFFFFFFF >= (1 << 32) % k:
+                return x >> 32
+
+    def random(self):
+        """``rng.random()``."""
+        try:
+            word = self.next()
+        except StopIteration:
+            word = self._refill()
+        return (word >> 11) * 2.0**-53
+
+    def sorted_choice(self, m, k):
+        """``np.sort(rng.choice(m, k, replace=False))`` as a list, 1 <= k <= m."""
+        if m > 10000 and k > m // 50:  # numpy shuffles the tail of arange(m)
+            pool = list(range(m))
+            for i in range(m - 1, max(m - k, 1) - 1, -1):
+                j = self.bounded(i + 1)
+                pool[i], pool[j] = pool[j], pool[i]
+            return sorted(pool[m - k:])
+        chosen = set()  # Floyd's algorithm
+        for j in range(m - k, m):
+            pick = self.bounded(j + 1) if j else 0
+            chosen.add(j if pick in chosen else pick)
+        for i in range(k - 1, 0, -1):  # the shuffle after it, undone by sorting
+            self.bounded(i + 1)
+        return sorted(chosen)
+
+    def sync(self):
+        """Leave the generator where numpy's own calls would have: the saved
+        state, advanced by the words used, then the half-word buffer, which
+        ``advance`` clears."""
+        self.bits.state = self.state
+        self.bits.advance(self.read - operator.length_hint(self.block))
+        state = self.bits.state
+        state["has_uint32"], state["uinteger"] = self.has, self.half
+        self.bits.state = state
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from .tree import (
     Node,
     PackedTrees,
     TreeModel,
-    _candidate_features,
     grow_mse_tree,
     grow_second_order_tree,
     ordered_sum,
@@ -33,6 +32,14 @@ def _remap_features(node: Node, cols):
     node.feature = int(cols[node.feature])
     _remap_features(node.left, cols)
     _remap_features(node.right, cols)
+
+
+def _candidate_features(m, colsample, rng):
+    """A round's columns: all of them, or ``round(colsample * m)`` drawn."""
+    if colsample >= 1.0:
+        return np.arange(m)
+    k = max(1, int(round(colsample * m)))
+    return np.sort(rng.choice(m, size=k, replace=False))
 
 
 def _select_rows(grad, params: BoostParams, rng):

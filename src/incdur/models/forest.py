@@ -7,20 +7,23 @@ drawing its sample rows and then its seed from the forest rng, while their
 sorted rows fit in ``CELLS``. Each pass pops the next pre-order node (left
 subtree first) of every tree in flight; a node that may split draws its
 candidate features from its own tree's rng, so every stream is drawn in a
-lone tree's order. One vectorised scan then scores the popped nodes'
-candidate features, laid end to end: Gini class counts by one cumsum less
-each segment's prefix (integers, so exact), squared error by a cumsum along
-each zero-padded segment row and a pairwise sum per node, a lone tree's
-adds. A node carries its sample rows ascending (a row's copies together)
-and, unless its children would sit at ``max_depth``, every column's stable
-order of them, filtered down from the fit's one argsort.
+lone tree's order. The draw, ``np.sort(rng.choice(m, k, replace=False))``,
+is replayed bit for bit from raw PCG64 words by a ``RawDraws`` per tree,
+which reads ``DRAW_BLOCK`` words ahead; nothing else draws from a tree's
+rng, so it is never synced back. One vectorised scan then scores the
+popped nodes' candidate features, laid end to end: Gini class counts by one
+cumsum less each segment's prefix (integers, so exact), squared error by a
+cumsum along each zero-padded segment row and a pairwise sum per node, a
+lone tree's adds. A node carries its sample rows ascending (a row's copies
+together) and, unless its children would sit at ``max_depth``, every
+column's stable order of them, filtered down from the fit's one argsort.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import ForestParams, vote_shares
+from .base import ForestParams, RawDraws, vote_shares
 from .tree import PackedTrees, TreeModel
 
 CELLS = 1 << 19  # (tree, column, sample row) cells of sorted rows in flight
@@ -152,19 +155,19 @@ def fit(values, targets, n_classes, params: ForestParams, seed):
     x = values.T.ravel()  # x[f * n + row] is values[row, f]
     presort = np.argsort(values.T, axis=1, kind="mergesort")
     presort = presort.astype(np.min_scalar_type(n - 1))  # what the trees in flight hold
-    admitted, active, log = 0, [], []  # a tree in flight: [number, rng, stack, nodes]
+    admitted, active, log = 0, [], []  # a tree in flight: [number, RawDraws, stack, nodes]
     while active or admitted < params.n_trees:
         if admitted < params.n_trees and len(active) < max(1, CELLS // (m * size)):
             if params.bootstrap:
                 rows = np.sort(rng.integers(0, n, size=size))
             else:
                 rows = np.sort(rng.permutation(n)[:size]) if size < n else np.arange(n)
-            tree_rng = np.random.default_rng(rng.integers(0, 2**63))
+            replay = RawDraws(np.random.default_rng(rng.integers(0, 2**63)))
             # each column's stable order of the sample: a row's copies together
             copies = np.bincount(rows, minlength=n)[presort].ravel()
             order = np.repeat(presort.ravel(), copies).reshape(m, size)
             # a node: (rows, orders or None, depth, its parent's child slot)
-            active.append([admitted, tree_rng, [(rows, order, 0, -1)], 0])
+            active.append([admitted, replay, [(rows, order, 0, -1)], 0])
             admitted += 1
         idx, orders, depth, slot = zip(*(t[2].pop() for t in active))
         sizes, depth = np.array([i.shape[0] for i in idx]), np.array(depth)
@@ -173,8 +176,8 @@ def fit(values, targets, n_classes, params: ForestParams, seed):
         cand = np.flatnonzero(may & ~stop)
         draws = np.tile(np.arange(m), (cand.size, 1))  # a row per candidate
         if frac < 1.0:  # k = m still draws
-            draws = np.sort(np.array([active[i][1].choice(m, size=k, replace=False)
-                                      for i in cand], dtype=int).reshape(-1, k), axis=1)
+            draws = np.array([active[i][1].sorted_choice(m, k) for i in cand],
+                             dtype=int).reshape(-1, k)
         feature, threshold = np.zeros(len(active), dtype=int), np.zeros(len(active))
         for i, j, thr in zip(*_scan(x, n, k, min_leaf, scores, cand, draws,
                                     orders, sizes, base, counts)):

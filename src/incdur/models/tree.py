@@ -67,13 +67,6 @@ class Node:
         return self.left is None
 
 
-def _candidate_features(m, feature_fraction, rng):
-    if feature_fraction is None or feature_fraction >= 1.0 or rng is None:
-        return np.arange(m)
-    k = max(1, int(round(feature_fraction * m)))
-    return np.sort(rng.choice(m, size=k, replace=False))
-
-
 def _grow(X, max_depth, min_leaf, stats, leaf, score, min_gain, stop=None,
           presort=None, fitted=None):
     """Grow one tree, pre-order, over columns sorted once.

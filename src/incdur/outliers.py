@@ -1,13 +1,15 @@
 """Anomaly scoring (Isolation Forest, Local Outlier Factor) and
 percentage-based record removal. Scores are higher-is-more-anomalous.
 
-Isolation Forest grows each tree iteratively, pre-order, straight into the
-flat arrays that ``models.tree.PackedTrees`` walks, so scoring is one
-``PackedTrees.reduce``; the rng draws stay in the order of a recursive build, and only a
-node that may still split carries a copy of its rows. LOF finds neighbours
-with ``models.knn.nearest_rows``, the blocked k-nearest search kNN uses:
-distances come in row blocks, summed one feature at a time, and only each
-row's k nearest ids and distances are kept.
+Isolation Forest grows each tree iteratively, pre-order, straight into
+preallocated flat arrays that ``models.tree.PackedTrees`` walks, so scoring
+is one ``PackedTrees.reduce``. The rng draws stay in the order of a
+recursive build: each node's feature and threshold draws are replayed from
+raw PCG64 words by ``models.base.RawDraws``, bit for bit, so no per-node
+``Generator`` call is paid. Only a node that may still split carries a copy
+of its rows. LOF finds neighbours with ``models.knn.nearest_rows``, the
+blocked k-nearest search kNN uses: distances come in row blocks, summed one
+feature at a time, and only each row's k nearest ids and distances are kept.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models.base import as_values
+from .models.base import RawDraws, as_values
 from .models.knn import nearest_rows
 from .models.tree import PackedTrees, ordered_sum
 
@@ -38,7 +40,8 @@ _EULER_GAMMA = 0.5772156649015329
 
 
 class OrmError(ValueError):
-    """Unscorable input: too few rows, k >= rows, or non-finite scores."""
+    """Unscorable input: too few rows, k >= rows, non-finite LOF input or
+    non-finite scores."""
 
 
 @dataclass(frozen=True)
@@ -91,61 +94,82 @@ def _grow_isolation_trees(values, n_trees, psi, rng):
     subtree first: a uniform feature among those not constant in the node,
     then a uniform threshold in [min, max). A leaf holds its path length
     depth + c(size). The rng draws are those of a recursive build with
-    ``rng.choice(usable)`` and ``rng.uniform(min, max)``.
+    ``rng.choice(usable)`` and ``rng.uniform(min, max)``: each tree's sample
+    is a real ``rng.choice``, and its node draws are replayed from raw
+    words by ``RawDraws``, synced back before the next tree.
 
     Only a node that may split carries its rows; a child that is a leaf
-    (one row, or at the depth limit) carries just its size. A usable column
-    holds no NaN (NaN fails ``max > min``), so the split leaves rows on both
-    sides exactly when ``min < split <= max``.
+    (one row, or at the depth limit) carries just its size, and the two
+    leaf children of a 2-row node or of a node above the depth limit are
+    written at once. A usable column holds no NaN (NaN fails ``max > min``),
+    so the split leaves rows on both sides exactly when ``min < split <= max``.
     """
     n = values.shape[0]
     depth_limit = int(math.ceil(math.log2(max(2, psi))))
     path_c = [_avg_path_length(size) for size in range(psi + 1)]
-    feature, threshold, child, value, roots = [], [], [], [], []
-    deepest = 0
+    cap = n_trees * (2 * psi - 1)  # the most nodes the trees can have
+    # np.zeros maps fresh pages only once written: an unused tail costs no RSS
+    feature = np.zeros(cap, dtype=int)
+    threshold = np.zeros(cap)
+    value = np.zeros(cap)
+    child = np.zeros(2 * cap, dtype=int)  # 0: unset, as no root is a child
+    roots = []
+    i = deepest = 0  # the next node's id
     for _ in range(n_trees):
-        roots.append(len(feature))
+        roots.append(i)
         sample = values[rng.choice(n, size=psi, replace=False)]
+        draws = RawDraws(rng)
+        bounded, uniform = draws.bounded, draws.random
         # (rows, or None for a leaf; size; depth; parent's child slot)
         stack = [(sample, psi, 0, -1)]
         while stack:
             rows, size, depth, slot = stack.pop()
-            i = len(feature)
             if slot >= 0:
                 child[slot] = i
-            child += (i, i)
             if rows is not None:
-                lo = np.minimum.reduce(rows)
-                hi = np.maximum.reduce(rows)
+                if size == 2:
+                    lo = np.minimum(rows[0], rows[1])
+                    hi = np.maximum(rows[0], rows[1])
+                else:
+                    lo = np.minimum.reduce(rows)
+                    hi = np.maximum.reduce(rows)
                 usable = (hi > lo).nonzero()[0]
                 if usable.size:
                     # rng.integers(1) draws nothing: one usable column needs no call
-                    pick = rng.integers(usable.size) if usable.size > 1 else 0
-                    feat = int(usable[pick])
-                    low = float(lo[feat])
-                    high = float(hi[feat])
-                    split = low + (high - low) * rng.random()
+                    feat = usable.item(bounded(usable.size) if usable.size > 1 else 0)
+                    low = lo.item(feat)
+                    high = hi.item(feat)
+                    split = low + (high - low) * uniform()
                     if low < split <= high:
-                        feature.append(feat)
-                        threshold.append(split)
-                        value.append(0.0)
-                        go_left = rows[:, feat] < split
+                        feature[i] = feat
+                        threshold[i] = split
                         below = depth + 1
-                        if below == depth_limit:
-                            n_left = int(np.count_nonzero(go_left))
-                            stack.append((None, size - n_left, below, 2 * i))
-                            stack.append((None, n_left, below, 2 * i + 1))
+                        if size == 2 or below == depth_limit:  # two leaves
+                            n_left = 1 if size == 2 else int(
+                                np.count_nonzero(rows[:, feat] < split))
+                            child[2 * i + 1] = i + 1
+                            child[2 * i] = i + 2
+                            value[i + 1] = below + path_c[n_left]
+                            value[i + 2] = below + path_c[size - n_left]
+                            deepest = max(deepest, below)
+                            i += 3
                             continue
+                        go_left = rows[:, feat] < split
                         for ids, at in (((~go_left).nonzero()[0], 2 * i),
                                         (go_left.nonzero()[0], 2 * i + 1)):
                             part = rows.take(ids, axis=0) if ids.size > 1 else None
                             stack.append((part, ids.size, below, at))
+                        i += 1
                         continue
-            feature.append(0)
-            threshold.append(0.0)
-            value.append(depth + path_c[size])
+            value[i] = depth + path_c[size]
             deepest = max(deepest, depth)
-    return PackedTrees(roots, feature, threshold, child, value, deepest)
+            i += 1
+        draws.sync()
+        leaves = np.flatnonzero(child[2 * roots[-1]:2 * i] == 0) + 2 * roots[-1]
+        child[leaves] = leaves >> 1  # a leaf's children are itself
+    # compact copies: the walk can reuse the memory of the arrays
+    return PackedTrees(roots, feature[:i], threshold[:i].copy(), child[:2 * i].copy(),
+                       value[:i].copy(), deepest)
 
 
 def isolation_forest_scores(
@@ -180,12 +204,16 @@ def lof_scores(X, k: int) -> AnomalyScores:
     Neighbourhoods are the k nearest points with exact distance ties broken
     by lower row index. Zero-distance neighbourhoods (duplicate clusters)
     get their local reachability density capped at a large finite constant;
-    the cap count is reported in ``notes``.
+    the cap count is reported in ``notes``. A NaN or infinite cell raises
+    ``OrmError``.
     """
     values = as_values(X)
     n = values.shape[0]
     if not 2 <= k < n:
         raise OrmError("need 2 <= k < number of rows")
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:  # a NaN row would score as the strongest inlier
+        raise OrmError(f"LOF needs finite values, got {bad} non-finite cells")
 
     order, dist = nearest_rows(values, values, k, skip_self=True)
     reach = np.maximum(dist[:, -1][order], dist)  # k-distance of the neighbour

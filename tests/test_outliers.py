@@ -8,6 +8,7 @@ import pytest
 
 from incdur.outliers import (
     AnomalyScores,
+    OrmError,
     OrmParams,
     _avg_path_length,
     isolation_forest_scores,
@@ -131,6 +132,17 @@ def test_lof_rejects_bad_k():
     with pytest.raises(ValueError):
         lof_scores(values, k=1)
     with pytest.raises(ValueError):
+        lof_scores(values, k=5)
+
+
+@pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+def test_lof_rejects_non_finite_cells(cell):
+    # a NaN row used to score as the strongest inlier; an infinite cell
+    # warned twice before failing
+    values = np.random.default_rng(8).normal(size=(30, 3))
+    values[4, 1] = cell
+    values[9, 2] = cell
+    with pytest.raises(OrmError, match="2 non-finite cells"):
         lof_scores(values, k=5)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from incdur.models import KINDS, BoostParams, ForestParams, fit_model
-from incdur.models import boosting, forest
+from incdur.models import base, boosting, forest
 from incdur.models.tree import (
     Node,
     PackedTrees,
@@ -629,6 +629,22 @@ def test_forest_grows_the_trees_of_the_per_tree_loop():
         "default features", "k rounds to m, still drawn", "nan", "inf",
         "16-bit places", "root leaf", "one tree", "depth 1", "depth 12", "split",
     }, sorted(names)
+
+
+@pytest.mark.parametrize("block", [1, 2])
+def test_forest_feature_draws_match_the_per_tree_loop_across_draw_blocks(monkeypatch, block):
+    # each tree's replay refills its raw words every draw or two
+    monkeypatch.setattr(base, "DRAW_BLOCK", block)
+    rng = np.random.default_rng(41)
+    X = _matrix(rng, 90, 7)
+    y = np.nan_to_num(X[:, 0]) + rng.normal(size=90)
+    for n_classes, targets in ((0, y), (3, np.digitize(y, [-0.5, 0.5]))):
+        for frac in (None, 0.3, 0.6, 0.95):
+            params = ForestParams(n_trees=6, max_depth=6, feature_fraction=frac)
+            got = forest.fit(X, targets, n_classes, params, 7)
+            want = ref_forest_fit(X, targets, n_classes, params, 7)
+            assert same_trees(got.packed, want.packed), (n_classes, frac)
+            assert np.array_equal(got.predict_values(X), want.predict_values(X))
 
 
 def test_forest_fit_peak_memory_stays_below_the_per_tree_loop():

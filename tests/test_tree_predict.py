@@ -21,6 +21,7 @@ from incdur.models import (
     TreeParams,
     fit_model,
 )
+from incdur.models import base
 from incdur.models.boosting import _sigmoid
 from incdur.models.tree import Node, PackedTrees, predict_tree
 from incdur.outliers import OrmParams, _avg_path_length, isolation_forest_scores
@@ -332,6 +333,19 @@ def test_isolation_forest_edge_cases_match_recursive_builder(case):
     for seed in range(3):
         scores = isolation_forest_scores(values, params, seed=seed)
         assert np.array_equal(scores.scores, _if_reference(values, params, seed))
+
+
+@pytest.mark.parametrize("block", [1, 2])
+def test_isolation_forest_matches_recursive_builder_across_draw_blocks(monkeypatch, block):
+    # a replay refills its raw words every node or two, and syncs back
+    # before each tree's sample with a word or a half word read ahead
+    monkeypatch.setattr(base, "DRAW_BLOCK", block)
+    cases = [case[1:] for case in _if_cases()]
+    cases.append((_data(9, n=300, m=4)[0], OrmParams(if_n_trees=40, if_subsample=64)))
+    for values, params in cases:
+        for seed in range(2):
+            scores = isolation_forest_scores(values, params, seed=seed)
+            assert np.array_equal(scores.scores, _if_reference(values, params, seed))
 
 
 def _rows_left_at_limit(node, depth, depth_limit):
