@@ -130,7 +130,9 @@ def _grow(X, max_depth, min_leaf, stats, leaf, score, min_gain, stop=None,
             right=build(np.sort(order[f, k:]), right, depth + 1),
         )
 
-    return build(np.arange(n_rows), presort, 0)
+    tree = build(np.arange(n_rows), presort, 0)
+    del build  # the closure refers to itself: free the fit's arrays now, not at gc
+    return tree
 
 
 def grow_mse_tree(X, y, max_depth, min_samples_leaf=1, presort=None, fitted=None):
@@ -277,6 +279,7 @@ class PackedTrees:
             return i
 
         roots = [add(tree, 0) for tree in trees]
+        del add  # as in ``_grow``: break the closure's self-reference
         return cls(roots, feature, threshold, child, value, max(depths))
 
     def leaves(self, X, trees=None):

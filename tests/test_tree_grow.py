@@ -12,6 +12,7 @@ arrays are equal (``PackedTrees.from_nodes`` packs ``Node`` trees): the same
 shape, split features, bit-identical thresholds and leaf values.
 """
 
+import gc
 import tracemalloc
 import warnings
 from functools import partial
@@ -645,6 +646,23 @@ def test_forest_feature_draws_match_the_per_tree_loop_across_draw_blocks(monkeyp
             want = ref_forest_fit(X, targets, n_classes, params, 7)
             assert same_trees(got.packed, want.packed), (n_classes, frac)
             assert np.array_equal(got.predict_values(X), want.predict_values(X))
+
+
+def test_growing_and_packing_leave_no_reference_cycles():
+    # the recursive closures refer to themselves; left to the cyclic
+    # collector, each fit's sorted rows and column copies outlived the fit
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(60, 4))
+    y = X[:, 0] + rng.normal(size=60)
+    gc.collect()
+    gc.disable()
+    try:
+        for tree in (grow_mse_tree(X, y, 4), grow_gini_tree(X, (y > 0).astype(int), 2, 4),
+                     grow_second_order_tree(X, y, np.ones(60), 4, 1.0, 0.0)):
+            PackedTrees.from_nodes([tree])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_forest_fit_peak_memory_stays_below_the_per_tree_loop():
