@@ -51,15 +51,9 @@ def _select_rows(grad, params: BoostParams, rng):
     if params.goss is not None:
         a, b = params.goss
         order = np.argsort(-np.abs(grad), kind="mergesort")
-        n_top = int(a * n)
-        n_rest = int(b * n)
-        top = order[:n_top]
-        rest = order[n_top:]
-        sampled = (
-            rng.choice(rest, size=min(n_rest, rest.shape[0]), replace=False)
-            if rest.shape[0]
-            else rest
-        )
+        n_top = max(1, int(a * n))  # at least the largest |gradient|, as subsample
+        top, rest = order[:n_top], order[n_top:]  # a < 1 and n >= 2: rest has rows
+        sampled = rng.choice(rest, size=min(int(b * n), rest.shape[0]), replace=False)
         rows = np.sort(np.concatenate([top, sampled]))
         scale = np.ones(rows.shape[0])
         scale[np.isin(rows, sampled)] = (1.0 - a) / b

@@ -17,6 +17,7 @@ cumsum along each zero-padded segment row and a pairwise sum per node, a
 lone tree's adds. A node carries its sample rows ascending (a row's copies
 together) and, unless its children would sit at ``max_depth``, every
 column's stable order of them, filtered down from the fit's one argsort.
+Each popped node is logged with its parent slot, for ``PackedTrees`` to link.
 """
 
 from __future__ import annotations
@@ -147,17 +148,18 @@ def fit(values, targets, n_classes, params: ForestParams, seed):
     n, m = values.shape
     frac = params.feature_fraction
     if frac is None:
-        frac = max(1.0 / m, np.sqrt(m) / m)
+        frac = max(1.0 / m, np.sqrt(m) / m) if m else 1.0
     k = max(1, int(round(frac * m))) if frac < 1.0 else m
     size = max(2, int(params.bootstrap_fraction * n))
-    cap, min_leaf = params.max_depth, params.min_samples_leaf
+    cap = params.max_depth if m else 0  # no column: every tree is one leaf
+    min_leaf = params.min_samples_leaf
     stats, scores = _gini(targets, n_classes) if n_classes else _mse(targets)
     x = values.T.ravel()  # x[f * n + row] is values[row, f]
     presort = np.argsort(values.T, axis=1, kind="mergesort")
     presort = presort.astype(np.min_scalar_type(n - 1))  # what the trees in flight hold
     admitted, active, log = 0, [], []  # a tree in flight: [number, RawDraws, stack, nodes]
     while active or admitted < params.n_trees:
-        if admitted < params.n_trees and len(active) < max(1, CELLS // (m * size)):
+        if admitted < params.n_trees and len(active) < max(1, CELLS // max(1, m * size)):
             if params.bootstrap:
                 rows = np.sort(rng.integers(0, n, size=size))
             else:
@@ -207,11 +209,9 @@ def fit(values, targets, n_classes, params: ForestParams, seed):
     tree, local = meta.T
     count = np.bincount(tree)
     roots = np.cumsum(count) - count
-    ids = roots[tree] + local
-    where = np.argsort(ids)
-    child = np.repeat(np.arange(ids.shape[0]), 2)
-    up = slot >= 0
-    child[2 * roots[tree[up]] + slot[up]] = ids[up]
-    packed = PackedTrees(roots, feature[where], threshold[where], child,
-                         value[where], depth.max())
+    where = np.argsort(roots[tree] + local)
+    parent = np.where(slot >= 0, 2 * roots[tree] + slot, -1)
+    # rebinding frees the log's columns before PackedTrees builds the links
+    parent, feature, threshold, value = (c[where] for c in (parent, feature, threshold, value))
+    packed = PackedTrees(parent, feature, threshold, value, depth.max())
     return TreeModel(packed, _votes if n_classes else _mean)

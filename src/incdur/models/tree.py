@@ -26,11 +26,12 @@ predictions. Random forests (``forest.fit``, which grows its trees together,
 batched) and Isolation Forest grow their trees straight into
 ``PackedTrees``. CART and boosting still build ``Node`` trees and pack them
 once (``PackedTrees.from_nodes``), only because the benchmark tracer counts
-nodes from them. The packed trees, flat arrays with global node ids, each
-tree's nodes pre-order with the left subtree first, and self-looping leaves,
-are walked together one depth level per step with ``np.take``, in row chunks
-that ``reduce`` combines. Rows go left when ``x < threshold``, so NaN goes
-right. A walk may take a subset of the trees, so permutation importance
+nodes from them. Every writer hands ``PackedTrees`` each node's parent slot,
+each tree's nodes pre-order with the left subtree first, and only it builds
+the links: roots, [right, left] child pairs and self-looping leaves. The
+trees are walked together one depth level per step with ``np.take``, in row
+chunks that ``reduce`` combines. Rows go left when ``x < threshold``, so NaN
+goes right. A walk may take a subset of the trees, so permutation importance
 re-walks a chunk only through the trees that split on a shuffled column,
 and combines it as ``reduce`` does.
 """
@@ -50,7 +51,6 @@ __all__ = [
     "TreeModel",
     "ordered_sum",
     "predict_tree",
-    "leaf_values",
 ]
 
 
@@ -174,7 +174,7 @@ def grow_mse_tree(X, y, max_depth, min_samples_leaf=1, presort=None, fitted=None
     )
 
 
-def grow_gini_tree(X, y_idx, n_classes, max_depth, min_samples_leaf=1, presort=None):
+def grow_gini_tree(X, y_idx, n_classes, max_depth, min_samples_leaf=1):
     """Greedy classification tree; leaves hold class-count distributions."""
     # 0/1 columns of every class but the last, whose count is the rest
     member = [(y_idx == c).astype(float) for c in range(n_classes - 1)]
@@ -200,7 +200,7 @@ def grow_gini_tree(X, y_idx, n_classes, max_depth, min_samples_leaf=1, presort=N
         X, max_depth, min_samples_leaf,
         stats=lambda idx: np.bincount(y_idx[idx], minlength=n_classes),
         leaf=lambda counts: counts.astype(float), score=score, min_gain=1e-12,
-        stop=lambda counts: np.count_nonzero(counts) <= 1, presort=presort,
+        stop=lambda counts: np.count_nonzero(counts) <= 1,
     )
 
 
@@ -243,44 +243,50 @@ def grow_second_order_tree(
 class PackedTrees:
     """Trees as flat node arrays with global ids, walked together by ``leaves``.
 
-    Node ``i`` splits on ``feature[i]`` at ``threshold[i]`` and goes to
-    ``child[2 * i + (x < threshold)]``, so ``child`` holds [right, left]
-    pairs; a leaf's children are itself and its payload is ``value[i]``.
-    Each tree's nodes run from its root up to the next tree's root.
-    ``depth`` is the deepest leaf's depth, the number of steps a walk takes.
+    Writers give each node, each tree's pre-order with the left subtree
+    first, its parent slot: ``2 * p + 1`` for the left child of node ``p``,
+    ``2 * p`` for its right child, -1 for a root. Only the constructor derives
+    the links, ``roots`` and ``child``: node ``i`` splits on ``feature[i]`` at
+    ``threshold[i]`` and goes to ``child[2 * i + (x < threshold)]``, so
+    ``child`` holds [right, left] pairs; a leaf's children are itself and its
+    payload is ``value[i]``. ``depth`` is the deepest leaf's depth, the
+    number of steps a walk takes.
     """
 
     CHUNK_CELLS = 1 << 18  # (tree, row) cells walked per chunk
 
-    def __init__(self, roots, feature, threshold, child, value, depth):
-        self.roots = np.asarray(roots)
+    def __init__(self, parent, feature, threshold, value, depth):
+        parent = np.asarray(parent)
+        self.roots = np.flatnonzero(parent < 0)
+        self.child = np.repeat(np.arange(parent.shape[0]), 2)  # every node a leaf
+        kids = np.flatnonzero(parent >= 0)
+        self.child[parent[kids]] = kids
         self.depth = int(depth)
         self.feature = np.maximum(np.asarray(feature), 0)  # leaves read column 0
         self.threshold = np.asarray(threshold, dtype=float)
-        self.child = np.asarray(child)
         self.value = np.asarray(value, dtype=float)
 
     @classmethod
     def from_nodes(cls, trees):
         """Pack linked ``Node`` trees, pre-order, left subtree first."""
-        feature, threshold, child, value, depths = [], [], [], [], []
+        parent, feature, threshold, value, depths = [], [], [], [], []
 
-        def add(node, depth):  # returns the node's global id
+        def add(node, slot, depth):
             i = len(feature)
+            parent.append(slot)
             feature.append(node.feature)
             threshold.append(node.threshold)
-            child.extend((i, i))
             value.append(node.value)
             depths.append(depth)
             if node.left is not None:
-                child[2 * i + 1] = add(node.left, depth + 1)
-                child[2 * i] = add(node.right, depth + 1)
-                value[i] = 0.0 * value[child[2 * i + 1]]  # zeros, leaf-shaped
-            return i
+                add(node.left, 2 * i + 1, depth + 1)  # node i + 1
+                value[i] = 0.0 * value[i + 1]  # zeros, leaf-shaped
+                add(node.right, 2 * i, depth + 1)
 
-        roots = [add(tree, 0) for tree in trees]
+        for tree in trees:
+            add(tree, -1, 0)
         del add  # as in ``_grow``: break the closure's self-reference
-        return cls(roots, feature, threshold, child, value, max(depths))
+        return cls(parent, feature, threshold, value, max(depths))
 
     def leaves(self, X, trees=None):
         """Yield (row slice, leaf payloads of shape (trees, rows[, width]))
@@ -346,10 +352,3 @@ def ordered_sum(leaf, start=0.0, scale=1.0):
 def predict_tree(node: Node, X) -> np.ndarray:
     """Evaluate a tree on a matrix; leaf payloads may be scalar or vector."""
     return PackedTrees.from_nodes([node]).reduce(X, lambda leaf: leaf[0])
-
-
-def leaf_values(node: Node) -> list:
-    """All leaf payloads, left-to-right."""
-    if node.is_leaf:
-        return [node.value]
-    return leaf_values(node.left) + leaf_values(node.right)

@@ -2,10 +2,11 @@
 percentage-based record removal. Scores are higher-is-more-anomalous.
 
 Isolation Forest grows each tree iteratively, pre-order, straight into
-preallocated flat arrays that ``models.tree.PackedTrees`` walks, so scoring
-is one ``PackedTrees.reduce``. The rng draws stay in the order of a
-recursive build: each node's feature and threshold draws are replayed from
-raw PCG64 words by ``models.base.RawDraws``, bit for bit, so no per-node
+preallocated flat arrays of each node's parent slot, split and path length,
+which ``models.tree.PackedTrees`` links and walks, so scoring is one
+``PackedTrees.reduce``. The rng draws stay in the order of a recursive
+build: each node's feature and threshold draws are replayed from raw PCG64
+words by ``models.base.RawDraws``, bit for bit, so no per-node
 ``Generator`` call is paid. Only a node that may still split carries a copy
 of its rows. LOF finds neighbours with ``models.knn.nearest_rows``, the
 blocked k-nearest search kNN uses: distances come in row blocks, summed one
@@ -88,7 +89,7 @@ def _avg_path_length(n) -> float:
 
 
 def _grow_isolation_trees(values, n_trees, psi, rng):
-    """Grow random-split trees straight into ``PackedTrees`` arrays.
+    """Grow random-split trees straight into the arrays ``PackedTrees`` takes.
 
     Each tree takes a subsample of psi rows, then splits pre-order, left
     subtree first: a uniform feature among those not constant in the node,
@@ -103,6 +104,7 @@ def _grow_isolation_trees(values, n_trees, psi, rng):
     leaf children of a 2-row node or of a node above the depth limit are
     written at once. A usable column holds no NaN (NaN fails ``max > min``),
     so the split leaves rows on both sides exactly when ``min < split <= max``.
+    Each node records its parent slot; ``PackedTrees`` links the trees.
     """
     n = values.shape[0]
     depth_limit = int(math.ceil(math.log2(max(2, psi))))
@@ -112,20 +114,16 @@ def _grow_isolation_trees(values, n_trees, psi, rng):
     feature = np.zeros(cap, dtype=int)
     threshold = np.zeros(cap)
     value = np.zeros(cap)
-    child = np.zeros(2 * cap, dtype=int)  # 0: unset, as no root is a child
-    roots = []
+    parent = np.zeros(cap, dtype=int)
     i = deepest = 0  # the next node's id
     for _ in range(n_trees):
-        roots.append(i)
         sample = values[rng.choice(n, size=psi, replace=False)]
         draws = RawDraws(rng)
         bounded, uniform = draws.bounded, draws.random
-        # (rows, or None for a leaf; size; depth; parent's child slot)
+        # (rows, or None for a leaf; size; depth; parent slot, -1 at the root)
         stack = [(sample, psi, 0, -1)]
         while stack:
-            rows, size, depth, slot = stack.pop()
-            if slot >= 0:
-                child[slot] = i
+            rows, size, depth, parent[i] = stack.pop()
             if rows is not None:
                 if size == 2:
                     lo = np.minimum(rows[0], rows[1])
@@ -147,8 +145,8 @@ def _grow_isolation_trees(values, n_trees, psi, rng):
                         if size == 2 or below == depth_limit:  # two leaves
                             n_left = 1 if size == 2 else int(
                                 np.count_nonzero(rows[:, feat] < split))
-                            child[2 * i + 1] = i + 1
-                            child[2 * i] = i + 2
+                            parent[i + 1] = 2 * i + 1
+                            parent[i + 2] = 2 * i
                             value[i + 1] = below + path_c[n_left]
                             value[i + 2] = below + path_c[size - n_left]
                             deepest = max(deepest, below)
@@ -165,11 +163,9 @@ def _grow_isolation_trees(values, n_trees, psi, rng):
             deepest = max(deepest, depth)
             i += 1
         draws.sync()
-        leaves = np.flatnonzero(child[2 * roots[-1]:2 * i] == 0) + 2 * roots[-1]
-        child[leaves] = leaves >> 1  # a leaf's children are itself
     # compact copies: the walk can reuse the memory of the arrays
-    return PackedTrees(roots, feature[:i], threshold[:i].copy(), child[:2 * i].copy(),
-                       value[:i].copy(), deepest)
+    return PackedTrees(parent[:i], feature[:i], threshold[:i].copy(), value[:i].copy(),
+                       deepest)
 
 
 def isolation_forest_scores(

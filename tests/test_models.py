@@ -6,6 +6,7 @@ import pytest
 from incdur.dataset import PlantedEffect, SynthConfig, encode, synthesize
 from incdur.metrics import rmse
 from incdur.models import (
+    KINDS,
     BoostParams,
     ForestParams,
     KnnParams,
@@ -15,6 +16,7 @@ from incdur.models import (
     fit_model,
 )
 from incdur.models.base import prepare_targets
+from incdur.models.boosting import _select_rows
 from incdur.models.forest import _votes
 from incdur.models.linear import logistic_loss, logistic_loss_grad
 from incdur.models.tree import (
@@ -22,7 +24,6 @@ from incdur.models.tree import (
     PackedTrees,
     TreeModel,
     grow_second_order_tree,
-    leaf_values,
 )
 
 
@@ -137,7 +138,7 @@ def test_second_order_leaf_weight_formula():
     g = np.full(4, np.mean(y)) - y
     tree = grow_second_order_tree(X, g, np.ones(4), max_depth=1,
                                   reg_lambda=lam, gamma=0.0)
-    left, right = leaf_values(tree)
+    _, left, right = PackedTrees.from_nodes([tree]).value  # root, left, right
     assert left == pytest.approx(-g[:2].sum() / (2 + lam), abs=1e-12)
     assert right == pytest.approx(-g[2:].sum() / (2 + lam), abs=1e-12)
 
@@ -158,6 +159,19 @@ def test_goss_still_learns():
     model = fit_model("gbt", X, y, params, seed=0)
     base = rmse(y, np.full_like(y, y.mean()))
     assert rmse(y, model.predict(X)) < 0.5 * base
+
+
+def test_goss_keeps_the_largest_gradient_row_on_tiny_tables():
+    # int(0.2 * 4) is 0 top rows and 0 sampled rows: a round grew on no rows
+    X = np.random.default_rng(7).normal(size=(4, 3))
+    y = np.array([1.0, 2.0, 4.0, 8.0])
+    params = BoostParams(n_rounds=3, goss=(0.2, 0.2))
+    rows, scale = _select_rows(y - y.mean(), params, np.random.default_rng(0))
+    assert rows.tolist() == [3] and scale.tolist() == [1.0]
+    proba = fit_model("gbt", X, y > 3.0, params, "classification").predict_proba(X)
+    assert np.isfinite(proba).all()
+    pred = fit_model("gbt-reg", X, y, params).predict(X)
+    assert np.isfinite(pred).all() and not np.allclose(pred, y.mean())
 
 
 def test_gbt_classification_separable():
@@ -465,6 +479,22 @@ def test_one_class_fit_predicts_that_class_with_probability_one(kind):
                       "classification")
     assert model.predict(X).tolist() == ["long"] * 12
     assert np.array_equal(model.predict_proba(X), np.ones((12, 1)))
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_zero_column_fit_predicts_a_constant(kind, task):
+    # a fusion meta-learner gets no columns when every base column is constant
+    X = np.empty((20, 0))
+    y = np.random.default_rng(6).uniform(1.0, 50.0, size=20)
+    model = fit_model(kind, X, y if task == "regression" else y > 25.0, task=task)
+    pred = model.predict(X)
+    assert pred.shape == (20,) and (pred == pred[0]).all()
+    if task == "classification":
+        proba = model.predict_proba(X)
+        assert np.isfinite(proba).all() and (proba == proba[0]).all()
+    else:
+        assert np.isfinite(pred).all()
 
 
 @pytest.mark.parametrize(

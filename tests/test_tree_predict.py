@@ -206,6 +206,34 @@ def test_single_leaf_trees():
             assert np.array_equal(model.predict(Q), np.full(Q.shape[0], 2.5))
 
 
+def test_parent_slots_give_roots_child_pairs_and_self_looping_leaves():
+    # pre-order, left subtree first: a split tree (nodes 0-2), a lone leaf
+    # (3) and a split tree whose left child splits again (4-8)
+    parent = [-1, 1, 0, -1, -1, 9, 11, 10, 8]
+    feature = [0, -1, -1, -1, 1, 0, -1, -1, -1]
+    threshold = [0.5, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0]
+    value = np.array([[0, 0], [3, 1], [1, 3], [2, 2], [0, 0], [0, 0], [5, 0], [0, 5],
+                      [1, 1]], dtype=float)  # class counts, zeros at splits
+    packed = PackedTrees(parent, feature, threshold, value, 2)
+    assert packed.roots.tolist() == [0, 3, 4]
+    assert packed.child.reshape(-1, 2).tolist() == [  # [right, left] pairs
+        [2, 1], [1, 1], [2, 2], [3, 3], [8, 5], [7, 6], [6, 6], [7, 7], [8, 8]]
+    assert packed.split_columns(2).tolist() == [[True, False], [False, False],
+                                                 [True, True]]
+    leaf = [Node(value=v) for v in value]
+    trees = [Node(0, 0.5, leaf[1], leaf[2]), leaf[3],
+             Node(1, 0.0, Node(0, 2.0, leaf[6], leaf[7]), leaf[8])]
+    packed_nodes = PackedTrees.from_nodes(trees)
+    for name in ("roots", "feature", "threshold", "child", "value"):
+        assert np.array_equal(getattr(packed_nodes, name), getattr(packed, name)), name
+    assert packed_nodes.depth == 2
+    X = np.array([[0.2, -1.0], [3.0, -1.0], [0.2, np.nan]])
+    [(rows, payload)] = packed.leaves(X)
+    assert rows == slice(0, 3)
+    assert payload.tolist() == [[[3, 1], [1, 3], [3, 1]], [[2, 2], [2, 2], [2, 2]],
+                                [[5, 0], [0, 5], [1, 1]]]
+
+
 def test_nan_goes_right():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0.0, 0.0, 5.0, 5.0])
